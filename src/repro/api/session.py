@@ -598,7 +598,6 @@ class FactCheckSession:
         from repro.inference.engine import release_model_engines
 
         if self._process is not None:
-            self._process.close()
             release_model_engines(self._process.icrf.model)
         if self._checker is not None and self._checker.model is not None:
             release_model_engines(self._checker.model)

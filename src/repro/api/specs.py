@@ -254,21 +254,12 @@ class GuidanceSpec:
         deterministic_ties: Break selection-score ties by claim index.
         gain: Information-gain evaluation settings (embedded
             :class:`~repro.guidance.gain.GainConfig`).
-        parallel: Shorthand for ``gain.parallel`` — evaluate candidate
-            gains on the snapshot-isolated executor (results bit-for-bit
-            identical to sequential evaluation in both inference modes).
-            ``None`` leaves the embedded config untouched.
-        max_workers: Shorthand for ``gain.max_workers``; only meaningful
-            with ``parallel``.  ``None`` leaves the embedded config
-            untouched.
     """
 
     strategy: str = "hybrid"
     candidate_limit: Optional[int] = None
     deterministic_ties: bool = False
     gain: GainConfig = field(default_factory=GainConfig)
-    parallel: Optional[bool] = None
-    max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -282,20 +273,9 @@ class GuidanceSpec:
                 "candidate_limit must be at least 1 (or None)",
                 field="candidate_limit",
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise SpecError(
-                "max_workers must be at least 1 (or None)",
-                field="max_workers",
-            )
-        gain = _build_config(GainConfig, self.gain, "gain")
-        overrides = {}
-        if self.parallel is not None:
-            overrides["parallel"] = bool(self.parallel)
-        if self.max_workers is not None:
-            overrides["max_workers"] = int(self.max_workers)
-        if overrides:
-            gain = dataclasses.replace(gain, **overrides)
-        object.__setattr__(self, "gain", gain)
+        object.__setattr__(
+            self, "gain", _build_config(GainConfig, self.gain, "gain")
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -309,9 +309,47 @@ class CrfModel:
             )
         return logits
 
-    def mean_field_probabilities(self, probabilities: np.ndarray) -> np.ndarray:
-        """One damped mean-field update of the marginals."""
-        return sigmoid(self.marginal_logits(probabilities))
+    def mean_field(
+        self,
+        probabilities: np.ndarray,
+        *,
+        steps: int,
+        damping: float,
+        scope: Optional[np.ndarray] = None,
+        fixed: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Damped mean-field fixed point — the one light-inference operator.
+
+        Iterates ``P[f] ← d·P[f] + (1 − d)·σ(logits(P)[f])`` over the free
+        claims ``f`` on a copy of ``probabilities``; every other claim keeps
+        its starting value.  Hypothetical gain evaluation, the mean-field
+        E-steps (batch and streaming), the confirmation check and
+        cross-validated precision all run this operator.
+
+        Args:
+            probabilities: Starting marginals (not modified).
+            steps: Fixed-point iterations.
+            damping: Weight ``d`` of the previous value, in ``[0, 1)``.
+            scope: Claims allowed to move (default: every claim).
+            fixed: Claims held at their starting value even inside the
+                scope — the labels, plus any hypothetical pins.
+        """
+        marginals = np.asarray(probabilities, dtype=float).copy()
+        free = (
+            np.arange(marginals.size, dtype=np.intp)
+            if scope is None
+            else np.asarray(scope, dtype=np.intp)
+        )
+        if fixed is not None and len(fixed):
+            held = np.zeros(marginals.size, dtype=bool)
+            held[np.asarray(fixed, dtype=np.intp)] = True
+            free = free[~held[free]]
+        if free.size == 0:
+            return marginals
+        for _ in range(steps):
+            updated = sigmoid(self.marginal_logits(marginals)[free])
+            marginals[free] = damping * marginals[free] + (1.0 - damping) * updated
+        return marginals
 
     # ------------------------------------------------------------------
     # Joint (for exact entropy on small components)

@@ -32,6 +32,7 @@ from repro.data.database import FactDatabase
 from repro.errors import GuidanceError
 from repro.guidance.gain import (
     GainEstimator,
+    HypotheticalView,
     StateSnapshot,
     marginal_entropy_ranking,
 )
@@ -247,8 +248,8 @@ def exact_batch_gain(
             weight *= p if value == 1 else (1.0 - p)
         if weight == 0.0:
             continue
-        pins = dict(zip(claims, values))
-        marginals = gains._mean_field(scope_array, pins=pins, state=snapshot)
+        view = HypotheticalView(snapshot, dict(zip(claims, values)))
+        marginals = gains.mean_field(scope_array, view)
         entropy = float(binary_entropy(marginals[scope_array]).sum())
         conditional += weight * entropy
     return current_entropy - conditional

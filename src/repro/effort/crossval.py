@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
-from repro.crf.potentials import sigmoid
 from repro.errors import ValidationProcessError
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -87,8 +86,13 @@ def _fold_agreement(
             scope.update(
                 int(c) for c in components.component_of_claim(claim_index)
             )
-        marginals = _mean_field(model, np.asarray(sorted(scope), dtype=np.intp),
-                                meanfield_steps)
+        marginals = model.mean_field(
+            database.probabilities,
+            steps=meanfield_steps,
+            damping=0.2,
+            scope=np.asarray(sorted(scope), dtype=np.intp),
+            fixed=database.labelled_indices,
+        )
         hits = sum(
             1
             for claim_index in held_out
@@ -97,23 +101,3 @@ def _fold_agreement(
         return hits / len(held_out)
     finally:
         database.restore_state(snapshot)
-
-
-def _mean_field(
-    model: CrfModel, scope: np.ndarray, steps: int, damping: float = 0.2
-) -> np.ndarray:
-    """Damped mean-field re-inference restricted to ``scope``."""
-    database = model.database
-    marginals = np.asarray(database.probabilities, dtype=float).copy()
-    labelled = database.labels
-    free = np.asarray(
-        [int(c) for c in scope if int(c) not in labelled], dtype=np.intp
-    )
-    if free.size == 0:
-        return marginals
-    for _ in range(steps):
-        logits = model.marginal_logits(marginals)
-        marginals[free] = damping * marginals[free] + (1.0 - damping) * sigmoid(
-            logits[free]
-        )
-    return marginals

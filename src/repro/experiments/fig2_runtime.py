@@ -6,7 +6,8 @@ Three implementation variants of claim selection + inference are compared:
   with exact (enumeration-based) entropy where feasible;
 * ``scalable`` — the linear-time entropy approximation of §4.1 (Eq. 13);
 * ``parallel+partition`` — additionally the optimisations of §5.1:
-  component-restricted inference and parallel candidate evaluation.
+  component-restricted inference over independent, snapshot-isolated
+  candidates.
 
 Expected shape (paper): response time grows with dataset size and drops
 sharply across the variants, with ``parallel+partition`` staying below
@@ -33,10 +34,7 @@ VARIANTS = {
         inference_mode="gibbs", entropy_method="approx", localize=False
     ),
     "parallel+partition": GainConfig(
-        inference_mode="meanfield",
-        entropy_method="approx",
-        localize=True,
-        parallel=True,
+        inference_mode="meanfield", entropy_method="approx", localize=True
     ),
 }
 

@@ -6,15 +6,10 @@ The package splits the gain machinery into focused modules:
 * :mod:`.snapshot` — :class:`StateSnapshot` / :class:`HypotheticalView`,
   the read-only state captures that let hypothetical labels be evaluated
   without mutating the shared database.
-* :mod:`.executor` — the snapshot-isolated parallel executor: guarded
-  baseline cache, worker-local engine pool, ordered thread map.
-* :mod:`.cache` — :class:`ComponentGainCache`, cross-call gain reuse
-  keyed by per-component generation counters.
 * :mod:`.estimator` — :class:`GainEstimator` itself and the
   marginal-entropy candidate ranking.
 """
 
-from repro.guidance.gain.cache import ComponentGainCache
 from repro.guidance.gain.config import (
     ENTROPY_METHODS,
     INFERENCE_MODES,
@@ -24,7 +19,6 @@ from repro.guidance.gain.estimator import GainEstimator, marginal_entropy_rankin
 from repro.guidance.gain.snapshot import HypotheticalView, StateSnapshot
 
 __all__ = [
-    "ComponentGainCache",
     "ENTROPY_METHODS",
     "GainConfig",
     "GainEstimator",

@@ -26,23 +26,10 @@ class GainConfig:
         damping: Mean-field damping factor in [0, 1); higher is smoother.
         gibbs_burn_in / gibbs_samples: Schedule of the throwaway chain in
             Gibbs mode.
-        parallel: Evaluate candidate gains on the snapshot-isolated
-            executor: every candidate reads a read-only
-            :class:`~repro.guidance.gain.HypotheticalView` of the
-            database state and draws from its own derived generator, so
-            candidates run concurrently in *both* inference modes with
-            results bit-for-bit identical to sequential evaluation at
-            every worker count.  In Gibbs mode the executor also routes
-            the throwaway chains through worker-local engines backed by
-            the compiled merge kernel of the sharded backend, which is
-            why ``parallel=True`` pays off even on a single core.
-        max_workers: Worker-thread count when ``parallel`` is set.
-        cache_gains: Keep evaluated gains across calls and re-evaluate a
-            candidate only when its connected component was dirtied by a
-            label (or the model weights changed) since the cached value
-            was computed.  Off by default: the cache assumes the
-            inference state between calls moves only through labels and
-            weight updates.
+
+    Every field changes the gains.  How candidates are executed (threads,
+    worker count, engine) cannot, so the estimator chooses it and it is
+    not configurable.
     """
 
     inference_mode: str = "meanfield"
@@ -52,9 +39,6 @@ class GainConfig:
     damping: float = 0.3
     gibbs_burn_in: int = 3
     gibbs_samples: int = 8
-    parallel: bool = False
-    max_workers: int = 4
-    cache_gains: bool = False
 
     def __post_init__(self) -> None:
         if self.inference_mode not in INFERENCE_MODES:
@@ -78,8 +62,4 @@ class GainConfig:
         if self.gibbs_samples <= 0:
             raise GuidanceError(
                 f"gibbs_samples must be positive, got {self.gibbs_samples}"
-            )
-        if self.max_workers < 1:
-            raise GuidanceError(
-                f"max_workers must be at least 1, got {self.max_workers}"
             )

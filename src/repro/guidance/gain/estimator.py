@@ -15,34 +15,26 @@ entropy ``H_C`` (information-driven guidance) and the source-trust entropy
 * **Graph partitioning** (§5.1) — hypothetical input on ``c`` can only
   affect claims in ``c``'s connected component, so inference and entropy
   differences are restricted to it.
-* **Parallelisation** (§5.1) — gains of different candidates are
-  independent.  ``GainConfig(parallel=True)`` evaluates them on the
-  snapshot-isolated executor: every candidate reads a read-only
-  :class:`~repro.guidance.gain.HypotheticalView` of the captured database
-  state and draws from its own derived stream, so candidates run
-  concurrently in *both* inference modes with results bit-for-bit
-  identical to sequential evaluation.  ``parallel=False`` keeps the
-  mutate-and-restore evaluation against the live database and doubles as
-  the semantic oracle the parallel path is tested against.
-* **Gain caching** (§5.1) — with ``localize=True`` a candidate's gain can
-  only change when a label lands in its connected component (or the
-  weights move), so ``cache_gains=True`` reuses evaluated gains across
-  calls via per-component generation counters.
+* **Independent candidates** (§5.1) — every batched-gains call captures
+  one :class:`~repro.guidance.gain.StateSnapshot`; each hypothesis reads
+  a read-only :class:`~repro.guidance.gain.HypotheticalView` of it, so
+  the shared database is never mutated and no candidate sees another's
+  hypothesis.  (Spreading candidates over threads was measured slower
+  than one thread, so they run in sequence; see ``_GIBBS_ENGINE``.)
 
 Hypothetical inference comes in two flavours: ``"meanfield"`` (default) —
-a few damped fixed-point updates of the marginals, deterministic and
+a few steps of the model's damped mean-field operator
+(:meth:`~repro.crf.model.CrfModel.mean_field`), deterministic and
 vector-fast; ``"gibbs"`` — a short throwaway Gibbs chain, closer to the
 paper's sampling-based estimate but noisier and slower (the ``origin``
 configuration of Fig. 2).  Gibbs-mode candidate streams are pure
 functions of one root entropy draw per batched-gains call, keyed by
-``(candidate, hypothesis)`` — evaluation order and worker schedule
-cannot change any result.
+``(candidate, hypothesis)`` — evaluation order cannot change any result.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,12 +46,10 @@ from repro.crf.entropy import (
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
-from repro.crf.potentials import sigmoid
 from repro.data.database import FactDatabase
-from repro.guidance.gain.cache import ComponentGainCache
 from repro.guidance.gain.config import GainConfig
-from repro.guidance.gain.executor import BaselineCache, EnginePool, map_ordered
 from repro.guidance.gain.snapshot import HypotheticalView, StateSnapshot
+from repro.inference.engine import EngineConfig
 from repro.utils.arrays import concat_ranges
 from repro.utils.rng import RandomState, draw_entropy, ensure_rng, stream_rng
 
@@ -69,28 +59,31 @@ from repro.utils.rng import RandomState, draw_entropy, ensure_rng, stream_rng
 _STREAM_BASELINE = 1
 _STREAM_HYPOTHESIS = 2
 
+#: Engine of the throwaway Gibbs chains: the compiled merge kernel,
+#: in-process (no fork pool), memoised on the model like every engine.
+#: Its sweeps are bit-identical to every backend, and on the full wiki
+#: candidate pool it beats the default engine 3–5× on one thread.  On a
+#: 2-core host, spreading candidates over 2 or 4 threads measured slower
+#: than one thread in both inference modes, so candidates run in sequence.
+_GIBBS_ENGINE = EngineConfig(backend="sharded", num_shards=1)
+
 
 class _CallContext:
     """Shared state of one batched-gains call.
 
-    Carries the root entropy of the call's Gibbs stream tree, the guarded
-    per-component baseline cache (passed explicitly — no estimator
-    attribute to race on), and, on the parallel path, the snapshot every
-    candidate's views overlay.
+    Carries the snapshot every hypothesis overlays, the root entropy of
+    the call's Gibbs stream tree, and the per-component baselines.
     """
 
     #: Call-scoped scratch structure, never checkpointed.
-    _STATE_EXCLUDED = ("entropy", "baselines", "snapshot")
+    _STATE_EXCLUDED = ("snapshot", "entropy", "baselines")
 
     def __init__(
-        self,
-        entropy: Optional[int],
-        baselines: BaselineCache,
-        snapshot: Optional[StateSnapshot],
+        self, snapshot: StateSnapshot, entropy: Optional[int]
     ) -> None:
-        self.entropy = entropy
-        self.baselines = baselines
         self.snapshot = snapshot
+        self.entropy = entropy
+        self.baselines: Dict[int, np.ndarray] = {}
 
 
 class GainEstimator:
@@ -100,34 +93,19 @@ class GainEstimator:
         model: The CRF model (weights are read, never modified).
         components: Component index for localisation.
         config: Evaluation configuration.
-        engine: Hot-path engine for sequential Gibbs-mode hypothetical
-            inference; pass the owning inference engine so gain
-            evaluation runs the same backend as the E-step (defaults to
-            the model's default backend).  The parallel path ignores it
-            and leases worker-local kernel-backed engines instead.
         seed: Seed or generator (only Gibbs mode consumes randomness).
     """
 
     #: Rebuilt from the session spec on resume (STATE001); the generator
     #: ``_rng`` is the only checkpointed attribute and is carried by
     #: :meth:`ValidationProcess.state_dict`.
-    _STATE_EXCLUDED = (
-        "_model",
-        "_database",
-        "_config",
-        "_components",
-        "_engine",
-        "_state_lock",
-        "_engine_pool",
-        "_gain_cache",
-    )
+    _STATE_EXCLUDED = ("_model", "_database", "_config", "_components")
 
     def __init__(
         self,
         model: CrfModel,
         components: Optional[ComponentIndex] = None,
         config: Optional[GainConfig] = None,
-        engine=None,
         seed: RandomState = None,
     ) -> None:
         self._model = model
@@ -136,17 +114,7 @@ class GainEstimator:
         self._components = (
             components if components is not None else ComponentIndex(self._database)
         )
-        self._engine = engine
         self._rng = ensure_rng(seed)
-        # Sequential Gibbs-mode hypothetical inference pins its label in
-        # the shared database; the lock serialises that mutate-and-restore
-        # window against concurrent readers.  The parallel path never
-        # takes it — views leave the database untouched.
-        self._state_lock = threading.Lock()
-        self._engine_pool = EnginePool(model)
-        self._gain_cache = (
-            ComponentGainCache() if self._config.cache_gains else None
-        )
 
     @property
     def config(self) -> GainConfig:
@@ -157,15 +125,6 @@ class GainEstimator:
     def components(self) -> ComponentIndex:
         """Connected-component index used for localisation."""
         return self._components
-
-    @property
-    def gain_cache(self) -> Optional[ComponentGainCache]:
-        """The cross-call gain cache, when ``cache_gains`` is enabled."""
-        return self._gain_cache
-
-    def close(self) -> None:
-        """Release pooled worker engines; the estimator stays usable."""
-        self._engine_pool.close()
 
     # ------------------------------------------------------------------
     # Public gains
@@ -180,67 +139,50 @@ class GainEstimator:
         return float(self._gains([claim_index], source_driven=True)[0])
 
     def information_gains(self, claim_indices: Sequence[int]) -> np.ndarray:
-        """Vector of IG_C over candidates, optionally in parallel."""
+        """Vector of IG_C over candidates."""
         return self._gains(claim_indices, source_driven=False)
 
     def source_gains(self, claim_indices: Sequence[int]) -> np.ndarray:
-        """Vector of IG_S over candidates, optionally in parallel."""
+        """Vector of IG_S over candidates."""
         return self._gains(claim_indices, source_driven=True)
+
+    def mean_field(self, scope: np.ndarray, view: HypotheticalView) -> np.ndarray:
+        """Mean-field light inference over ``scope`` on a view's state.
+
+        The view's labels and pins stay fixed; the iteration count and
+        damping come from the configuration.
+        """
+        return self._model.mean_field(
+            view.probabilities,
+            steps=self._config.meanfield_steps,
+            damping=self._config.damping,
+            scope=scope,
+            fixed=view.labelled_indices,
+        )
 
     def _gains(
         self, claim_indices: Sequence[int], source_driven: bool
     ) -> np.ndarray:
-        claim_indices = [int(c) for c in claim_indices]
         # One root entropy draw per call keys the whole Gibbs stream tree;
         # every chain seed is a pure function of (root, candidate, value),
-        # so sequential and parallel evaluation consume the session
-        # generator identically and produce identical gains.  Mean-field
-        # mode is deterministic and consumes nothing.
+        # so gains do not depend on evaluation order.  Mean-field mode is
+        # deterministic and consumes nothing.
         entropy = (
             draw_entropy(self._rng)
             if self._config.inference_mode == "gibbs"
             else None
         )
-        snapshot = (
-            StateSnapshot.capture(self._database)
-            if self._config.parallel
-            else None
+        context = _CallContext(StateSnapshot.capture(self._database), entropy)
+        return np.asarray(
+            [self._gain(int(c), source_driven, context) for c in claim_indices]
         )
-        context = _CallContext(entropy, BaselineCache(), snapshot)
-
-        cache = self._gain_cache
-        if cache is not None:
-            cache.sync(
-                self._database.labels,
-                self._component_key,
-                self._model.weights.values.tobytes(),
-            )
-
-        def evaluate(claim: int) -> float:
-            component = self._component_key(claim)
-            if cache is not None:
-                hit = cache.lookup(claim, source_driven, component)
-                if hit is not None:
-                    return hit
-            value = self._gain(claim, source_driven, context)
-            if cache is not None:
-                cache.store(claim, source_driven, component, value)
-            return value
-
-        if self._config.parallel:
-            values = map_ordered(
-                evaluate, claim_indices, self._config.max_workers
-            )
-        else:
-            values = [evaluate(c) for c in claim_indices]
-        return np.asarray(values)
 
     # ------------------------------------------------------------------
     # Core computation
     # ------------------------------------------------------------------
 
     def _component_key(self, claim_index: int) -> int:
-        """Cache/stream key of the candidate's component (−1 = global)."""
+        """Baseline/stream key of the candidate's component (−1 = global)."""
         if self._config.localize:
             return int(self._components.component_of(claim_index))
         return -1
@@ -254,8 +196,7 @@ class GainEstimator:
     def _gain(
         self, claim_index: int, source_driven: bool, context: _CallContext
     ) -> float:
-        database = self._database
-        if database.is_labelled(claim_index):
+        if claim_index in context.snapshot.labels:
             return 0.0
         scope = self._scope(claim_index)
         # The baseline H(Q) must be measured after the *same* light
@@ -268,14 +209,10 @@ class GainEstimator:
         positive = self._hypothetical_marginals(claim_index, 1, scope, context)
         negative = self._hypothetical_marginals(claim_index, 0, scope, context)
 
-        if source_driven:
-            current = self._source_entropy(base, scope, context)
-            plus = self._source_entropy(positive, scope, context)
-            minus = self._source_entropy(negative, scope, context)
-        else:
-            current = self._claim_entropy(base, scope, context)
-            plus = self._claim_entropy(positive, scope, context)
-            minus = self._claim_entropy(negative, scope, context)
+        entropy = self._source_entropy if source_driven else self._claim_entropy
+        current = entropy(base, scope, context.snapshot)
+        plus = entropy(positive, scope, context.snapshot)
+        minus = entropy(negative, scope, context.snapshot)
         conditional = p * plus + (1.0 - p) * minus
         return float(current - conditional)
 
@@ -284,28 +221,20 @@ class GainEstimator:
     ) -> np.ndarray:
         """Label-free light inference over the candidate's scope.
 
-        Computed at most once per component per batched-gains call (the
-        result is identical for all candidates of a component); the
-        guarded cache blocks every other worker of the component while
-        the first one runs the inference.
+        Computed at most once per component per batched-gains call: the
+        result is identical for all candidates of a component.
         """
         key = self._component_key(claim_index)
-
-        def compute() -> np.ndarray:
-            if self._config.inference_mode == "meanfield":
-                return self._mean_field(
-                    scope, pins=None, state=context.snapshot
-                )
+        if key not in context.baselines:
             # Offset the key into non-negative spawn-key space: the
             # non-localised global key −1 maps to stream 0.
-            seed = stream_rng(context.entropy, _STREAM_BASELINE, key + 1)
-            if context.snapshot is not None:
-                view = HypotheticalView(context.snapshot)
-                return self._gibbs_view(scope, view, seed)
-            with self._state_lock:
-                return self._gibbs(scope, seed)
-
-        return context.baselines.get_or_compute(key, compute)
+            context.baselines[key] = self._infer(
+                scope,
+                HypotheticalView(context.snapshot),
+                context,
+                (_STREAM_BASELINE, key + 1),
+            )
+        return context.baselines[key]
 
     def _hypothetical_marginals(
         self,
@@ -315,121 +244,34 @@ class GainEstimator:
         context: _CallContext,
     ) -> np.ndarray:
         """Marginals of ``Q+`` / ``Q-`` under light inference."""
-        if self._config.inference_mode == "meanfield":
-            # The hypothetical label is pinned inside the fixed point, so
-            # the shared database is never mutated — safe to parallelise.
-            return self._mean_field(
-                scope, pins={claim_index: value}, state=context.snapshot
-            )
-        seed = stream_rng(
-            context.entropy, _STREAM_HYPOTHESIS, claim_index, value
+        return self._infer(
+            scope,
+            HypotheticalView(context.snapshot, {claim_index: value}),
+            context,
+            (_STREAM_HYPOTHESIS, claim_index, value),
         )
-        if context.snapshot is not None:
-            view = HypotheticalView(context.snapshot, {claim_index: value})
-            return self._gibbs_view(scope, view, seed)
-        with self._state_lock:
-            state = self._database.clone_state()
-            try:
-                self._database.label(claim_index, value)
-                marginals = self._gibbs(scope, seed)
-            finally:
-                self._database.restore_state(state)
-        return marginals
 
-    def _mean_field(
+    def _infer(
         self,
         scope: np.ndarray,
-        pins: Optional[Mapping[int, int]] = None,
-        state: Optional[Union[StateSnapshot, HypotheticalView]] = None,
+        view: HypotheticalView,
+        context: _CallContext,
+        stream_key: Tuple[int, ...],
     ) -> np.ndarray:
-        """Damped mean-field fixed point restricted to ``scope``.
+        """Light inference over ``scope`` on ``view``.
 
-        Args:
-            scope: Claims whose marginals may move.
-            pins: Optional hypothetical ``{claim: value}`` labels, held
-                fixed during the iteration exactly as real labels would
-                be (several at once for the exact batch-gain enumeration
-                of §6.2).
-            state: Optional snapshot/view substituted for the live
-                database — numerically identical, but free of shared
-                mutable state.
+        A Gibbs chain draws from the call's stream ``stream_key``.
         """
-        if state is None:
-            database = self._database
-            # Snapshot under the lock: a sequential Gibbs-mode estimator
-            # sharing this instance may be inside a mutate-and-restore
-            # window on another thread.
-            with self._state_lock:
-                marginals = np.asarray(
-                    database.probabilities, dtype=float
-                ).copy()
-                labelled = database.labels
-        else:
-            marginals = np.asarray(state.probabilities, dtype=float).copy()
-            labelled = state.labels
-        if pins:
-            for pinned_claim, pinned_value in pins.items():
-                marginals[int(pinned_claim)] = float(pinned_value)
-            excluded = {int(c) for c in pins}
-            free = np.asarray(
-                [
-                    int(c)
-                    for c in scope
-                    if int(c) not in labelled and int(c) not in excluded
-                ],
-                dtype=np.intp,
-            )
-        else:
-            free = np.asarray(
-                [int(c) for c in scope if int(c) not in labelled],
-                dtype=np.intp,
-            )
-        if free.size == 0:
-            return marginals
-        damping = self._config.damping
-        for _ in range(self._config.meanfield_steps):
-            logits = self._model.marginal_logits(marginals)
-            updated = sigmoid(logits[free])
-            marginals[free] = damping * marginals[free] + (1.0 - damping) * updated
-        return marginals
-
-    def _gibbs(
-        self, scope: np.ndarray, seed: np.random.Generator
-    ) -> np.ndarray:
-        """Short throwaway Gibbs chain against the live database state."""
+        if self._config.inference_mode == "meanfield":
+            return self.mean_field(scope, view)
         sampler = GibbsSampler(
             self._model,
             burn_in=self._config.gibbs_burn_in,
             num_samples=self._config.gibbs_samples,
-            seed=seed,
-            engine=self._engine,
+            seed=stream_rng(context.entropy, *stream_key),
+            engine=_GIBBS_ENGINE,
         )
-        result = sampler.sample(claim_subset=scope)
-        return result.marginals
-
-    def _gibbs_view(
-        self,
-        scope: np.ndarray,
-        view: HypotheticalView,
-        seed: np.random.Generator,
-    ) -> np.ndarray:
-        """The same throwaway chain, reading a view instead of the database.
-
-        Runs on a leased worker-local engine backed by the compiled merge
-        kernel — bit-identical sweeps to the default backend, concurrent
-        because the kernel drops the GIL and nothing here writes shared
-        state.
-        """
-        with self._engine_pool.lease() as engine:
-            sampler = GibbsSampler(
-                self._model,
-                burn_in=self._config.gibbs_burn_in,
-                num_samples=self._config.gibbs_samples,
-                seed=seed,
-                engine=engine,
-            )
-            result = sampler.sample(claim_subset=scope, overlay=view)
-        return result.marginals
+        return sampler.sample(claim_subset=scope, overlay=view).marginals
 
     # ------------------------------------------------------------------
     # Entropy restricted to a scope
@@ -441,25 +283,12 @@ class GainEstimator:
     #: times per iteration), not once per database.
     _EXACT_ENTROPY_CAP = 12
 
-    def _labels_of(
-        self, context: _CallContext
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Real labels (no pins) as sorted ``(indices, values)`` arrays."""
-        if context.snapshot is not None:
-            return context.snapshot.label_arrays()
-        with self._state_lock:
-            return self._database.label_arrays()
-
     def _claim_entropy(
-        self, marginals: np.ndarray, scope: np.ndarray, context: _CallContext
+        self, marginals: np.ndarray, scope: np.ndarray, snapshot: StateSnapshot
     ) -> float:
         """H_C over the scope (entropy outside cancels in differences)."""
         if self._config.entropy_method == "exact":
-            label_indices, _ = self._labels_of(context)
-            labelled = set(int(i) for i in label_indices)
-            free = np.asarray(
-                [int(c) for c in scope if int(c) not in labelled], dtype=np.intp
-            )
+            free = scope[~np.isin(scope, snapshot.label_indices)]
             if 0 < free.size <= min(self._EXACT_ENTROPY_CAP, MAX_EXACT_COMPONENT):
                 # component_entropy thresholds the supplied marginals
                 # directly — the database is never touched, so exact
@@ -470,7 +299,7 @@ class GainEstimator:
         return float(binary_entropy(marginals[scope]).sum())
 
     def _source_entropy(
-        self, marginals: np.ndarray, scope: np.ndarray, context: _CallContext
+        self, marginals: np.ndarray, scope: np.ndarray, snapshot: StateSnapshot
     ) -> float:
         """H_S over sources touching the scope (Eq. 18, Eq. 17).
 
@@ -481,7 +310,7 @@ class GainEstimator:
         one segmented mean.
         """
         grounding = (marginals >= 0.5).astype(np.int8)
-        label_indices, label_values = self._labels_of(context)
+        label_indices, label_values = snapshot.label_arrays()
         if label_indices.size:
             grounding[label_indices] = label_values.astype(np.int8)
         claim_ptr, claim_sources, source_ptr, source_claims = (

@@ -1,9 +1,9 @@
 """Read-only database snapshots and hypothetical-label overlay views.
 
 Hypothetical inference asks "what would the marginals be if claim ``c``
-were labelled ``v``?" — a question the legacy path answered by *mutating*
-the shared :class:`~repro.data.database.FactDatabase` (pin the label, run
-the chain, restore), which forces every candidate through one lock.
+were labelled ``v``?"  Answering it by *mutating* the shared
+:class:`~repro.data.database.FactDatabase` (pin the label, run the chain,
+restore) would make every reader of the database see the hypothesis.
 
 :class:`StateSnapshot` captures the mutable database state (probabilities
 and labels) once per batched-gains call; :class:`HypotheticalView` overlays
@@ -12,9 +12,10 @@ the exact read surface the Gibbs sampler and the mean-field fixed point
 use — ``probabilities``, ``label_arrays()``, ``labelled_indices`` — and
 reproduces, value for value, what :meth:`FactDatabase.label` followed by
 those reads would have produced, so overlay-based evaluation is
-bit-for-bit interchangeable with mutate-and-restore.  The structural
+bit-for-bit interchangeable with mutate-and-restore (the test suite keeps
+a mutate-and-restore oracle to prove it).  The structural
 arrays (CSR pair tables, clique matrices) are never copied: they live on
-the model/database and are shared read-only across all views and threads.
+the model/database and are shared read-only across all views.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from repro.data.database import FactDatabase
 class StateSnapshot:
     """Immutable capture of a database's probabilities and labels.
 
-    Shared read-only by every candidate of one batched-gains call (and
-    every worker thread), so the per-candidate cost of isolation is one
-    overlay, not one database copy.
+    Shared read-only by every candidate of one batched-gains call, so the
+    per-candidate cost of isolation is one overlay, not one database copy.
     """
 
     #: Runtime-only value object: never checkpointed — snapshots live for
@@ -70,17 +70,6 @@ class StateSnapshot:
         """C^L as parallel sorted ``(indices, values)`` arrays."""
         return self.label_indices, self.label_values
 
-    @property
-    def labelled_indices(self) -> np.ndarray:
-        return self.label_indices
-
-    @property
-    def unlabelled_indices(self) -> np.ndarray:
-        mask = np.ones(self.num_claims, dtype=bool)
-        if self.label_indices.size:
-            mask[self.label_indices] = False
-        return np.flatnonzero(mask)
-
 
 class HypotheticalView:
     """A snapshot with hypothetical labels pinned, parent left untouched.
@@ -110,11 +99,6 @@ class HypotheticalView:
     @property
     def num_claims(self) -> int:
         return self._snapshot.num_claims
-
-    @property
-    def pins(self) -> Mapping[int, int]:
-        """The overlaid hypothetical labels."""
-        return dict(self._pins)
 
     @derived_cache(
         "view_probabilities",
@@ -162,13 +146,6 @@ class HypotheticalView:
             values.flags.writeable = False
             self._label_arrays = (indices, values)
         return self._label_arrays
-
-    @property
-    def labels(self) -> Mapping[int, int]:
-        """Labels plus pins, keyed by claim index."""
-        merged = dict(self._snapshot.labels)
-        merged.update(self._pins)
-        return merged
 
     @property
     def labelled_indices(self) -> np.ndarray:

@@ -287,28 +287,18 @@ class ICrf:
         configuration degenerates to thresholded marginals (the naive
         instantiation of §2.3).
         """
-        from repro.crf.potentials import sigmoid
-
         database = self._database
         marginals = np.asarray(database.probabilities, dtype=float).copy()
         label_indices, label_values = database.label_arrays()
         if label_indices.size:
             marginals[label_indices] = label_values
-        if claim_subset is None:
-            free = database.unlabelled_indices
-        else:
-            labelled = database.labels
-            free = np.asarray(
-                [int(c) for c in claim_subset if int(c) not in labelled],
-                dtype=np.intp,
-            )
-        if free.size:
-            for _ in range(steps):
-                logits = self._model.marginal_logits(marginals)
-                updated = sigmoid(logits[free])
-                marginals[free] = (
-                    damping * marginals[free] + (1.0 - damping) * updated
-                )
+        marginals = self._model.mean_field(
+            marginals,
+            steps=steps,
+            damping=damping,
+            scope=claim_subset,
+            fixed=label_indices,
+        )
         configuration = (marginals >= 0.5).astype(np.int8)
         if label_indices.size:
             configuration[label_indices] = label_values.astype(np.int8)

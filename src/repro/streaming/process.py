@@ -41,7 +41,6 @@ import numpy as np
 
 from repro._legacy import warn_legacy
 from repro.crf.model import CrfModel
-from repro.crf.potentials import sigmoid
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.data.entities import Claim, Document, Source
@@ -425,7 +424,12 @@ class StreamingFactChecker:
         ingested = time.perf_counter()
 
         # E-step: light inference over the grown model.
-        marginals = self._mean_field()
+        marginals = self._model.mean_field(
+            self._database.probabilities,
+            steps=self._meanfield_steps,
+            damping=0.3,
+            fixed=self._database.labelled_indices,
+        )
         self._database.set_probabilities(marginals)
 
         # M-step with stochastic approximation (Eq. 29-30).
@@ -601,15 +605,3 @@ class StreamingFactChecker:
             coupling_enabled=self._coupling_enabled,
         )
         self._engine = create_engine(self._model, self._engine_config)
-
-    def _mean_field(self) -> np.ndarray:
-        """Damped mean-field E-step over all unlabelled claims."""
-        assert self._database is not None and self._model is not None
-        marginals = np.asarray(self._database.probabilities, dtype=float).copy()
-        free = self._database.unlabelled_indices
-        if free.size == 0:
-            return marginals
-        for _ in range(self._meanfield_steps):
-            logits = self._model.marginal_logits(marginals)
-            marginals[free] = 0.3 * marginals[free] + 0.7 * sigmoid(logits[free])
-        return marginals

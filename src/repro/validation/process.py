@@ -154,7 +154,6 @@ class ValidationProcess:
             self.icrf.model,
             components=self.components,
             config=gain_config,
-            engine=self.icrf.engine,
             seed=derive_rng(rng, 1),
         )
         self.candidate_limit = candidate_limit
@@ -178,15 +177,6 @@ class ValidationProcess:
         self._iteration = 0
         self._validations_since_check = 0
         self.robustness_stats = RobustnessStats()
-
-    def close(self) -> None:
-        """Release process-level resources held by gain evaluation.
-
-        The estimator's pooled worker engines are the only OS-level
-        resources the process owns directly; everything stays usable
-        afterwards (pools rebuild lazily on the next parallel call).
-        """
-        self.gains.close()
 
     # ------------------------------------------------------------------
     # Declarative construction and checkpoint state

@@ -17,8 +17,6 @@ import numpy as np
 
 from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
-from repro.crf.potentials import sigmoid
-from repro.data.database import FactDatabase
 from repro.errors import ValidationProcessError
 
 
@@ -108,31 +106,14 @@ class ConfirmationChecker:
                 np.asarray(database.probabilities),
                 MStepConfig(max_iterations=5),
             )
-            scope = components.component_of_claim(claim_index)
-            marginals = self._mean_field(model, database, scope)
+            marginals = model.mean_field(
+                database.probabilities,
+                steps=self._meanfield_steps,
+                damping=self._damping,
+                scope=components.component_of_claim(claim_index),
+                fixed=database.labelled_indices,
+            )
             return int(marginals[claim_index] >= 0.5)
         finally:
             database.restore_state(snapshot)
             model.set_weights(saved_weights)
-
-    def _mean_field(
-        self,
-        model: CrfModel,
-        database: FactDatabase,
-        scope: np.ndarray,
-    ) -> np.ndarray:
-        """Damped mean-field re-inference restricted to ``scope``."""
-        marginals = np.asarray(database.probabilities, dtype=float).copy()
-        labelled = database.labels
-        free = np.asarray(
-            [int(c) for c in scope if int(c) not in labelled], dtype=np.intp
-        )
-        if free.size == 0:
-            return marginals
-        for _ in range(self._meanfield_steps):
-            logits = model.marginal_logits(marginals)
-            updated = sigmoid(logits[free])
-            marginals[free] = (
-                self._damping * marginals[free] + (1.0 - self._damping) * updated
-            )
-        return marginals

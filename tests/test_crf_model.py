@@ -240,5 +240,15 @@ class TestCrfModel:
 
     def test_mean_field_probabilities_bounded(self):
         model, db = micro_model()
-        probs = model.mean_field_probabilities(np.full(3, 0.5))
+        probs = model.mean_field(np.full(3, 0.5), steps=1, damping=0.0)
         assert np.all((probs >= 0) & (probs <= 1))
+
+    def test_mean_field_holds_fixed_and_out_of_scope_claims(self):
+        model, db = micro_model()
+        start = np.asarray([0.2, 0.5, 0.7])
+        probs = model.mean_field(
+            start, steps=3, damping=0.3, scope=np.asarray([0, 1]), fixed=[0]
+        )
+        assert probs[0] == start[0] and probs[2] == start[2]
+        assert probs[1] != start[1]
+        assert np.array_equal(start, [0.2, 0.5, 0.7])

@@ -1,16 +1,15 @@
-"""Snapshot-isolated parallel gain evaluation (§5.1).
+"""Snapshot-isolated gain evaluation (§5.1) against its oracle.
 
-Two contracts are pinned down here:
-
-* **Bit-for-bit equality** — ``GainConfig(parallel=True)`` must return
-  exactly the same gains as sequential evaluation, in both inference
-  modes, at every worker count.  Gibbs-mode candidate streams are pure
-  functions of ``(root entropy, candidate, value)``, so neither the
-  evaluation order nor the worker schedule may leak into a result.
-* **Cache dirtiness** — with ``cache_gains=True`` a cached gain is
-  invalidated exactly when a label lands in the candidate's connected
-  component, or when the model weights move; everything else keeps
-  hitting.
+The estimator evaluates every hypothesis on a read-only view of one
+state snapshot and never mutates the shared database; in Gibbs mode its
+chains run on the compiled-kernel engine.  It must return exactly the
+gains of the mutate-and-restore oracle in ``tests/gain_oracle.py`` —
+label the candidate, run inference on the default engine, restore — in
+both inference modes, however the candidate pool is split into calls.
+Gibbs-mode candidate streams are pure functions of ``(root entropy,
+candidate, value)``, so evaluation order may not leak into a result
+either.  (The snapshot path is what makes candidates safe to evaluate in
+parallel; the oracle is the sequential reference.)
 """
 
 from __future__ import annotations
@@ -20,48 +19,11 @@ import pytest
 
 from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
-from repro.crf.weights import CrfWeights
-from repro.data.database import FactDatabase
-from repro.data.entities import Claim, ClaimLink, Document, Source
-from repro.data.stance import Stance
+from repro.datasets import load_dataset
 from repro.guidance.gain import GainConfig, GainEstimator
 
 from tests.fixtures import build_micro_database
-
-
-def build_two_component_database() -> FactDatabase:
-    """Two disjoint clusters: {c0, c1} via sA and {c2, c3} via sB."""
-    sources = [
-        Source("sA", features=[1.0, 0.2]),
-        Source("sB", features=[-0.4, 0.6]),
-    ]
-    claims = [
-        Claim("c0", truth=True),
-        Claim("c1", truth=False),
-        Claim("c2", truth=True),
-        Claim("c3", truth=True),
-    ]
-    documents = [
-        Document(
-            "d0",
-            source_id="sA",
-            features=[0.9, 0.8],
-            claim_links=(
-                ClaimLink("c0", Stance.SUPPORT),
-                ClaimLink("c1", Stance.REFUTE),
-            ),
-        ),
-        Document(
-            "d1",
-            source_id="sB",
-            features=[0.3, -0.2],
-            claim_links=(
-                ClaimLink("c2", Stance.SUPPORT),
-                ClaimLink("c3", Stance.SUPPORT),
-            ),
-        ),
-    ]
-    return FactDatabase(sources, documents, claims)
+from tests.gain_oracle import oracle_gains
 
 
 def make_estimator(database=None, seed=1, **config_kwargs):
@@ -74,43 +36,41 @@ def make_estimator(database=None, seed=1, **config_kwargs):
     return estimator, database
 
 
+def split(candidates, calls):
+    """``candidates`` as ``calls`` interleaved batches."""
+    return [candidates[start::calls] for start in range(calls)]
+
+
 class TestParallelBitExact:
     @pytest.mark.parametrize("mode", ["meanfield", "gibbs"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_parallel_equals_sequential(self, mode, workers):
-        sequential, db = make_estimator(inference_mode=mode)
-        parallel, _ = make_estimator(
-            inference_mode=mode, parallel=True, max_workers=workers
-        )
-        candidates = list(range(db.num_claims))
-        assert np.array_equal(
-            sequential.information_gains(candidates),
-            parallel.information_gains(candidates),
-        )
-        sequential_src, _ = make_estimator(inference_mode=mode)
-        parallel_src, _ = make_estimator(
-            inference_mode=mode, parallel=True, max_workers=workers
-        )
-        assert np.array_equal(
-            sequential_src.source_gains(candidates),
-            parallel_src.source_gains(candidates),
-        )
+    @pytest.mark.parametrize("calls", [1, 2, 4])
+    def test_parallel_equals_sequential(self, mode, calls):
+        # The pool is evaluated as ``calls`` batched calls: estimator and
+        # oracle must also agree on how each call consumes the generator.
+        estimator, db = make_estimator(inference_mode=mode)
+        oracle, _ = make_estimator(inference_mode=mode)
+        estimator_src, _ = make_estimator(inference_mode=mode)
+        oracle_src, _ = make_estimator(inference_mode=mode)
+        for batch in split(list(range(db.num_claims)), calls):
+            assert np.array_equal(
+                estimator.information_gains(batch),
+                oracle_gains(oracle, batch),
+            )
+            assert np.array_equal(
+                estimator_src.source_gains(batch),
+                oracle_gains(oracle_src, batch, source_driven=True),
+            )
 
     @pytest.mark.parametrize("mode", ["meanfield", "gibbs"])
     def test_parallel_equals_sequential_exact_entropy(self, mode):
-        sequential, db = make_estimator(
+        estimator, db = make_estimator(
             inference_mode=mode, entropy_method="exact"
         )
-        parallel, _ = make_estimator(
-            inference_mode=mode,
-            entropy_method="exact",
-            parallel=True,
-            max_workers=3,
-        )
+        oracle, _ = make_estimator(inference_mode=mode, entropy_method="exact")
         candidates = list(range(db.num_claims))
         assert np.array_equal(
-            sequential.information_gains(candidates),
-            parallel.information_gains(candidates),
+            estimator.information_gains(candidates),
+            oracle_gains(oracle, candidates),
         )
 
     def test_gibbs_candidate_streams_are_order_independent(self):
@@ -122,9 +82,7 @@ class TestParallelBitExact:
         assert np.array_equal(a, b[::-1])
 
     def test_parallel_gibbs_leaves_database_untouched(self):
-        estimator, db = make_estimator(
-            inference_mode="gibbs", parallel=True, max_workers=4
-        )
+        estimator, db = make_estimator(inference_mode="gibbs")
         before_probs = np.asarray(db.probabilities).copy()
         before_labels = dict(db.labels)
         estimator.information_gains(list(range(db.num_claims)))
@@ -133,107 +91,44 @@ class TestParallelBitExact:
         assert db.labels == before_labels
 
     def test_parallel_with_labels_present(self):
-        sequential, db_a = make_estimator(inference_mode="gibbs")
-        parallel, db_b = make_estimator(
-            inference_mode="gibbs", parallel=True, max_workers=2
-        )
+        estimator, db_a = make_estimator(inference_mode="gibbs")
+        oracle, db_b = make_estimator(inference_mode="gibbs")
         db_a.label(0, 1)
         db_b.label(0, 1)
         candidates = list(range(db_a.num_claims))
-        a = sequential.information_gains(candidates)
-        b = parallel.information_gains(candidates)
+        a = estimator.information_gains(candidates)
+        b = oracle_gains(oracle, candidates)
         assert a[0] == 0.0
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("mode", ["meanfield", "gibbs"])
+    def test_equals_oracle_on_generated_corpus(self, mode):
+        def labelled_estimator():
+            database = load_dataset("wiki", seed=42, scale=0.3)
+            for claim in range(0, database.num_claims, 5):
+                database.label(claim, claim % 2)
+            return make_estimator(database, seed=4, inference_mode=mode)
+
+        estimator, db = labelled_estimator()
+        oracle, _ = labelled_estimator()
+        candidates = list(range(db.num_claims))
+        assert np.array_equal(
+            estimator.information_gains(candidates),
+            oracle_gains(oracle, candidates),
+        )
+        assert np.array_equal(
+            estimator.source_gains(candidates),
+            oracle_gains(oracle, candidates, source_driven=True),
+        )
+
     @pytest.mark.parametrize("localize", [True, False])
     def test_parallel_equals_sequential_without_localization(self, localize):
-        sequential, db = make_estimator(
+        estimator, db = make_estimator(
             inference_mode="gibbs", localize=localize
         )
-        parallel, _ = make_estimator(
-            inference_mode="gibbs", localize=localize,
-            parallel=True, max_workers=2,
-        )
+        oracle, _ = make_estimator(inference_mode="gibbs", localize=localize)
         candidates = list(range(db.num_claims))
         assert np.array_equal(
-            sequential.information_gains(candidates),
-            parallel.information_gains(candidates),
+            estimator.information_gains(candidates),
+            oracle_gains(oracle, candidates),
         )
-
-
-class TestComponentGainCache:
-    def test_cache_hits_on_unchanged_state(self):
-        estimator, db = make_estimator(
-            build_two_component_database(), cache_gains=True
-        )
-        candidates = list(range(db.num_claims))
-        first = estimator.information_gains(candidates)
-        cache = estimator.gain_cache
-        assert cache.hits == 0 and cache.misses == len(candidates)
-        second = estimator.information_gains(candidates)
-        assert np.array_equal(first, second)
-        assert cache.hits == len(candidates)
-        assert cache.misses == len(candidates)
-
-    def test_label_dirties_exactly_its_component(self):
-        estimator, db = make_estimator(
-            build_two_component_database(), cache_gains=True
-        )
-        estimator.information_gains([0, 1, 2, 3])
-        cache = estimator.gain_cache
-        # c0/c1 share component A; c2/c3 share component B.
-        db.label(0, 1)
-        hits_before, misses_before = cache.hits, cache.misses
-        values = estimator.information_gains([1, 2, 3])
-        # Component A (claim 1) was dirtied and re-evaluated; component B
-        # (claims 2 and 3) kept hitting.
-        assert cache.misses == misses_before + 1
-        assert cache.hits == hits_before + 2
-        fresh, _ = make_estimator(build_two_component_database())
-        fresh_db = fresh._database
-        fresh_db.label(0, 1)
-        assert np.array_equal(
-            values, fresh.information_gains([1, 2, 3])
-        )
-
-    def test_weights_change_clears_everything(self):
-        estimator, db = make_estimator(
-            build_two_component_database(), cache_gains=True
-        )
-        candidates = list(range(db.num_claims))
-        estimator.information_gains(candidates)
-        cache = estimator.gain_cache
-        misses_before = cache.misses
-        weights = CrfWeights.zeros(2, 2)
-        weights.values[0] = 0.25
-        estimator._model.set_weights(weights)
-        estimator.information_gains(candidates)
-        assert cache.misses == misses_before + len(candidates)
-
-    def test_cached_gibbs_gains_are_stable_across_calls(self):
-        cached, db = make_estimator(
-            build_two_component_database(), inference_mode="gibbs",
-            cache_gains=True,
-        )
-        candidates = list(range(db.num_claims))
-        first = cached.information_gains(candidates)
-        second = cached.information_gains(candidates)
-        # Every candidate hit the cache, so the fresh root entropy of the
-        # second call cannot change anything.
-        assert np.array_equal(first, second)
-
-    def test_cache_parallel_equals_sequential(self):
-        sequential, db = make_estimator(
-            build_two_component_database(), inference_mode="gibbs",
-            cache_gains=True,
-        )
-        parallel, _ = make_estimator(
-            build_two_component_database(), inference_mode="gibbs",
-            cache_gains=True, parallel=True, max_workers=3,
-        )
-        candidates = list(range(db.num_claims))
-        for _ in range(2):
-            assert np.array_equal(
-                sequential.information_gains(candidates),
-                parallel.information_gains(candidates),
-            )

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import GuidanceSpec
 from repro.crf.partition import ComponentIndex
-from repro.errors import GuidanceError
+from repro.errors import GuidanceError, SpecError
 from repro.guidance.base import SelectionContext
 from repro.guidance.gain import GainConfig, GainEstimator, marginal_entropy_ranking
 from repro.guidance.hybrid_score import error_rate, hybrid_score
@@ -24,6 +25,7 @@ from repro.guidance.strategies import (
 from repro.inference.icrf import ICrf
 
 from tests.fixtures import build_micro_database
+from tests.gain_oracle import oracle_gains
 
 
 def make_estimator(mode="meanfield", localize=True, **kwargs):
@@ -72,9 +74,18 @@ class TestGainConfig:
         with pytest.raises(GuidanceError):
             GainConfig(gibbs_samples=-1)
 
-    def test_invalid_max_workers(self):
-        with pytest.raises(GuidanceError):
-            GainConfig(max_workers=0)
+    def test_executor_knobs_are_not_config(self):
+        # Threading, worker count and caching cannot change a gain, so
+        # the estimator chooses them; neither config nor spec takes them.
+        for knob in ("parallel", "max_workers", "cache_gains"):
+            with pytest.raises(TypeError):
+                GainConfig(**{knob: 1})
+            with pytest.raises(SpecError) as excinfo:
+                GuidanceSpec.from_dict({"gain": {knob: 1}})
+            assert excinfo.value.field == f"gain.{knob}"
+        for knob in ("parallel", "max_workers"):
+            with pytest.raises(SpecError):
+                GuidanceSpec.from_dict({knob: 1})
 
 
 class TestGainEstimator:
@@ -102,11 +113,11 @@ class TestGainEstimator:
             )
 
     def test_parallel_matches_serial(self):
-        serial, db_a, _ = make_estimator(parallel=False)
-        parallel, db_b, _ = make_estimator(parallel=True)
-        a = serial.information_gains([0, 1, 2])
-        b = parallel.information_gains([0, 1, 2])
-        assert np.allclose(a, b)
+        snapshot_path, _, _ = make_estimator()
+        serial_oracle, _, _ = make_estimator()
+        a = snapshot_path.information_gains([0, 1, 2])
+        b = oracle_gains(serial_oracle, [0, 1, 2])
+        assert np.array_equal(a, b)
 
     def test_gibbs_mode_runs(self):
         estimator, db, _ = make_estimator(mode="gibbs")

@@ -72,7 +72,7 @@ class TestGuidedValidationEndToEnd:
             termination=[UncertaintyReductionCriterion(threshold=0.001,
                                                        patience=5)],
             batch_size=2,
-            gain_config=GainConfig(localize=True, parallel=False),
+            gain_config=GainConfig(localize=True),
             seed=5,
         )
         trace = process.run()

@@ -280,9 +280,6 @@ class TestLifecycle:
 
 class TestGainParallelConstruction:
     def test_parallel_does_not_warn_in_either_mode(self):
-        # Gibbs-mode parallel gain evaluation used to be a no-op behind a
-        # RuntimeWarning; the snapshot-isolated executor made it real, so
-        # construction must be silent for every mode.
         import warnings as warnings_module
 
         from repro.guidance.gain import GainConfig, GainEstimator
@@ -291,10 +288,7 @@ class TestGainParallelConstruction:
             model = CrfModel(build_micro_database())
             with warnings_module.catch_warnings():
                 warnings_module.simplefilter("error")
-                GainEstimator(
-                    model,
-                    config=GainConfig(inference_mode=mode, parallel=True),
-                )
+                GainEstimator(model, config=GainConfig(inference_mode=mode))
 
     def test_parallel_gibbs_leases_sharded_worker_engines(self):
         from repro.guidance.gain import GainConfig, GainEstimator
@@ -302,13 +296,13 @@ class TestGainParallelConstruction:
         database = build_micro_database()
         model = CrfModel(database)
         estimator = GainEstimator(
-            model,
-            config=GainConfig(inference_mode="gibbs", parallel=True),
-            seed=3,
+            model, config=GainConfig(inference_mode="gibbs"), seed=3
         )
         estimator.information_gains(list(range(database.num_claims)))
-        with estimator._engine_pool.lease() as engine:
-            assert isinstance(engine, ShardedEngine)
-            assert engine._num_shards == 1
-        estimator.close()
-        assert estimator._engine_pool._idle == []
+        # The throwaway chains ran on the in-process kernel engine,
+        # memoised on the model (so session close releases it).
+        engines = list(model._engine_cache.values())
+        assert len(engines) == 1
+        assert isinstance(engines[0], ShardedEngine)
+        assert engines[0]._num_shards == 1
+        assert engines[0]._pool is None
