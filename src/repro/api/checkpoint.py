@@ -55,6 +55,25 @@ SUPPORTED_CHECKPOINT_VERSIONS = (1, 2, 3)
 #: gzip magic bytes — how compressed checkpoints are detected on read.
 _GZIP_MAGIC = b"\x1f\x8b"
 
+def checkpoint_spec(payload: dict) -> dict:
+    """The checkpoint's spec dict, minus keys the spec no longer has.
+
+    Checkpoints written before the gain executor was removed carry
+    ``guidance.parallel``/``max_workers`` and
+    ``guidance.gain.parallel``/``max_workers``/``cache_gains``.  They chose
+    how candidates were executed and never changed a result, so they are
+    dropped here and those files (service spool entries included) still
+    load.  Specs supplied by a user still fail on these keys.
+    """
+    spec = payload["spec"]
+    guidance = spec.get("guidance") or {}
+    for key in ("parallel", "max_workers"):
+        guidance.pop(key, None)
+    gain = guidance.get("gain") or {}
+    for key in ("parallel", "max_workers", "cache_gains"):
+        gain.pop(key, None)
+    return spec
+
 
 def stream_update_to_dict(update: StreamUpdate) -> dict:
     """Render one :class:`StreamUpdate` as a JSON-compatible entry."""

@@ -824,7 +824,7 @@ class FactCheckSession:
                 restoring) the spec's simulated user.
         """
         payload = ckpt.read_checkpoint(path)
-        spec = SessionSpec.from_dict(payload["spec"])
+        spec = SessionSpec.from_dict(ckpt.checkpoint_spec(payload))
         if spec.mode != payload.get("mode"):
             raise CheckpointError("checkpoint mode does not match its spec")
         saved_user_type = payload.get("user_type", "SimulatedUser")

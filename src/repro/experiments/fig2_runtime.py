@@ -5,9 +5,12 @@ Three implementation variants of claim selection + inference are compared:
 * ``origin`` — Gibbs-based hypothetical inference over the whole graph
   with exact (enumeration-based) entropy where feasible;
 * ``scalable`` — the linear-time entropy approximation of §4.1 (Eq. 13);
-* ``parallel+partition`` — additionally the optimisations of §5.1:
-  component-restricted inference over independent, snapshot-isolated
-  candidates.
+* ``parallel+partition`` — additionally the optimisations of §5.1, as
+  far as they pay here: component-restricted (partitioned) inference
+  with mean-field hypotheses.  Candidates are evaluated in sequence, not
+  in parallel: thread dispatch measured slower than one thread on a
+  2-core host (ROADMAP.md, "Open items", item 3).  The name follows the
+  paper.
 
 Expected shape (paper): response time grows with dataset size and drops
 sharply across the variants, with ``parallel+partition`` staying below
@@ -55,7 +58,9 @@ def run(
         headers=["dataset", "variant", "avg_seconds", "iterations"],
         notes=(
             "expected shape: times increase with dataset size and decrease "
-            "origin -> scalable -> parallel+partition"
+            "origin -> scalable -> parallel+partition "
+            "(parallel+partition evaluates candidates in sequence; see "
+            "repro.experiments.fig2_runtime)"
         ),
     )
     for dataset in config.datasets:

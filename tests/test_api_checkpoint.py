@@ -11,6 +11,7 @@ session modes.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +356,56 @@ class TestCheckpointCompaction:
         resumed = FactCheckSession.load(legacy)
         assert resumed.trace.iterations == 1
         assert resumed.step().iteration == 2
+
+
+class TestRetiredSpecKeys:
+    """Checkpoints whose spec names the removed gain-executor knobs.
+
+    The golden file was saved by the release that still had
+    ``guidance.parallel``/``max_workers`` and
+    ``guidance.gain.parallel``/``max_workers``/``cache_gains``, together
+    with how that run continued.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden" / "checkpoint_v3_gain_executor_knobs.json"
+
+    def _write_checkpoint(self, path):
+        golden = json.loads(self.GOLDEN.read_text())
+        path.write_text(json.dumps(golden["checkpoint"]))
+        return golden
+
+    def test_loads_and_continues_like_the_saving_release(self, tmp_path):
+        path = tmp_path / "old.json"
+        golden = self._write_checkpoint(path)
+        assert golden["checkpoint"]["spec"]["guidance"]["parallel"] is True
+        resumed = FactCheckSession.load(path)
+        assert resumed.trace.iterations == 2
+        assert [resumed.step().claim_ids for _ in golden["continuation"]] == (
+            golden["continuation"]
+        )
+        assert resumed.result().weights.values.tolist() == golden["weights"]
+
+    def test_service_restores_spool_entry(self, tmp_path):
+        from repro.service import ServiceConfig, SessionManager
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        self._write_checkpoint(spool / "old.json.gz")
+        manager = SessionManager(ServiceConfig(spool_dir=spool, workers=1))
+        try:
+            assert manager.restore() == ["old"]
+            assert manager.restore_errors == []
+            assert manager.summary("old")["iterations"] == 2
+        finally:
+            manager.shutdown(checkpoint=False)
+
+    def test_user_specs_still_reject_the_knobs(self):
+        from repro.errors import SpecError
+
+        with pytest.raises(SpecError):
+            SessionSpec.from_dict({"guidance": {"parallel": True}})
+        with pytest.raises(SpecError):
+            SessionSpec.from_dict({"guidance": {"gain": {"cache_gains": True}}})
 
 
 def sourced_streaming_spec(engine: str) -> SessionSpec:

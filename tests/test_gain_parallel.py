@@ -8,8 +8,11 @@ label the candidate, run inference on the default engine, restore — in
 both inference modes, however the candidate pool is split into calls.
 Gibbs-mode candidate streams are pure functions of ``(root entropy,
 candidate, value)``, so evaluation order may not leak into a result
-either.  (The snapshot path is what makes candidates safe to evaluate in
-parallel; the oracle is the sequential reference.)
+either.
+
+Candidates are evaluated one after another.  The module and test names
+still say "parallel" and "sequential" only so the test ids stay stable:
+read them as "estimator" and "oracle".
 """
 
 from __future__ import annotations

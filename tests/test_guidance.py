@@ -113,6 +113,8 @@ class TestGainEstimator:
             )
 
     def test_parallel_matches_serial(self):
+        # Estimator equals the mutate-and-restore oracle; the name is kept
+        # so the test id stays stable.
         snapshot_path, _, _ = make_estimator()
         serial_oracle, _, _ = make_estimator()
         a = snapshot_path.information_gains([0, 1, 2])

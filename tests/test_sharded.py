@@ -279,6 +279,12 @@ class TestLifecycle:
 
 
 class TestGainParallelConstruction:
+    """Gain estimator construction and its Gibbs-chain engine.
+
+    Names say "parallel" only so the test ids stay stable; candidates
+    are evaluated one after another.
+    """
+
     def test_parallel_does_not_warn_in_either_mode(self):
         import warnings as warnings_module
 
