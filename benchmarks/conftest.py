@@ -2,8 +2,10 @@
 
 Every benchmark regenerates one table/figure of the paper at a reduced
 corpus scale, times the full experiment driver with pytest-benchmark, and
-writes the rendered result table to ``benchmarks/results/<name>.txt`` so
-the reproduction output can be inspected side by side with the paper.
+prints the rendered result table.  With ``PERF_RECORD=1`` the table is
+also written to ``benchmarks/results/<name>.txt`` so the committed
+reproduction output can be inspected side by side with the paper; plain
+runs leave the checkout untouched.
 
 Path setup (``src/`` and the repo root on ``sys.path``) is done by the
 repo-root ``conftest.py``, which pytest loads for every run including
@@ -13,6 +15,7 @@ repo-root ``conftest.py``, which pytest loads for every run including
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -41,20 +44,18 @@ def bench_config() -> ExperimentConfig:
     )
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
 @pytest.fixture
-def record_result(results_dir):
-    """Write an experiment result table to the results directory."""
+def record_result():
+    """Print an experiment result table; write it under ``PERF_RECORD=1``."""
 
     def _record(result: ExperimentResult) -> None:
-        path = results_dir / f"{result.name}.txt"
-        path.write_text(result.format_table() + "\n", encoding="utf-8")
+        table = result.format_table()
         print()
-        print(result.format_table())
+        print(table)
+        if os.environ.get("PERF_RECORD"):
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{result.name}.txt").write_text(
+                table + "\n", encoding="utf-8"
+            )
 
     return _record

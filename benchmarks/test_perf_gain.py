@@ -4,10 +4,11 @@ The batch-selection hot path evaluates IG(c) for every candidate of a
 guidance round — two hypothetical inference runs per candidate plus a
 shared per-component baseline.  The estimator evaluates every hypothesis
 on a read-only view of one state snapshot; in Gibbs mode its throwaway
-chains run on the in-process compiled merge kernel.  It must beat the
-mutate-and-restore oracle (``tests/gain_oracle.py``: label the
-candidate in the live database, sweep on the default engine, restore)
-by the recorded margin on the full candidate pool in Gibbs mode.
+chains run on the model's engine, merge walk in the compiled kernel.  It
+must beat the mutate-and-restore oracle (``tests/gain_oracle.py``: label
+the candidate in the live database, sweep with the merge walk in Python,
+restore) by the recorded margin on the full candidate pool in Gibbs
+mode — the gain round must keep the kernel's speedup.
 Mean-field timings are reported for visibility but carry no floor.
 
 Modes
@@ -16,10 +17,10 @@ Modes
   and the baseline-relative bound on the Gibbs-mode speedup.
 * ``PERF_SMOKE=1`` — 2 repetitions and a relaxed floor, for CI.
 * ``PERF_RECORD=1`` — re-records the ``gain_oracle_*`` keys of
-  ``benchmarks/perf_baseline.json`` (use after intentional changes).
+  ``benchmarks/perf_baseline.json`` (use after intentional changes) and
+  writes ``benchmarks/results/perf_gain.txt``.
 
-Every run writes ``benchmarks/results/perf_gain.txt`` with the raw
-numbers, and always cross-checks that the estimator and the oracle
+Every run prints the measured table, and always cross-checks that the estimator and the oracle
 produce *identical* gains in both inference modes — a perf win that
 changes results would be a bug, not a win.
 
@@ -121,13 +122,16 @@ def measurements():
             "meanfield": bool(np.array_equal(gains_mf_oracle, gains_mf)),
         },
     }
-    _write_results(data)
+    table = _format_results(data)
+    print(table)
     if RECORD:
+        RESULTS_PATH.parent.mkdir(exist_ok=True)
+        RESULTS_PATH.write_text(table, encoding="utf-8")
         _record_baseline(data)
     return data
 
 
-def _write_results(data) -> None:
+def _format_results(data) -> str:
     lines = [
         "Batched gain-evaluation benchmark "
         f"(wiki scale={SCALE}, seed={DATASET_SEED}, "
@@ -148,14 +152,12 @@ def _write_results(data) -> None:
         f"gibbs={'ok' if data['equivalent']['gibbs'] else 'FAIL'} "
         f"meanfield={'ok' if data['equivalent']['meanfield'] else 'FAIL'}",
         "",
-        "(oracle = mutate-and-restore on the default engine; estimator =",
-        " snapshot views, Gibbs chains on the in-process merge kernel.",
+        "(oracle = mutate-and-restore, merge walk in Python; estimator =",
+        " snapshot views, Gibbs chains on the compiled merge kernel.",
         " meanfield is informational; the gibbs floor is guarded.)",
         "",
     ]
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text("\n".join(lines), encoding="utf-8")
-    print("\n".join(lines))
+    return "\n".join(lines)
 
 
 def _record_baseline(data) -> None:

@@ -28,8 +28,9 @@ Modes
       PERF_RECORD=1 PYTHONPATH=src python -m pytest \
           benchmarks/test_stream_update_time.py
 
-Every run refreshes ``benchmarks/results/stream_update_time.txt`` with
-the experiment table and the raw regression numbers.
+Every run prints the experiment table and the raw regression numbers;
+``PERF_RECORD=1`` also writes them to
+``benchmarks/results/stream_update_time.txt``.
 """
 
 from __future__ import annotations
@@ -131,15 +132,18 @@ def _measure():
 @pytest.fixture(scope="module")
 def measurements(bench_config):
     data = _measure()
-    table = stream_update_time.run(bench_config).format_table()
-    _write_results(table, data)
+    table = _format_results(
+        stream_update_time.run(bench_config).format_table(), data
+    )
+    print(table)
     if RECORD:
+        RESULTS_PATH.parent.mkdir(exist_ok=True)
+        RESULTS_PATH.write_text(table, encoding="utf-8")
         _record_baseline(data)
     return data
 
 
-def _write_results(table: str, data) -> None:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
+def _format_results(table: str, data) -> str:
     n = data["arrivals"]
     lines = [
         table,
@@ -166,8 +170,7 @@ def _write_results(table: str, data) -> None:
         f"probabilities={'ok' if data['equivalent']['probabilities'] else 'FAIL'}",
         "",
     ]
-    RESULTS_PATH.write_text("\n".join(lines), encoding="utf-8")
-    print("\n".join(lines))
+    return "\n".join(lines)
 
 
 def _record_baseline(data) -> None:

@@ -1,7 +1,7 @@
 """CACHE: derived-cache coherence rules.
 
 The hot-path classes (``FactDatabase``, ``CliqueFeaturizer``,
-``CrfModel``, ``NumpyEngine``) memoise derived structures — clique
+``CrfModel``, ``SpeculativeEngine``) memoise derived structures — clique
 views, CSR design matrices, engine gather tables — over mutable backing
 arrays.  PR 6's incremental growth made it easy to write a new mutator
 and forget the paired invalidation, which corrupts results only when a

@@ -51,7 +51,6 @@ def build_icrf(
             initial_bias=spec.initial_bias,
             mstep=spec.mstep,
             estep_mode=spec.estep_mode,
-            engine=spec.engine_config(),
             seed=seed,
         )
 
@@ -114,7 +113,6 @@ def build_checker(spec: SessionSpec, seed: RandomState = None):
     """Streaming fact checker (Alg. 2) assembled from a :class:`SessionSpec`."""
     import dataclasses
 
-    from repro.inference.mstep import MStepConfig
     from repro.streaming.process import StreamingFactChecker
     from repro.streaming.schedule import RobbinsMonroSchedule
 
@@ -134,7 +132,6 @@ def build_checker(spec: SessionSpec, seed: RandomState = None):
             meanfield_steps=stream.meanfield_steps,
             initial_bias=inference.initial_bias,
             prior=stream.prior,
-            engine=inference.engine_config(),
             incremental=stream.incremental,
             allow_pending_labels=stream.allow_pending_labels,
             seed=seed,

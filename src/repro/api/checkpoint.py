@@ -60,12 +60,17 @@ def checkpoint_spec(payload: dict) -> dict:
 
     Checkpoints written before the gain executor was removed carry
     ``guidance.parallel``/``max_workers`` and
-    ``guidance.gain.parallel``/``max_workers``/``cache_gains``.  They chose
-    how candidates were executed and never changed a result, so they are
-    dropped here and those files (service spool entries included) still
-    load.  Specs supplied by a user still fail on these keys.
+    ``guidance.gain.parallel``/``max_workers``/``cache_gains``; those
+    written before the engine backends were folded into one carry the
+    backend name and shard count under ``inference``.  They chose how
+    work was executed and never changed a result, so they are dropped
+    here and those files (service spool entries included) still load.
+    Specs supplied by a user still fail on these keys.
     """
     spec = payload["spec"]
+    inference = spec.get("inference") or {}
+    for key in ("engine", "num_shards"):
+        inference.pop(key, None)
     guidance = spec.get("guidance") or {}
     for key in ("parallel", "max_workers"):
         guidance.pop(key, None)

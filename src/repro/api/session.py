@@ -575,8 +575,7 @@ class FactCheckSession:
     def close(self) -> SessionResult:
         """Finalise the session and return the unified result.
 
-        Releases engine-held process resources (the sharded backend's
-        worker pool) on the way out; the session stays readable.
+        The session stays readable.
         """
         if self._status == "closed":
             assert self._result is not None
@@ -584,23 +583,7 @@ class FactCheckSession:
         self._require_open()
         self._result = self._build_result()
         self._status = "closed"
-        self.release_engines()
         return self._result
-
-    def release_engines(self) -> None:
-        """Close every engine memoised on this session's models.
-
-        Worker pools (``engine="sharded"``) hold OS processes; the
-        service layer calls this on eviction and shutdown so pools never
-        outlive their session.  Safe on any session state — a released
-        engine rebuilds its pool lazily if the session keeps running.
-        """
-        from repro.inference.engine import release_model_engines
-
-        if self._process is not None:
-            release_model_engines(self._process.icrf.model)
-        if self._checker is not None and self._checker.model is not None:
-            release_model_engines(self._checker.model)
 
     def result(self) -> SessionResult:
         """The session result (closing the session if still open)."""

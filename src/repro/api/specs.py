@@ -13,7 +13,7 @@ Layout::
     SessionSpec
     ├── dataset:   DatasetSpec     (optional; corpus provenance)
     ├── user:      UserSpec        (simulated-oracle parameters)
-    ├── inference: InferenceSpec   (iCRF EM + engine backend + M-step)
+    ├── inference: InferenceSpec   (iCRF EM + M-step)
     ├── guidance:  GuidanceSpec    (strategy + gain evaluation)
     ├── effort:    EffortSpec      (goal, budget, batching, termination)
     └── stream:    StreamSpec      (online EM; streaming sessions only)
@@ -156,7 +156,7 @@ class UserSpec:
 
 @dataclass(frozen=True)
 class InferenceSpec:
-    """iCRF inference settings (§3.2) plus the hot-path backend.
+    """iCRF inference settings (§3.2).
 
     Attributes:
         aggregation: Claim-evidence aggregation mode of the CRF.
@@ -166,11 +166,6 @@ class InferenceSpec:
         burn_in / num_samples: Gibbs sampling schedule of the E-step.
         initial_bias: Cold-start bias weight (symmetry breaking).
         estep_mode: ``"gibbs"`` (sampling) or ``"meanfield"`` (deterministic).
-        engine: Backend name from
-            :data:`repro.inference.engine.ENGINE_BACKENDS`.
-        num_shards: Worker count for ``engine="sharded"`` (``None`` =
-            automatic from host CPUs, ``1`` = in-process fast path);
-            rejected for other backends.
         mstep: M-step hyper-parameters (embedded
             :class:`~repro.inference.mstep.MStepConfig`).
     """
@@ -183,12 +178,9 @@ class InferenceSpec:
     num_samples: int = 16
     initial_bias: float = 1.0
     estep_mode: str = "gibbs"
-    engine: str = "numpy"
-    num_shards: Optional[int] = None
     mstep: MStepConfig = field(default_factory=MStepConfig)
 
     def __post_init__(self) -> None:
-        from repro.inference.engine import ENGINE_BACKENDS
         from repro.inference.icrf import ICrf
 
         if self.estep_mode not in ICrf.ESTEP_MODES:
@@ -197,24 +189,6 @@ class InferenceSpec:
                 f"got {self.estep_mode!r}",
                 field="estep_mode",
             )
-        if self.engine not in ENGINE_BACKENDS:
-            raise SpecError(
-                f"unknown engine backend {self.engine!r}; "
-                f"available: {tuple(sorted(ENGINE_BACKENDS))}",
-                field="engine",
-            )
-        if self.num_shards is not None:
-            if self.engine != "sharded":
-                raise SpecError(
-                    "num_shards only applies to engine='sharded', "
-                    f"not {self.engine!r}",
-                    field="num_shards",
-                )
-            if self.num_shards < 1:
-                raise SpecError(
-                    f"num_shards must be >= 1, got {self.num_shards}",
-                    field="num_shards",
-                )
         if self.em_iterations <= 0:
             raise SpecError("em_iterations must be positive", field="em_iterations")
         if self.em_tolerance < 0:
@@ -226,12 +200,6 @@ class InferenceSpec:
         object.__setattr__(
             self, "mstep", _build_config(MStepConfig, self.mstep, "mstep")
         )
-
-    def engine_config(self):
-        """The :class:`~repro.inference.engine.EngineConfig` this spec names."""
-        from repro.inference.engine import EngineConfig
-
-        return EngineConfig(backend=self.engine, num_shards=self.num_shards)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -695,7 +663,7 @@ def _build_spec(cls: Type[_S], payload: Any, what: str) -> _S:
     Validation failures inside the nested spec are re-raised with ``what``
     prepended to their field path, so errors surfacing from
     :meth:`SessionSpec.from_json` name the full dotted location
-    (``inference.engine``, ``effort.goal.kind``, …).
+    (``inference.estep_mode``, ``effort.goal.kind``, …).
     """
     if isinstance(payload, cls):
         return payload

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.utils.rng import RandomState, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.inference.engine import InferenceEngine
+    from repro.inference.engine.base import EngineFactory
 
 
 @dataclass
@@ -63,9 +64,9 @@ class GibbsSampler:
         num_samples: Recorded samples per call.
         thin: Sweeps between recorded samples.
         seed: Seed or generator.
-        engine: Hot-path engine executing the sweeps; defaults to the
-            configured default backend for ``model`` (see
-            :mod:`repro.inference.engine`).
+        engine: ``None`` (the model's memoised engine) or the test seam
+            of :func:`~repro.inference.engine.create_engine` — an engine
+            or an engine factory.
     """
 
     #: Not checkpointed (lint rule STATE001): the model and engine are
@@ -81,7 +82,7 @@ class GibbsSampler:
         num_samples: int = 20,
         thin: int = 1,
         seed: RandomState = None,
-        engine: Optional["InferenceEngine"] = None,
+        engine: Union[None, "InferenceEngine", "EngineFactory"] = None,
     ) -> None:
         if burn_in < 0:
             raise InferenceError(f"burn_in must be non-negative, got {burn_in}")

@@ -60,7 +60,7 @@ class SpecError(ReproError):
     """A declarative session configuration (``repro.api`` spec) is invalid.
 
     Carries the dotted path of the failing field in :attr:`field` when it
-    is known (e.g. ``"inference.engine"`` or ``"effort.termination[0].kind"``)
+    is known (e.g. ``"inference.estep_mode"`` or ``"effort.termination[0].kind"``)
     so callers — the HTTP service in particular — can point users at the
     exact offending spot of a nested spec document.
     """

@@ -19,8 +19,9 @@ entropy ``H_C`` (information-driven guidance) and the source-trust entropy
   one :class:`~repro.guidance.gain.StateSnapshot`; each hypothesis reads
   a read-only :class:`~repro.guidance.gain.HypotheticalView` of it, so
   the shared database is never mutated and no candidate sees another's
-  hypothesis.  (Spreading candidates over threads was measured slower
-  than one thread, so they run in sequence; see ``_GIBBS_ENGINE``.)
+  hypothesis.  (On a 2-core host, spreading candidates over 2 or 4
+  threads measured slower than one thread in both inference modes, so
+  they run in sequence.)
 
 Hypothetical inference comes in two flavours: ``"meanfield"`` (default) —
 a few steps of the model's damped mean-field operator
@@ -49,7 +50,6 @@ from repro.crf.partition import ComponentIndex
 from repro.data.database import FactDatabase
 from repro.guidance.gain.config import GainConfig
 from repro.guidance.gain.snapshot import HypotheticalView, StateSnapshot
-from repro.inference.engine import EngineConfig
 from repro.utils.arrays import concat_ranges
 from repro.utils.rng import RandomState, draw_entropy, ensure_rng, stream_rng
 
@@ -58,14 +58,6 @@ from repro.utils.rng import RandomState, draw_entropy, ensure_rng, stream_rng
 #: hypothetical chains under ``(_STREAM_HYPOTHESIS, claim, value)``.
 _STREAM_BASELINE = 1
 _STREAM_HYPOTHESIS = 2
-
-#: Engine of the throwaway Gibbs chains: the compiled merge kernel,
-#: in-process (no fork pool), memoised on the model like every engine.
-#: Its sweeps are bit-identical to every backend, and on the full wiki
-#: candidate pool it beats the default engine 3–5× on one thread.  On a
-#: 2-core host, spreading candidates over 2 or 4 threads measured slower
-#: than one thread in both inference modes, so candidates run in sequence.
-_GIBBS_ENGINE = EngineConfig(backend="sharded", num_shards=1)
 
 
 class _CallContext:
@@ -269,7 +261,6 @@ class GainEstimator:
             burn_in=self._config.gibbs_burn_in,
             num_samples=self._config.gibbs_samples,
             seed=stream_rng(context.entropy, *stream_key),
-            engine=_GIBBS_ENGINE,
         )
         return sampler.sample(claim_subset=scope, overlay=view).marginals
 

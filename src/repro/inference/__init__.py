@@ -2,11 +2,8 @@
 
 from repro.inference.decide import decide_grounding, threshold_grounding
 from repro.inference.engine import (
-    ENGINE_BACKENDS,
-    EngineConfig,
     InferenceEngine,
-    NumpyEngine,
-    ReferenceEngine,
+    SpeculativeEngine,
     create_engine,
 )
 from repro.inference.icrf import ICrf
@@ -19,14 +16,11 @@ from repro.inference.tron import (
 )
 
 __all__ = [
-    "ENGINE_BACKENDS",
-    "EngineConfig",
     "ICrf",
     "InferenceEngine",
     "InferenceResult",
     "MStepConfig",
-    "NumpyEngine",
-    "ReferenceEngine",
+    "SpeculativeEngine",
     "TronResult",
     "WeightedLogisticLoss",
     "build_design_matrix",

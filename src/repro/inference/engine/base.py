@@ -1,16 +1,8 @@
-"""Engine interface, backend registry and per-model memoisation.
-
-The concrete backends live in sibling modules (:mod:`.reference`,
-:mod:`.numpy_backend`, :mod:`.sharded`) and register themselves in
-:data:`ENGINE_BACKENDS` at import time; :mod:`repro.inference.engine`
-(the package ``__init__``) imports them all, so the registry is always
-fully populated before user code can construct an :class:`EngineConfig`.
-"""
+"""Engine interface and per-model memoisation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -18,49 +10,6 @@ from repro.crf.model import CrfModel
 from repro.errors import InferenceError
 
 MStepData = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Backend selection for the inference hot path.
-
-    Attributes:
-        backend: Registered backend name; ``"numpy"`` (vectorised,
-            default), ``"reference"`` (scalar ground truth) or
-            ``"sharded"`` (multi-process partitioned sweeps).  Backends
-            register themselves in :data:`ENGINE_BACKENDS`.
-        num_shards: Worker-process count for the ``sharded`` backend.
-            ``None`` picks an automatic count from the host CPUs; ``1``
-            forces the in-process fast path (no worker pool).  Rejected
-            for any other backend.
-    """
-
-    backend: str = "numpy"
-    num_shards: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in ENGINE_BACKENDS:
-            raise InferenceError(
-                f"unknown engine backend {self.backend!r}; "
-                f"available: {tuple(sorted(ENGINE_BACKENDS))}"
-            )
-        if self.num_shards is not None:
-            if self.backend != "sharded":
-                raise InferenceError(
-                    "num_shards only applies to the 'sharded' backend, "
-                    f"not {self.backend!r}"
-                )
-            if self.num_shards < 1:
-                raise InferenceError(
-                    f"num_shards must be >= 1, got {self.num_shards}"
-                )
-
-    @property
-    def cache_key(self) -> str:
-        """Memoisation key: distinct shard counts get distinct engines."""
-        if self.backend == "sharded" and self.num_shards is not None:
-            return f"sharded[{self.num_shards}]"
-        return self.backend
 
 
 class InferenceEngine:
@@ -71,12 +20,7 @@ class InferenceEngine:
     samplers over the same model.
     """
 
-    #: Registry name of the backend; subclasses override.
-    name = "abstract"
-
-    def __init__(
-        self, model: CrfModel, config: Optional[EngineConfig] = None
-    ) -> None:
+    def __init__(self, model: CrfModel) -> None:
         self._model = model
 
     @property
@@ -89,16 +33,8 @@ class InferenceEngine:
 
         Called by :meth:`CrfModel.grow` on every memoised engine when a
         streaming arrival extends the database.  The base implementation
-        is a no-op — backends that cache structure-derived arrays
-        override it.
-        """
-
-    def close(self) -> None:
-        """Release process-level resources (worker pools, handles).
-
-        Safe to call repeatedly; a closed engine stays usable — backends
-        that own pools rebuild them lazily on the next call.  The base
-        implementation is a no-op.
+        is a no-op — engines that cache structure-derived arrays override
+        it.
         """
 
     def sweep(
@@ -111,9 +47,9 @@ class InferenceEngine:
         """One random-order sequential scan over the free claims.
 
         Mutates ``spins`` and keeps ``stats`` (the per-source consistency
-        statistics ``A_s``) consistent with them.  Every backend consumes
-        the random stream identically: one permutation draw followed by
-        one uniform draw per free claim.
+        statistics ``A_s``) consistent with them.  The random stream is
+        consumed as one permutation draw followed by one uniform draw per
+        free claim.
         """
         raise NotImplementedError
 
@@ -130,55 +66,49 @@ class InferenceEngine:
         raise NotImplementedError
 
 
-#: Registered engine backends, keyed by :attr:`InferenceEngine.name`.
-#: Populated by the backend modules at import time.
-ENGINE_BACKENDS: Dict[str, Type[InferenceEngine]] = {}
+EngineFactory = Callable[[CrfModel], InferenceEngine]
 
 
 def create_engine(
     model: CrfModel,
-    config: Union[None, str, EngineConfig, "InferenceEngine"] = None,
+    engine: Union[None, InferenceEngine, EngineFactory] = None,
 ) -> InferenceEngine:
-    """Engine for ``model`` per the configured backend, memoised per model.
+    """The engine for ``model``, memoised on the model.
 
     The memo lives on the model instance, so cached engines share the
-    model's lifetime, and :meth:`CrfModel.grow` can refresh every engine
-    of a streaming model in place when an arrival extends the structure.
+    model's lifetime, and :meth:`CrfModel.grow` can refresh them in place
+    when a streaming arrival extends the structure.  The E-step, the
+    M-step and the gain chains of one model therefore share one engine.
 
     Args:
         model: The CRF model whose structure is cached.
-        config: ``None`` (default backend), a backend name, a full
-            :class:`EngineConfig`, or an already-built engine (returned
-            as-is after checking it is bound to ``model``).
+        engine: ``None`` for the
+            :class:`~repro.inference.engine.speculative.SpeculativeEngine`;
+            an engine already bound to ``model`` (returned as-is); or a
+            factory ``model -> engine``, memoised per factory.  The last
+            two are a test seam: equivalence tests run the scalar oracle
+            or the Python merge walk through it.
     """
-    if isinstance(config, InferenceEngine):
-        if config.model is not model:
+    if isinstance(engine, InferenceEngine):
+        if engine.model is not model:
             raise InferenceError("engine is bound to a different model")
-        return config
-    if config is None:
-        config = EngineConfig()
-    elif isinstance(config, str):
-        config = EngineConfig(backend=config)
-    per_model: Optional[Dict[str, InferenceEngine]] = getattr(
+        return engine
+    if engine is None:
+        from repro.inference.engine.speculative import SpeculativeEngine
+
+        engine = SpeculativeEngine
+    elif not callable(engine):
+        raise InferenceError(
+            f"engine must be an InferenceEngine or a factory, got {engine!r}"
+        )
+    per_model: Optional[Dict[EngineFactory, InferenceEngine]] = getattr(
         model, "_engine_cache", None
     )
     if per_model is None:
         per_model = {}
         model._engine_cache = per_model  # type: ignore[attr-defined]
-    engine = per_model.get(config.cache_key)
-    if engine is None:
-        engine = ENGINE_BACKENDS[config.backend](model, config)
-        per_model[config.cache_key] = engine
-    return engine
-
-
-def release_model_engines(model: CrfModel) -> None:
-    """Close every engine memoised on ``model``.
-
-    Worker pools (the ``sharded`` backend) hold OS processes; sessions
-    and the service layer call this on close/eviction so pools never
-    outlive the session that spawned them.  Engines stay usable — a
-    closed engine rebuilds its pool lazily if swept again.
-    """
-    for engine in getattr(model, "_engine_cache", {}).values():
-        engine.close()
+    built = per_model.get(engine)
+    if built is None:
+        built = engine(model)
+        per_model[engine] = built
+    return built

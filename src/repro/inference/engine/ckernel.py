@@ -1,4 +1,4 @@
-"""Optional compiled scan-merge kernel for the sharded backend.
+"""Compiled scan-merge kernel of the engine's merge walk.
 
 The scan-order merge walk (see :mod:`.speculative`) is a tight
 data-dependent loop — per position a handful of multiply-adds over the
@@ -13,11 +13,10 @@ the same order as the Python walk — the correction accumulates row by
 row, the recomputed logistic uses the two-branch stable form backed by
 libm's ``exp`` (the same function CPython's ``math.exp`` wraps), and the
 build passes ``-ffp-contract=off`` so the compiler cannot fuse the
-multiply-adds into differently-rounded FMAs.  The 1-shard==numpy
-property test asserts the equivalence empirically.
+multiply-adds into differently-rounded FMAs.  ``tests/test_engine.py``
+asserts the equivalence empirically.
 
-Set ``REPRO_NO_CKERNEL=1`` to skip compilation; any build failure
-degrades silently to the Python walk.
+Any build failure degrades silently to the Python walk.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
@@ -89,29 +89,25 @@ int64_t scan_merge(
 
 _UNSET = object()
 _KERNEL = _UNSET
+_BUILD_LOCK = threading.Lock()
 
 
 def load_kernel():
     """The compiled ``scan_merge`` entry point, or ``None``.
 
-    Compiled at most once per process; every failure mode (no compiler,
-    compile error, unloadable library, ``REPRO_NO_CKERNEL`` set) caches
-    ``None`` so callers fall back to the Python walk.
+    Compiled at most once per process, by whichever thread asks first;
+    every failure mode (no compiler, compile error, unloadable library)
+    caches ``None`` so callers fall back to the Python walk.
     """
     global _KERNEL
     if _KERNEL is _UNSET:
-        _KERNEL = _build()
+        with _BUILD_LOCK:
+            if _KERNEL is _UNSET:
+                _KERNEL = _build()
     return _KERNEL
 
 
-def kernel_available() -> bool:
-    """Whether the compiled merge kernel is usable on this host."""
-    return load_kernel() is not None
-
-
 def _build():
-    if os.environ.get("REPRO_NO_CKERNEL"):
-        return None
     compiler = (
         os.environ.get("CC")
         or shutil.which("cc")

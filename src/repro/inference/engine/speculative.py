@@ -1,4 +1,4 @@
-"""Shared speculative-batch sweep core for the vectorised backends.
+"""The inference engine: speculative-batch Gibbs sweeps, vectorised M-step.
 
 **Exact speculative-batch Gibbs sweeps.**  A sequential-scan Gibbs sweep
 draws its permutation and its uniform thresholds *before* the scan, so
@@ -28,9 +28,10 @@ assert exact chain equality).
 
 The walk state is three flat CSR arrays per free-claim set (row
 pointers, compact local source ids, ``stance/n_s`` coefficients) — a
-vectorised gather over the cached pair CSR, built once per free set and
-shared by the pure-Python walk (:class:`NumpyEngine`) and the compiled
-kernel (:class:`ShardedEngine`, see :mod:`.ckernel`).
+vectorised gather over the cached pair CSR, built once per free set.  The
+walk runs in a small compiled kernel (:mod:`.ckernel`), built on the
+first sweep that needs it; when the host has no C compiler the same walk
+runs in Python, with identical results.
 
 **Cached evidence matrices.**  All structure-derived arrays — the
 claim-grouped (claim, source) pair table, the per-pair normalisers
@@ -51,7 +52,8 @@ import numpy as np
 from repro.analysis.contracts import derived_cache, mutates
 from repro.crf.model import CrfModel
 from repro.crf.potentials import sigmoid
-from repro.inference.engine.base import EngineConfig, InferenceEngine, MStepData
+from repro.inference.engine.base import InferenceEngine, MStepData
+from repro.inference.engine.ckernel import load_kernel, run_scan_merge
 from repro.utils.arrays import concat_ranges
 
 
@@ -66,17 +68,12 @@ def sigmoid_scalar(value: float) -> float:
 class SpeculativeEngine(InferenceEngine):
     """Speculative-batch sweeps + vectorised M-step over cached gathers.
 
-    Subclasses plug into three extension points: :meth:`_speculate`
-    (where the batch conditionals are computed — in-process here,
-    scattered over a worker pool in the sharded backend),
-    :meth:`_scan_kernel` (an optional compiled scan-merge routine) and
-    :meth:`_on_structure_refresh` (structure-change notification).
+    The one production engine, memoised per model by
+    :func:`~repro.inference.engine.create_engine`.
     """
 
-    def __init__(
-        self, model: CrfModel, config: Optional[EngineConfig] = None
-    ) -> None:
-        super().__init__(model, config)
+    def __init__(self, model: CrfModel) -> None:
+        super().__init__(model)
         self.refresh_structure()
 
     @mutates("free_set_gather")
@@ -104,10 +101,6 @@ class SpeculativeEngine(InferenceEngine):
         # attribute assignment — the engine is memoised per model and may
         # be shared by samplers on different threads.
         self._gather_state: Optional[Tuple[bytes, dict]] = None
-        self._on_structure_refresh()
-
-    def _on_structure_refresh(self) -> None:
-        """Hook for subclasses holding structure-bound resources."""
 
     # ------------------------------------------------------------------
     # Gibbs sweep
@@ -136,35 +129,11 @@ class SpeculativeEngine(InferenceEngine):
             return
 
         # Speculative batch: every conditional against sweep-start stats,
-        # in free-claim order (whose gather indices are cached).
-        logits, tentative, flip = self._speculate(
-            free_claims, spins, stats, thresholds, local_fields, gamma
-        )
-        if not flip.any():
-            return
-        self._merge_scan(
-            free_claims, order, thresholds, logits, tentative, flip,
-            2.0 * gamma, spins, stats,
-        )
-
-    def _speculate(
-        self,
-        free_claims: np.ndarray,
-        spins: np.ndarray,
-        stats: np.ndarray,
-        thresholds: np.ndarray,
-        local_fields: np.ndarray,
-        gamma: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batch conditionals against sweep-start stats, free-claim order.
-
-        Returns ``(logits, tentative, flip)`` indexed by free position:
-        the speculative logit, the spin the pre-drawn threshold selects
-        from it, and whether that spin differs from the current one.
-        """
-        n = free_claims.size
-        f_source, f_stance, f_denom, f_segment, f_counts = self._gathered(
-            free_claims
+        # in free-claim order (whose gather indices are cached).  Indexed
+        # by free position: the speculative logit, the spin the pre-drawn
+        # threshold selects from it, and whether that spin is a flip.
+        f_source, f_stance, f_denom, f_segment, f_counts = (
+            self._free_set_cache(free_claims)["batch"]
         )
         own = f_stance * np.repeat(spins[free_claims], f_counts)
         contributions = f_stance * (stats[f_source] - own) / f_denom
@@ -173,11 +142,20 @@ class SpeculativeEngine(InferenceEngine):
         probabilities = sigmoid(logits)
         tentative = np.where(thresholds < probabilities, 1.0, -1.0)
         flip = tentative != spins[free_claims]
-        return logits, tentative, flip
+        if not flip.any():
+            return
+        self._merge_scan(
+            free_claims, order, thresholds, logits, tentative, flip,
+            2.0 * gamma, spins, stats,
+        )
 
     def _scan_kernel(self):
-        """Compiled scan-merge routine, or ``None`` for the Python walk."""
-        return None
+        """The compiled scan-merge kernel, or ``None`` for the Python walk.
+
+        Compiled on first use (once per process), so engines whose
+        sweeps never need a merge walk never pay for the build.
+        """
+        return load_kernel()
 
     def _merge_scan(
         self,
@@ -203,8 +181,6 @@ class SpeculativeEngine(InferenceEngine):
         touched = walk["touched"]
         kernel = self._scan_kernel()
         if kernel is not None:
-            from repro.inference.engine.ckernel import run_scan_merge
-
             spins_free = np.ascontiguousarray(
                 spins[free_claims], dtype=np.float64
             )
@@ -277,18 +253,6 @@ class SpeculativeEngine(InferenceEngine):
             spins[free_claims] = spins_l
             stats[touched] += np.asarray(dstats)
 
-    def _gathered(
-        self, free_claims: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached gathered pair rows of the free-claim set.
-
-        Returns ``(source, stance, denom, segment, counts)`` where the
-        first three are the concatenated evidence rows of the free claims
-        in order, ``segment`` maps each row to its free-claim position,
-        and ``counts`` is rows per free claim.
-        """
-        return self._free_set_cache(free_claims)["batch"]
-
     def _walk_arrays(self, free_claims: np.ndarray) -> dict:
         """Flat CSR walk state of the free set (vectorised gather).
 
@@ -325,7 +289,12 @@ class SpeculativeEngine(InferenceEngine):
         storage="_gather_state",
     )
     def _free_set_cache(self, free_claims: np.ndarray) -> dict:
-        """Cache entry of the free-claim set (atomic whole-dict swap)."""
+        """Cache entry of the free-claim set (atomic whole-dict swap).
+
+        ``batch`` holds ``(source, stance, denom, segment, counts)``: the
+        concatenated evidence rows of the free claims in order, the
+        free-claim position of each row, and the rows per free claim.
+        """
         key = free_claims.tobytes()
         state = self._gather_state
         if state is None or state[0] != key:
@@ -388,92 +357,37 @@ class SpeculativeEngine(InferenceEngine):
     def assemble_mstep(
         self, marginals: np.ndarray, config
     ) -> Optional[MStepData]:
+        """Vectorised assembly in the scalar layout.
+
+        Claims in index order, one row per labelled claim and a
+        (target 1, target 0) pair per unlabelled claim.
+        """
         from repro.inference.mstep import build_design_matrix
 
         model = self._model
+        num_claims = model.database.num_claims
+        covered = np.flatnonzero(
+            model.featurizer.claim_degree >= config.min_coverage
+        )
+        if covered.size == 0:
+            return None
         design_all = build_design_matrix(model, marginals)
         label_indices, label_values = model.database.label_arrays()
-        assembled = assemble_design_range(
-            model, design_all, marginals, 0, model.database.num_claims,
-            label_indices, label_values,
-            config.min_coverage, config.labelled_weight,
-        )
-        if assembled[0].shape[0] == 0:
-            return None
-        return assembled
+        is_labelled = np.zeros(num_claims, dtype=bool)
+        is_labelled[label_indices] = True
+        label_of = np.zeros(num_claims)
+        label_of[label_indices] = label_values
 
-
-def assemble_design_range(
-    model: CrfModel,
-    design_rows: np.ndarray,
-    marginals: np.ndarray,
-    lo: int,
-    hi: int,
-    label_indices: np.ndarray,
-    label_values: np.ndarray,
-    min_coverage: int,
-    labelled_weight: float,
-) -> MStepData:
-    """Design/target/weight rows of claims ``[lo, hi)``, reference layout.
-
-    ``design_rows`` holds the per-claim design rows of exactly that
-    range.  The row layout matches the scalar reference restricted to
-    the range — claims in index order, one row per labelled claim, a
-    (target 1, target 0) pair per unlabelled claim — so concatenating
-    contiguous ranges in order reproduces the full assembly bitwise.
-    Returns empty arrays (never ``None``) when no claim is covered.
-    """
-    num_claims = model.database.num_claims
-    covered = lo + np.flatnonzero(
-        model.featurizer.claim_degree[lo:hi] >= min_coverage
-    )
-    is_labelled = np.zeros(num_claims, dtype=bool)
-    is_labelled[label_indices] = True
-    label_of = np.zeros(num_claims)
-    label_of[label_indices] = label_values
-
-    repeats = np.where(is_labelled[covered], 1, 2)
-    row_claims = np.repeat(covered, repeats)
-    design = design_rows[row_claims - lo]
-    ends = np.cumsum(repeats)
-    second_rows = ends[repeats == 2] - 1
-    targets = np.ones(row_claims.size)
-    targets[second_rows] = 0.0
-    weights = np.asarray(marginals, dtype=float)[row_claims].copy()
-    weights[second_rows] = 1.0 - weights[second_rows]
-    labelled_rows = is_labelled[row_claims]
-    targets[labelled_rows] = label_of[row_claims][labelled_rows]
-    weights[labelled_rows] = labelled_weight
-    return design, targets, weights
-
-
-def trust_signal_range(
-    model: CrfModel,
-    marginals: np.ndarray,
-    stats: np.ndarray,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Trust signals of claims ``[lo, hi)`` from precomputed global stats.
-
-    Mirrors :meth:`CrfModel.trust_signals` with the expected-spin source
-    statistics (a global reduction) supplied by the caller, so shards
-    can evaluate their claim ranges independently yet bitwise-identically
-    to the unsharded computation: ``pair_claim`` is sorted, making each
-    range a contiguous row slice whose per-claim accumulation order
-    matches the global ``np.add.at``.
-    """
-    spins = 2.0 * np.asarray(marginals, dtype=float) - 1.0
-    row_lo, row_hi = np.searchsorted(model.pair_claim, [lo, hi])
-    claim = model.pair_claim[row_lo:row_hi]
-    stance = model.pair_stance[row_lo:row_hi]
-    source = model.pair_source[row_lo:row_hi]
-    own = stance * spins[claim]
-    excluded = stats[source] - own
-    denominators = np.maximum(model.source_clique_count[source], 1.0)
-    contributions = 2.0 * stance * excluded / denominators
-    signals = np.zeros(hi - lo)
-    np.add.at(signals, claim - lo, contributions)
-    if not model.coupling_enabled:
-        signals[:] = 0.0
-    return signals
+        repeats = np.where(is_labelled[covered], 1, 2)
+        row_claims = np.repeat(covered, repeats)
+        design = design_all[row_claims]
+        ends = np.cumsum(repeats)
+        second_rows = ends[repeats == 2] - 1
+        targets = np.ones(row_claims.size)
+        targets[second_rows] = 0.0
+        weights = np.asarray(marginals, dtype=float)[row_claims].copy()
+        weights[second_rows] = 1.0 - weights[second_rows]
+        labelled_rows = is_labelled[row_claims]
+        targets[labelled_rows] = label_of[row_claims][labelled_rows]
+        weights[labelled_rows] = config.labelled_weight
+        return design, targets, weights

@@ -36,7 +36,8 @@ from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.errors import InferenceError
 from repro.inference.decide import decide_grounding
-from repro.inference.engine import EngineConfig, InferenceEngine, create_engine
+from repro.inference.engine import InferenceEngine, create_engine
+from repro.inference.engine.base import EngineFactory
 from repro.inference.mstep import MStepConfig, run_m_step
 from repro.inference.result import InferenceResult
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
@@ -63,11 +64,11 @@ class ICrf:
             exact reproducibility and speed; experiments that compare
             validation *orders* across runs (Table 2) use it to remove
             sampling noise from the comparison.
-        engine: Hot-path backend selection — an
-            :class:`~repro.inference.engine.EngineConfig`, a backend name,
-            or ``None`` for the default (``"numpy"``).  The engine's
-            cached evidence matrices are shared between the E-step sweeps
-            and the M-step design assembly.
+        engine: ``None`` (the model's memoised engine) or the test seam
+            of :func:`~repro.inference.engine.create_engine` — an engine
+            or an engine factory.  The engine's cached evidence matrices
+            are shared between the E-step sweeps and the M-step design
+            assembly.
         seed: Seed or generator.
     """
 
@@ -101,7 +102,7 @@ class ICrf:
         initial_bias: float = 1.0,
         mstep: Optional[MStepConfig] = None,
         estep_mode: str = "gibbs",
-        engine: Union[None, str, EngineConfig] = None,
+        engine: Union[None, InferenceEngine, EngineFactory] = None,
         seed: RandomState = None,
     ) -> None:
         warn_legacy(

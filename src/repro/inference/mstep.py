@@ -21,7 +21,7 @@ couple of Newton steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.inference.tron import TronResult, WeightedLogisticLoss, tron_minimize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.inference.engine import InferenceEngine
+    from repro.inference.engine.base import EngineFactory
 
 
 @dataclass
@@ -79,7 +80,7 @@ def run_m_step(
     model: CrfModel,
     marginals: np.ndarray,
     config: MStepConfig = MStepConfig(),
-    engine: Optional["InferenceEngine"] = None,
+    engine: Union[None, "InferenceEngine", "EngineFactory"] = None,
 ) -> TronResult:
     """Fit new weights from the current credibility estimates.
 
@@ -89,9 +90,9 @@ def run_m_step(
         marginals: Per-claim credibility estimates from the E-step; entries
             of labelled claims must already equal their labels.
         config: Hyper-parameters.
-        engine: Hot-path engine assembling the expected-statistics design;
-            defaults to the configured default backend for ``model``,
-            whose cached feature matrix is reused across EM rounds.
+        engine: ``None`` (the model's memoised engine, whose cached
+            feature matrix is reused across EM rounds) or the test seam
+            of :func:`~repro.inference.engine.create_engine`.
 
     Returns:
         The :class:`~repro.inference.tron.TronResult` of the fit.

@@ -25,7 +25,7 @@ Requests and responses are ``application/json``; request bodies parse into
 the typed model of :mod:`repro.service.wire`.  Errors map onto structured
 payloads ``{"error": {"type", "message", "field"?}}`` where ``type`` is the
 :mod:`repro.errors` class name — a 400 for an invalid spec carries the
-dotted ``field`` path of the offending entry (e.g. ``inference.engine``).
+dotted ``field`` path of the offending entry (e.g. ``inference.estep_mode``).
 """
 
 from __future__ import annotations

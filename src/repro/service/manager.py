@@ -240,11 +240,7 @@ class SessionManager:
         return restored
 
     def delete(self, session_id: str) -> None:
-        """Evict a session from the registry and delete its spool entry.
-
-        Engine-held resources (sharded worker pools) are released with
-        the eviction so they never outlive the registry entry.
-        """
+        """Evict a session from the registry and delete its spool entry."""
         managed = self._get(session_id)
         with managed.lock:
             managed.evicted = True
@@ -253,7 +249,6 @@ class SessionManager:
             path = self._spool_path(session_id)
             if path is not None and path.exists():
                 path.unlink()
-            managed.session.release_engines()
 
     def shutdown(self, checkpoint: bool = True) -> None:
         """Stop the worker pool, checkpointing every session first."""
@@ -266,11 +261,6 @@ class SessionManager:
                 with managed.lock:
                     managed.session.save(self._spool_path(managed.id))
                     managed.events_since_checkpoint = 0
-        with self._registry_lock:
-            remaining = list(self._sessions.values())
-        for managed in remaining:
-            with managed.lock:
-                managed.session.release_engines()
         self._closed = True
         self._executor.shutdown(wait=True)
 

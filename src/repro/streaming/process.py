@@ -45,11 +45,6 @@ from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.data.entities import Claim, Document, Source
 from repro.errors import StreamingError
-from repro.inference.engine import (
-    EngineConfig,
-    InferenceEngine,
-    create_engine,
-)
 from repro.inference.mstep import MStepConfig, run_m_step
 from repro.streaming.schedule import RobbinsMonroSchedule
 from repro.streaming.stream import ClaimArrival
@@ -99,10 +94,6 @@ class StreamingFactChecker:
         meanfield_steps: E-step fixed-point iterations per arrival.
         initial_bias: Cold-start bias weight of a fresh model.
         prior: Credibility prior of newly arrived claims.
-        engine: Hot-path backend selection (see
-            :mod:`repro.inference.engine`); the snapshot model keeps one
-            engine of this backend, refreshed in place as arrivals grow
-            the structure.
         incremental: Grow the snapshot database/model/engine in place per
             arrival (default).  ``False`` rebuilds the snapshot from
             scratch per arrival — same results bit for bit, kept as the
@@ -127,7 +118,6 @@ class StreamingFactChecker:
         "_meanfield_steps",
         "_initial_bias",
         "_prior",
-        "_engine_config",
         "_incremental",
         "_allow_pending_labels",
     )
@@ -141,7 +131,6 @@ class StreamingFactChecker:
         meanfield_steps: int = 3,
         initial_bias: float = 1.0,
         prior: float = 0.5,
-        engine: Union[None, str, EngineConfig] = None,
         incremental: bool = True,
         allow_pending_labels: bool = False,
         seed: RandomState = None,
@@ -157,12 +146,6 @@ class StreamingFactChecker:
         self._meanfield_steps = meanfield_steps
         self._initial_bias = float(initial_bias)
         self._prior = float(prior)
-        self._engine_config = (
-            engine if isinstance(engine, EngineConfig)
-            else EngineConfig() if engine is None
-            else EngineConfig(backend=engine)
-        )
-        self._engine: Optional[InferenceEngine] = None
         self._incremental = bool(incremental)
         self._allow_pending_labels = bool(allow_pending_labels)
         self._rng = ensure_rng(seed)
@@ -243,7 +226,7 @@ class StreamingFactChecker:
         """Restore a :meth:`state_dict` snapshot bit-for-bit.
 
         The checker must have been constructed with the same configuration
-        (schedule, aggregation, engine backend, …) — typically from the
+        (schedule, aggregation, M-step, …) — typically from the
         same :class:`~repro.api.SessionSpec`.
         """
         from repro.datasets.io import (
@@ -311,7 +294,6 @@ class StreamingFactChecker:
         set_rng_state(self._rng, state["rng"])
         self._database = None
         self._model = None
-        self._engine = None
         if self._claims:
             self._rebuild()
 
@@ -435,7 +417,7 @@ class StreamingFactChecker:
         # M-step with stochastic approximation (Eq. 29-30).
         previous = self._model.weights.values.copy()
         run_m_step(self._model, np.asarray(self._database.probabilities),
-                   self._mstep, engine=self._engine)
+                   self._mstep)
         candidate = self._model.weights.values
         gamma = self._schedule.step_size(self._t)
         blended = previous + gamma * (candidate - previous)
@@ -518,7 +500,6 @@ class StreamingFactChecker:
             sources=new_sources, documents=new_documents, claims=new_claims
         )
         self._model.grow(delta)
-        self._engine = create_engine(self._model, self._engine_config)
         for claim in new_claims:
             value = self._labels.get(claim.claim_id)
             if value is not None:
@@ -604,4 +585,3 @@ class StreamingFactChecker:
             aggregation=self._aggregation,
             coupling_enabled=self._coupling_enabled,
         )
-        self._engine = create_engine(self._model, self._engine_config)

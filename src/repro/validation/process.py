@@ -83,10 +83,6 @@ class ValidationProcess:
             user keeps skipping before forcing the last one.
         deterministic_ties: Break selection-score ties by claim index
             rather than randomly (reproducible validation orders).
-        engine: Hot-path backend selection forwarded to the default
-            :class:`~repro.inference.icrf.ICrf` (see
-            :mod:`repro.inference.engine`); ignored when an ``icrf``
-            instance is supplied.
         seed: Seed or generator.
     """
 
@@ -126,7 +122,6 @@ class ValidationProcess:
         termination: Sequence = (),
         max_skip_attempts: int = 5,
         deterministic_ties: bool = False,
-        engine=None,
         seed: RandomState = None,
     ) -> None:
         warn_legacy(
@@ -147,7 +142,7 @@ class ValidationProcess:
             self.icrf = (
                 icrf
                 if icrf is not None
-                else ICrf(database, engine=engine, seed=derive_rng(rng, 0))
+                else ICrf(database, seed=derive_rng(rng, 0))
             )
         self.components = ComponentIndex(database)
         self.gains = GainEstimator(
@@ -243,8 +238,8 @@ class ValidationProcess:
         """Restore a :meth:`state_dict` snapshot onto this process.
 
         The process must have been constructed with the same configuration
-        (same database structure, strategy, goal, termination criteria, and
-        engine backend) — typically by rebuilding it from the same
+        (same database structure, strategy, goal and termination criteria)
+        — typically by rebuilding it from the same
         :class:`~repro.api.SessionSpec`.
         """
         from repro.data.database import FactDatabaseState

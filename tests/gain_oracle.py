@@ -2,12 +2,13 @@
 
 The production :class:`~repro.guidance.gain.GainEstimator` answers "what
 would inference say if claim ``c`` were labelled ``v``?" on read-only
-views of one state snapshot, with Gibbs chains on the compiled-kernel
-engine.  This oracle answers it the direct way: label ``c`` in the live
-database, run the light inference against the database on the model's
-default engine, restore.  It consumes the estimator's generator and
-derives its chain streams exactly like the estimator does, so the two
-must agree bit for bit.
+views of one state snapshot, with Gibbs chains on the model's engine
+(merge walk in the compiled kernel).  This oracle answers it the direct
+way: label ``c`` in the live database, run the light inference against
+the database with the merge walk in Python, restore.  It consumes the
+estimator's generator and derives its chain streams exactly like the
+estimator does, so the two must agree bit for bit — across the two
+walks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from repro.crf.gibbs import GibbsSampler
 from repro.guidance.gain import GainEstimator, StateSnapshot
 from repro.guidance.gain.estimator import _STREAM_BASELINE, _STREAM_HYPOTHESIS
 from repro.utils.rng import draw_entropy, stream_rng
+
+from tests.reference_engine import PythonWalkEngine
 
 
 def oracle_gains(
@@ -52,6 +55,7 @@ def oracle_gains(
             burn_in=config.gibbs_burn_in,
             num_samples=config.gibbs_samples,
             seed=stream_rng(entropy, *stream_key),
+            engine=PythonWalkEngine,
         )
         return sampler.sample(claim_subset=scope).marginals
 

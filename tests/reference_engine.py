@@ -1,4 +1,11 @@
-"""Claim-at-a-time scalar backend — the semantic ground truth."""
+"""Claim-at-a-time scalar engine — the semantic ground truth.
+
+Golden fixtures (``tests/golden/``) are recorded against this oracle and
+the production engine is tested for bit-for-bit agreement with it.  It
+plugs into ``ICrf``/``GibbsSampler``/``run_m_step`` through their
+``engine=`` seam: pass the class as an engine factory, e.g.
+``ICrf(database, engine=ReferenceEngine)``.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +14,11 @@ from typing import Optional
 import numpy as np
 
 from repro.crf.potentials import sigmoid
-from repro.inference.engine.base import (
-    ENGINE_BACKENDS,
-    InferenceEngine,
-    MStepData,
-)
+from repro.inference.engine import InferenceEngine, MStepData, SpeculativeEngine
 
 
 class ReferenceEngine(InferenceEngine):
     """Claim-at-a-time scalar implementation (the seed semantics)."""
-
-    name = "reference"
 
     def sweep(
         self,
@@ -82,4 +83,12 @@ class ReferenceEngine(InferenceEngine):
         return np.asarray(rows), np.asarray(targets), np.asarray(weights)
 
 
-ENGINE_BACKENDS[ReferenceEngine.name] = ReferenceEngine
+class PythonWalkEngine(SpeculativeEngine):
+    """The production engine with its merge walk forced onto Python.
+
+    The fallback a host without a C compiler runs; equivalence tests and
+    the perf benchmark pass it as an engine factory.
+    """
+
+    def _scan_kernel(self):
+        return None

@@ -4,8 +4,7 @@ Golden-fixture style: the uninterrupted run *is* the golden reference —
 the same spec is run once to completion, and once interrupted mid-run,
 checkpointed, reloaded, and continued.  Every trace field except
 wall-clock time, the final weights, the final probabilities, and the
-onward RNG streams must match exactly, for both engine backends and both
-session modes.
+onward RNG streams must match exactly, in both session modes.
 """
 
 from __future__ import annotations
@@ -22,14 +21,11 @@ from repro.streaming import stream_from_database
 
 from tests.fixtures import build_micro_database
 
-ENGINES = ("numpy", "reference", "sharded")
-
-
-def batch_spec(engine: str) -> SessionSpec:
+def batch_spec() -> SessionSpec:
     return SessionSpec(
         seed=11,
         dataset={"name": "wiki", "seed": 42, "scale": 0.15},
-        inference={"engine": engine, "em_iterations": 2, "num_samples": 8},
+        inference={"em_iterations": 2, "num_samples": 8},
         guidance={"strategy": "hybrid", "candidate_limit": 10},
         user={"error_probability": 0.1, "skip_probability": 0.1},
         effort={
@@ -43,11 +39,11 @@ def batch_spec(engine: str) -> SessionSpec:
     )
 
 
-def streaming_spec(engine: str) -> SessionSpec:
+def streaming_spec() -> SessionSpec:
     return SessionSpec(
         mode="streaming",
         seed=5,
-        inference={"engine": engine, "em_iterations": 2, "num_samples": 8},
+        inference={"em_iterations": 2, "num_samples": 8},
         guidance={"strategy": "hybrid", "candidate_limit": 10},
         effort={"goal": {"kind": "none"}},
         stream={"validation_every": 4},
@@ -74,12 +70,11 @@ def assert_records_identical(golden, resumed):
         assert a.repairs == b.repairs
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestBatchResume:
-    def test_resumed_run_matches_uninterrupted(self, engine, tmp_path):
-        golden = FactCheckSession(batch_spec(engine)).run()
+    def test_resumed_run_matches_uninterrupted(self, tmp_path):
+        golden = FactCheckSession(batch_spec()).run()
 
-        interrupted = FactCheckSession(batch_spec(engine)).open()
+        interrupted = FactCheckSession(batch_spec()).open()
         for _ in range(3):
             interrupted.step()
         path = tmp_path / "batch.json"
@@ -96,8 +91,8 @@ class TestBatchResume:
         assert golden.final_precision == resumed.final_precision
         assert golden.trace.final_grounding == resumed.trace.final_grounding
 
-    def test_resume_restores_database_state(self, engine, tmp_path):
-        session = FactCheckSession(batch_spec(engine)).open()
+    def test_resume_restores_database_state(self, tmp_path):
+        session = FactCheckSession(batch_spec()).open()
         session.step()
         session.step()
         path = tmp_path / "state.json"
@@ -115,16 +110,15 @@ class TestBatchResume:
         ]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestStreamingResume:
-    def test_resumed_stream_matches_uninterrupted(self, engine, tmp_path):
+    def test_resumed_stream_matches_uninterrupted(self, tmp_path):
         database = build_database()
         arrivals = list(stream_from_database(database))
         cut = len(arrivals) // 2
 
-        golden = FactCheckSession(streaming_spec(engine)).run(arrivals=arrivals)
+        golden = FactCheckSession(streaming_spec()).run(arrivals=arrivals)
 
-        interrupted = FactCheckSession(streaming_spec(engine)).open()
+        interrupted = FactCheckSession(streaming_spec()).open()
         every = 4
         for arrival in arrivals[:cut]:
             interrupted.observe(arrival)
@@ -159,10 +153,10 @@ class TestAutoCheckpoint:
     """Periodic auto-checkpointing inside ``FactCheckSession.run``."""
 
     def test_batch_autocheckpoint_resumes_bit_for_bit(self, tmp_path):
-        golden = FactCheckSession(batch_spec("numpy")).run()
+        golden = FactCheckSession(batch_spec()).run()
 
         path = tmp_path / "auto.json.gz"
-        crashed = FactCheckSession(batch_spec("numpy"))
+        crashed = FactCheckSession(batch_spec())
         with pytest.raises(RuntimeError, match="simulated crash"):
 
             def crash(record):
@@ -183,7 +177,7 @@ class TestAutoCheckpoint:
     def test_streaming_autocheckpoint_counts_arrivals(self, tmp_path):
         database = build_database()
         arrivals = list(stream_from_database(database))
-        golden = FactCheckSession(streaming_spec("numpy")).run(arrivals=arrivals)
+        golden = FactCheckSession(streaming_spec()).run(arrivals=arrivals)
 
         path = tmp_path / "stream-auto.json"
         seen = [0]
@@ -193,7 +187,7 @@ class TestAutoCheckpoint:
             if seen[0] == 7:
                 raise RuntimeError("simulated crash")
 
-        crashed = FactCheckSession(streaming_spec("numpy"))
+        crashed = FactCheckSession(streaming_spec())
         with pytest.raises(RuntimeError, match="simulated crash"):
             crashed.run(
                 arrivals=arrivals,
@@ -214,7 +208,7 @@ class TestAutoCheckpoint:
 
     def test_run_final_checkpoint_reflects_completion(self, tmp_path):
         path = tmp_path / "final.json"
-        result = FactCheckSession(batch_spec("numpy")).run(
+        result = FactCheckSession(batch_spec()).run(
             checkpoint_every=100, checkpoint_path=path
         )
         restored = FactCheckSession.load(path)
@@ -224,7 +218,7 @@ class TestAutoCheckpoint:
         from repro.errors import SessionError
 
         with pytest.raises(SessionError, match="checkpoint_path"):
-            FactCheckSession(batch_spec("numpy")).run(checkpoint_every=2)
+            FactCheckSession(batch_spec()).run(checkpoint_every=2)
 
 
 class TestCheckpointFormat:
@@ -272,7 +266,7 @@ class TestCheckpointCompaction:
     """gzip compression and corpus-elision for spec-described datasets."""
 
     def test_gzip_checkpoint_roundtrips(self, tmp_path):
-        session = FactCheckSession(batch_spec("numpy")).open()
+        session = FactCheckSession(batch_spec()).open()
         session.step()
         plain = tmp_path / "ckpt.json"
         packed = tmp_path / "ckpt.json.gz"
@@ -288,7 +282,7 @@ class TestCheckpointCompaction:
         assert golden.step().claim_ids == resumed.step().claim_ids
 
     def test_dataset_sessions_omit_corpus_structure(self, tmp_path):
-        session = FactCheckSession(batch_spec("numpy")).open()
+        session = FactCheckSession(batch_spec()).open()
         session.step()
         path = tmp_path / "compact.json"
         session.save(path)
@@ -304,7 +298,7 @@ class TestCheckpointCompaction:
         assert "database" not in json.loads(again.read_text())
 
     def test_compact_checkpoint_is_smaller_than_embedded(self, tmp_path):
-        spec = batch_spec("numpy")
+        spec = batch_spec()
         compact_session = FactCheckSession(spec).open()
         embedded_session = FactCheckSession(
             spec, database=spec.dataset.load()
@@ -316,7 +310,7 @@ class TestCheckpointCompaction:
         assert compact.stat().st_size < embedded.stat().st_size / 2
 
     def test_fingerprint_mismatch_is_rejected(self, tmp_path):
-        session = FactCheckSession(batch_spec("numpy")).open()
+        session = FactCheckSession(batch_spec()).open()
         path = tmp_path / "compact.json"
         session.save(path)
         payload = json.loads(path.read_text())
@@ -328,7 +322,7 @@ class TestCheckpointCompaction:
     def test_fingerprint_catches_same_shape_different_seed_corpus(self, tmp_path):
         from repro.datasets import load_dataset
 
-        session = FactCheckSession(batch_spec("numpy")).open()
+        session = FactCheckSession(batch_spec()).open()
         path = tmp_path / "compact.json"
         session.save(path)
         # Same profile and scale, different seed: counts and positional
@@ -340,7 +334,7 @@ class TestCheckpointCompaction:
             FactCheckSession.load(path, database=impostor)
 
     def test_version_1_checkpoint_with_embedded_corpus_loads(self, tmp_path):
-        session = FactCheckSession(batch_spec("numpy")).open()
+        session = FactCheckSession(batch_spec()).open()
         session.step()
         path = tmp_path / "v2.json"
         session.save(path)
@@ -368,6 +362,8 @@ class TestRetiredSpecKeys:
     """
 
     GOLDEN = Path(__file__).parent / "golden" / "checkpoint_v3_gain_executor_knobs.json"
+    #: Retired knobs as the golden checkpoint's spec stores them.
+    SAVED_KNOBS = {"guidance": {"parallel": True, "max_workers": 2}}
 
     def _write_checkpoint(self, path):
         golden = json.loads(self.GOLDEN.read_text())
@@ -377,7 +373,9 @@ class TestRetiredSpecKeys:
     def test_loads_and_continues_like_the_saving_release(self, tmp_path):
         path = tmp_path / "old.json"
         golden = self._write_checkpoint(path)
-        assert golden["checkpoint"]["spec"]["guidance"]["parallel"] is True
+        for section, knobs in self.SAVED_KNOBS.items():
+            saved = golden["checkpoint"]["spec"][section]
+            assert {key: saved[key] for key in knobs} == knobs
         resumed = FactCheckSession.load(path)
         assert resumed.trace.iterations == 2
         assert [resumed.step().claim_ids for _ in golden["continuation"]] == (
@@ -408,12 +406,33 @@ class TestRetiredSpecKeys:
             SessionSpec.from_dict({"guidance": {"gain": {"cache_gains": True}}})
 
 
-def sourced_streaming_spec(engine: str) -> SessionSpec:
+class TestRetiredEngineKeys(TestRetiredSpecKeys):
+    """Checkpoints whose spec names the removed engine backend knobs.
+
+    The golden file was saved by the release that still had
+    ``inference.engine`` and ``inference.num_shards`` (set to
+    ``"sharded"`` and 2, a forked two-worker pool), together with how
+    that run continued.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden" / "checkpoint_v3_engine_backend_knobs.json"
+    SAVED_KNOBS = {"inference": {"engine": "sharded", "num_shards": 2}}
+
+    def test_user_specs_still_reject_the_knobs(self):
+        from repro.errors import SpecError
+
+        for key, value in self.SAVED_KNOBS["inference"].items():
+            with pytest.raises(SpecError) as excinfo:
+                SessionSpec.from_dict({"inference": {key: value}})
+            assert excinfo.value.field == f"inference.{key}"
+
+
+def sourced_streaming_spec() -> SessionSpec:
     """Streaming spec whose arrivals come from a declared replayable source."""
     return SessionSpec(
         mode="streaming",
         seed=5,
-        inference={"engine": engine, "em_iterations": 2, "num_samples": 8},
+        inference={"em_iterations": 2, "num_samples": 8},
         guidance={"strategy": "hybrid", "candidate_limit": 10},
         effort={"goal": {"kind": "none"}},
         stream={
@@ -423,10 +442,9 @@ def sourced_streaming_spec(engine: str) -> SessionSpec:
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestMidStreamResumeWithForwardLinks:
     def test_resume_at_truncated_forward_link_matches_uninterrupted(
-        self, engine, tmp_path
+        self, tmp_path
     ):
         """Checkpoint taken while a document's forward link is truncated.
 
@@ -439,9 +457,9 @@ class TestMidStreamResumeWithForwardLinks:
         database = build_micro_database()
         arrivals = list(stream_from_database(database))
 
-        golden = FactCheckSession(streaming_spec(engine)).run(arrivals=arrivals)
+        golden = FactCheckSession(streaming_spec()).run(arrivals=arrivals)
 
-        interrupted = FactCheckSession(streaming_spec(engine)).open()
+        interrupted = FactCheckSession(streaming_spec()).open()
         interrupted.observe(arrivals[0])
         snapshot = interrupted.database
         assert snapshot.num_claims == 1
@@ -462,16 +480,15 @@ class TestMidStreamResumeWithForwardLinks:
         assert np.array_equal(golden.weights.values, resumed.weights.values)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestCompactStreamingCheckpoint:
     """Source-backed sessions checkpoint as fingerprint + position (v3)."""
 
     def test_mid_stream_compact_resume_matches_uninterrupted(
-        self, engine, tmp_path
+        self, tmp_path
     ):
-        golden = FactCheckSession(sourced_streaming_spec(engine)).run()
+        golden = FactCheckSession(sourced_streaming_spec()).run()
 
-        interrupted = FactCheckSession(sourced_streaming_spec(engine)).open()
+        interrupted = FactCheckSession(sourced_streaming_spec()).open()
         interrupted.ingest_from_source(count=7)
         path = tmp_path / "compact-stream.json"
         interrupted.save(path)
@@ -495,14 +512,14 @@ class TestCompactStreamingCheckpoint:
         assert_records_identical(golden.trace.records, resumed.trace.records)
         assert np.array_equal(golden.weights.values, resumed.weights.values)
 
-    def test_compact_is_smaller_than_embedded_checkpoint(self, engine, tmp_path):
-        sourced = FactCheckSession(sourced_streaming_spec(engine)).open()
+    def test_compact_is_smaller_than_embedded_checkpoint(self, tmp_path):
+        sourced = FactCheckSession(sourced_streaming_spec()).open()
         sourced.ingest_from_source(count=10)
         compact = tmp_path / "compact.json"
         sourced.save(compact)
 
-        embedded_session = FactCheckSession(streaming_spec(engine)).open()
-        source = sourced_streaming_spec(engine).stream.source
+        embedded_session = FactCheckSession(streaming_spec()).open()
+        source = sourced_streaming_spec().stream.source
         from itertools import islice
 
         embedded_session.ingest(islice(source.arrivals(), 10))
@@ -510,8 +527,8 @@ class TestCompactStreamingCheckpoint:
         embedded_session.save(embedded)
         assert compact.stat().st_size < embedded.stat().st_size / 2
 
-    def test_stream_fingerprint_mismatch_rejected(self, engine, tmp_path):
-        session = FactCheckSession(sourced_streaming_spec(engine)).open()
+    def test_stream_fingerprint_mismatch_rejected(self, tmp_path):
+        session = FactCheckSession(sourced_streaming_spec()).open()
         session.ingest_from_source(count=5)
         path = tmp_path / "tampered.json"
         session.save(path)
@@ -526,7 +543,7 @@ class TestExternalArrivalsFallback:
     def test_out_of_band_arrival_forces_embedded_checkpoint(self, tmp_path):
         from itertools import islice
 
-        spec = sourced_streaming_spec("numpy")
+        spec = sourced_streaming_spec()
         session = FactCheckSession(spec).open()
         session.ingest_from_source(count=3)
         # An arrival observed outside the declared source makes the
@@ -548,6 +565,6 @@ class TestExternalArrivalsFallback:
     def test_ingest_from_source_requires_declared_source(self):
         from repro.errors import SessionError
 
-        session = FactCheckSession(streaming_spec("numpy")).open()
+        session = FactCheckSession(streaming_spec()).open()
         with pytest.raises(SessionError, match="spec.stream.source"):
             session.ingest_from_source(count=1)

@@ -45,7 +45,6 @@ class TestRoundTrips:
                 num_samples=9,
                 initial_bias=0.5,
                 estep_mode="meanfield",
-                engine="reference",
                 mstep=MStepConfig(max_iterations=7, labelled_weight=5.0),
             ),
             guidance=GuidanceSpec(
@@ -86,7 +85,7 @@ class TestRoundTrips:
         for spec in (
             DatasetSpec(name="snopes", seed=1, scale=0.02),
             UserSpec(error_probability=0.3),
-            InferenceSpec(engine="reference"),
+            InferenceSpec(estep_mode="meanfield"),
             GuidanceSpec(strategy="random"),
             GoalSpec(kind="true_precision", threshold=0.75),
             EffortSpec(budget=5),
@@ -97,11 +96,11 @@ class TestRoundTrips:
 
     def test_nested_mappings_are_coerced(self):
         spec = SessionSpec(
-            inference={"engine": "reference", "mstep": {"max_iterations": 3}},
+            inference={"estep_mode": "meanfield", "mstep": {"max_iterations": 3}},
             guidance={"strategy": "source", "gain": {"meanfield_steps": 5}},
             effort={"goal": {"kind": "true_precision"}, "budget": 9},
         )
-        assert spec.inference.engine == "reference"
+        assert spec.inference.estep_mode == "meanfield"
         assert spec.inference.mstep.max_iterations == 3
         assert spec.guidance.gain.meanfield_steps == 5
         assert spec.effort.goal.kind == "true_precision"
@@ -118,8 +117,10 @@ class TestValidation:
             GuidanceSpec(strategy="oracle")
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SpecError):
-            InferenceSpec(engine="cuda")
+        """The engine is not configurable: ``engine`` is an unknown key."""
+        with pytest.raises(SpecError) as excinfo:
+            InferenceSpec.from_dict({"engine": "cuda"})
+        assert excinfo.value.field == "engine"
 
     def test_unknown_estep_mode_rejected(self):
         with pytest.raises(SpecError):
@@ -201,13 +202,13 @@ class TestFieldPaths:
 
     def test_direct_construction_reports_leaf_field(self):
         with pytest.raises(SpecError) as excinfo:
-            InferenceSpec(engine="cuda")
-        assert excinfo.value.field == "engine"
+            InferenceSpec(estep_mode="variational")
+        assert excinfo.value.field == "estep_mode"
 
     def test_nested_construction_prefixes_path(self):
         with pytest.raises(SpecError) as excinfo:
-            SessionSpec(inference={"engine": "cuda"})
-        assert excinfo.value.field == "inference.engine"
+            SessionSpec(inference={"estep_mode": "variational"})
+        assert excinfo.value.field == "inference.estep_mode"
 
 
 class TestBuilders:

@@ -1,15 +1,20 @@
-"""Property-based tests of the vectorised inference engine.
+"""Property-based tests of the inference engine.
 
-The central contract is *exact equivalence*: the ``numpy`` backend must
-reproduce the ``reference`` backend's Gibbs chains and M-step designs
-bit-for-bit on arbitrary models, because both implement the same
-sequential-scan semantics over the same pre-drawn random stream.  On top
-of that, the classic sampler invariants are checked on random corpora:
-pinned labels never flip, marginals stay in [0, 1], and the vectorised
-potential computations agree with naive scalar re-implementations.
+The central contract is *exact equivalence*: both merge walks of
+:class:`~repro.inference.engine.SpeculativeEngine` — the compiled kernel
+it runs in production and the Python walk it falls back to without a C
+compiler — must reproduce the scalar oracle (``tests/reference_engine.py``)
+bit-for-bit on arbitrary models and free sets, because all three
+implement the same sequential-scan semantics over the same pre-drawn
+random stream.  On top of that, the classic sampler invariants are
+checked on random corpora: pinned labels never flip, marginals stay in
+[0, 1], and the vectorised potential computations agree with naive
+scalar re-implementations.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import numpy as np
 import pytest
@@ -20,16 +25,15 @@ from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
 from repro.errors import InferenceError
-from repro.inference.engine import (
-    ENGINE_BACKENDS,
-    EngineConfig,
-    NumpyEngine,
-    ReferenceEngine,
-    create_engine,
-)
+from repro.inference.engine import SpeculativeEngine, create_engine
+from repro.inference.engine.ckernel import load_kernel
 from repro.inference.icrf import ICrf
 from repro.inference.mstep import MStepConfig
 from tests.fixtures import build_micro_database, random_databases
+from tests.reference_engine import PythonWalkEngine, ReferenceEngine
+
+#: The engine's two merge walks, as engine factories for the test seam.
+WALKS = {"kernel": SpeculativeEngine, "python": PythonWalkEngine}
 
 
 def random_weights(database, seed=0, scale=1.0):
@@ -45,31 +49,56 @@ def apply_random_labels(database, seed):
         database.label(int(claim), int(rng.integers(0, 2)))
 
 
-class TestEngineConfig:
-    def test_default_backend_is_numpy(self):
-        db = build_micro_database()
-        engine = create_engine(CrfModel(db))
-        assert engine.name == "numpy"
+@st.composite
+def free_sets(draw, num_claims):
+    """``None`` (every unlabelled claim) or an unsorted claim subset."""
+    if draw(st.booleans()):
+        return None
+    return draw(
+        st.permutations(range(num_claims)).flatmap(
+            lambda order: st.integers(1, num_claims).map(
+                lambda size: list(order[:size])
+            )
+        )
+    )
 
-    def test_backend_selection_by_name_and_config(self):
-        db = build_micro_database()
-        model = CrfModel(db)
-        assert create_engine(model, "reference").name == "reference"
-        assert create_engine(model, EngineConfig("numpy")).name == "numpy"
+
+def run_chain(factory, database, weights, seed, subset=None):
+    """Cold then warm sampling pass on a fresh model over ``database``."""
+    model = CrfModel(database, weights=weights)
+    sampler = GibbsSampler(
+        model, burn_in=3, num_samples=8, seed=seed, engine=factory
+    )
+    cold = sampler.sample(claim_subset=subset)
+    warm = sampler.sample(claim_subset=subset)
+    return cold, warm, sampler.state
+
+
+class TestEngineConfig:
+    def test_default_engine_is_the_speculative_engine(self):
+        model = CrfModel(build_micro_database())
+        assert type(create_engine(model)) is SpeculativeEngine
+
+    def test_engine_factory_seam(self):
+        model = CrfModel(build_micro_database())
+        oracle = create_engine(model, ReferenceEngine)
+        assert isinstance(oracle, ReferenceEngine)
+        assert create_engine(model, ReferenceEngine) is oracle
+        assert create_engine(model) is not oracle
+        assert create_engine(model, oracle) is oracle
 
     def test_unknown_backend_rejected(self):
+        """Backend names are gone: only engines or factories are accepted."""
+        model = CrfModel(build_micro_database())
         with pytest.raises(InferenceError):
-            EngineConfig(backend="cuda")
+            create_engine(model, "cuda")
 
     def test_engines_memoised_per_model(self):
         db = build_micro_database()
         model = CrfModel(db)
-        assert create_engine(model, "numpy") is create_engine(model, "numpy")
+        assert create_engine(model) is create_engine(model)
         other = CrfModel(build_micro_database())
-        assert create_engine(model, "numpy") is not create_engine(other, "numpy")
-
-    def test_registry_lists_both_backends(self):
-        assert set(ENGINE_BACKENDS) >= {"numpy", "reference"}
+        assert create_engine(model) is not create_engine(other)
 
     def test_sampler_rejects_foreign_engine(self):
         model_a = CrfModel(build_micro_database())
@@ -78,37 +107,40 @@ class TestEngineConfig:
         with pytest.raises(InferenceError):
             GibbsSampler(model_a, engine=engine_b)
 
+    @pytest.mark.skipif(
+        not any(shutil.which(cc) for cc in ("cc", "gcc", "clang")),
+        reason="no C compiler: the engine runs the Python walk",
+    )
+    def test_kernel_builds_with_the_host_compiler(self):
+        assert load_kernel() is not None
+
 
 class TestBackendEquivalence:
-    """numpy backend == reference backend, bit for bit."""
+    """Kernel walk == Python walk == scalar oracle, bit for bit.
+
+    The class name predates the single engine; it is kept so test ids
+    stay stable.
+    """
 
     @settings(max_examples=40, deadline=None)
-    @given(random_databases(), st.integers(0, 10_000))
-    def test_sampler_chains_identical(self, database, seed):
+    @given(random_databases(), st.integers(0, 10_000), st.data())
+    def test_sampler_chains_identical(self, database, seed, data):
         apply_random_labels(database, seed)
         weights = random_weights(database, seed)
-        model_ref = CrfModel(database, weights=weights)
-        model_np = CrfModel(database, weights=weights)
-        ref = GibbsSampler(
-            model_ref, burn_in=3, num_samples=8, seed=seed,
-            engine=ReferenceEngine(model_ref),
-        )
-        vec = GibbsSampler(
-            model_np, burn_in=3, num_samples=8, seed=seed,
-            engine=NumpyEngine(model_np),
-        )
-        result_ref = ref.sample()
-        result_vec = vec.sample()
-        assert np.array_equal(result_ref.marginals, result_vec.marginals)
-        assert np.array_equal(
-            result_ref.mode_configuration, result_vec.mode_configuration
-        )
-        assert result_ref.configuration_counts == result_vec.configuration_counts
-        assert np.array_equal(ref.state, vec.state)
-        # Warm-started second pass stays in lockstep too.
-        second_ref = ref.sample()
-        second_vec = vec.sample()
-        assert np.array_equal(second_ref.marginals, second_vec.marginals)
+        subset = data.draw(free_sets(database.num_claims))
+        oracle = run_chain(ReferenceEngine, database, weights, seed, subset)
+        for name, factory in WALKS.items():
+            walked = run_chain(factory, database, weights, seed, subset)
+            for expected, actual in zip(oracle[:2], walked[:2]):
+                assert np.array_equal(expected.marginals, actual.marginals), name
+                assert np.array_equal(
+                    expected.mode_configuration, actual.mode_configuration
+                ), name
+                assert (
+                    expected.configuration_counts
+                    == actual.configuration_counts
+                ), name
+            assert np.array_equal(oracle[2], walked[2]), name
 
     @settings(max_examples=40, deadline=None)
     @given(random_databases(), st.integers(0, 10_000))
@@ -120,7 +152,7 @@ class TestBackendEquivalence:
         marginals[label_idx] = label_val
         config = MStepConfig()
         ref = ReferenceEngine(model).assemble_mstep(marginals, config)
-        vec = NumpyEngine(model).assemble_mstep(marginals, config)
+        vec = SpeculativeEngine(model).assemble_mstep(marginals, config)
         if ref is None:
             assert vec is None
             return
@@ -133,14 +165,13 @@ class TestBackendEquivalence:
         apply_random_labels(database, seed)
         state = database.clone_state()
         ref = ICrf(database, em_iterations=2, num_samples=6,
-                   engine="reference", seed=seed)
+                   engine=ReferenceEngine, seed=seed)
         result_ref = ref.infer()
         marginals_ref = result_ref.marginals.copy()
         weights_ref = result_ref.weights.values.copy()
         grounding_ref = result_ref.grounding.values.copy()
         database.restore_state(state)
-        vec = ICrf(database, em_iterations=2, num_samples=6,
-                   engine="numpy", seed=seed)
+        vec = ICrf(database, em_iterations=2, num_samples=6, seed=seed)
         result_vec = vec.infer()
         assert np.array_equal(marginals_ref, result_vec.marginals)
         assert np.array_equal(weights_ref, result_vec.weights.values)
@@ -179,7 +210,7 @@ class TestSamplerInvariants:
     def test_stats_stay_consistent_with_spins(self, database, seed):
         """A_s must equal its definition after any number of sweeps."""
         model = CrfModel(database, weights=random_weights(database, seed))
-        engine = NumpyEngine(model)
+        engine = SpeculativeEngine(model)
         rng = np.random.default_rng(seed)
         spins = np.where(rng.random(database.num_claims) < 0.5, 1.0, -1.0)
         stats = model.source_statistics(spins)

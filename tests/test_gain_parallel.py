@@ -2,9 +2,10 @@
 
 The estimator evaluates every hypothesis on a read-only view of one
 state snapshot and never mutates the shared database; in Gibbs mode its
-chains run on the compiled-kernel engine.  It must return exactly the
-gains of the mutate-and-restore oracle in ``tests/gain_oracle.py`` —
-label the candidate, run inference on the default engine, restore — in
+chains run on the model's engine (merge walk in the compiled kernel).
+It must return exactly the gains of the mutate-and-restore oracle in
+``tests/gain_oracle.py`` — label the candidate, run inference with the
+merge walk in Python, restore — in
 both inference modes, however the candidate pool is split into calls.
 Gibbs-mode candidate streams are pure functions of ``(root entropy,
 candidate, value)``, so evaluation order may not leak into a result

@@ -2,13 +2,19 @@
 
 Seed-RNG outputs of :class:`~repro.inference.icrf.ICrf` and
 :class:`~repro.crf.gibbs.GibbsSampler` are frozen under ``tests/golden/``
-and every backend must reproduce them:
+and three engines must reproduce them:
 
-* the ``reference`` backend guards the seed semantics against accidental
-  change;
-* the ``numpy`` backend documents that the vectorised engine is
-  numerically equivalent to the seed path — identical marginals,
-  groundings, and chain states for identical seeds.
+* ``reference`` — the scalar oracle (``tests/reference_engine.py``)
+  guards the seed semantics against accidental change;
+* ``numpy`` — the engine with its merge walk in Python (the fallback of
+  hosts without a C compiler);
+* ``sharded`` — the engine as it runs in production, merge walk in the
+  compiled kernel.
+
+The last two ids are the names of the retired backends that ran those
+walks, kept so test ids stay stable.  Both document that the engine is
+numerically equivalent to the seed path — identical marginals,
+groundings, and chain states for identical seeds.
 
 Marginals, groundings and chain states are compared **exactly**.  Weights
 come out of TRON matrix algebra whose last-ulp rounding can differ across
@@ -18,7 +24,7 @@ To re-record after an intentional semantic change::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_inference.py
 
-Fixtures are always recorded from the ``reference`` backend.
+Fixtures are always recorded from the ``reference`` oracle.
 """
 
 from __future__ import annotations
@@ -34,13 +40,20 @@ from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
 from repro.datasets import load_dataset
+from repro.inference.engine import SpeculativeEngine
 from repro.inference.icrf import ICrf
 from tests.fixtures import build_micro_database
+from tests.reference_engine import PythonWalkEngine, ReferenceEngine
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WEIGHT_TOLERANCE = 1e-8
 
-BACKENDS = ("reference", "numpy", "sharded")
+#: Engine factories passed through the ``engine=`` test seam.
+BACKENDS = {
+    "reference": ReferenceEngine,
+    "numpy": PythonWalkEngine,
+    "sharded": SpeculativeEngine,
+}
 
 
 def _micro_icrf_outputs(backend: str) -> dict:
@@ -48,7 +61,7 @@ def _micro_icrf_outputs(backend: str) -> dict:
     database = build_micro_database()
     icrf = ICrf(
         database, em_iterations=3, num_samples=12, burn_in=4,
-        engine=backend, seed=7,
+        engine=BACKENDS[backend], seed=7,
     )
     first = icrf.infer()
     database.label(0, 1)
@@ -69,7 +82,7 @@ def _wiki_icrf_outputs(backend: str) -> dict:
     database = load_dataset("wiki", seed=42, scale=0.3)
     icrf = ICrf(
         database, em_iterations=2, num_samples=10, burn_in=3,
-        engine=backend, seed=123,
+        engine=BACKENDS[backend], seed=123,
     )
     result = icrf.infer()
     return {
@@ -89,11 +102,9 @@ def _wiki_gibbs_outputs(backend: str) -> dict:
         + database.source_features.shape[1]
     weights = CrfWeights(0.5 * rng.normal(size=size))
     model = CrfModel(database, weights=weights)
-    from repro.inference.engine import create_engine
-
     sampler = GibbsSampler(
         model, burn_in=4, num_samples=12, seed=11,
-        engine=create_engine(model, backend),
+        engine=BACKENDS[backend],
     )
     cold = sampler.sample()
     warm = sampler.sample()

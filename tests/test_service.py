@@ -327,10 +327,10 @@ class TestHTTPService:
 
     def test_spec_validation_error_carries_field_path(self, service):
         with pytest.raises(ServiceRequestError) as excinfo:
-            service.create_session({"inference": {"engine": "cuda"}})
+            service.create_session({"inference": {"estep_mode": "x"}})
         assert excinfo.value.status == 400
         assert excinfo.value.error_type == "SpecError"
-        assert excinfo.value.field == "inference.engine"
+        assert excinfo.value.field == "inference.estep_mode"
 
     def test_unknown_session_is_404(self, service):
         with pytest.raises(ServiceRequestError) as excinfo:

@@ -231,14 +231,13 @@ class TestIncrementalGrowth:
     ``incremental=False`` keeps the historical rebuild-everything path as
     a reference implementation; the default in-place growth must match it
     bit for bit at every arrival — including across mid-stream labels and
-    parameter exchanges — on both engine backends.
+    parameter exchanges.
     """
 
-    @pytest.mark.parametrize("engine", ("numpy", "reference"))
-    def test_micro_stream_matches_rebuild_bit_for_bit(self, engine, micro_db):
+    def test_micro_stream_matches_rebuild_bit_for_bit(self, micro_db):
         arrivals = list(stream_from_database(micro_db))
-        grown = StreamingFactChecker(incremental=True, engine=engine, seed=3)
-        rebuilt = StreamingFactChecker(incremental=False, engine=engine, seed=3)
+        grown = StreamingFactChecker(incremental=True, seed=3)
+        rebuilt = StreamingFactChecker(incremental=False, seed=3)
         for index, arrival in enumerate(arrivals):
             a = grown.observe(arrival)
             b = rebuilt.observe(arrival)
@@ -261,12 +260,11 @@ class TestIncrementalGrowth:
                 grown.receive_weights(exchanged)
                 rebuilt.receive_weights(exchanged)
 
-    @pytest.mark.parametrize("engine", ("numpy", "reference"))
-    def test_wiki_stream_matches_rebuild_bit_for_bit(self, engine):
+    def test_wiki_stream_matches_rebuild_bit_for_bit(self):
         db = load_dataset("wiki", seed=42, scale=0.15)
         arrivals = list(stream_from_database(db))
-        grown = StreamingFactChecker(incremental=True, engine=engine, seed=3)
-        rebuilt = StreamingFactChecker(incremental=False, engine=engine, seed=3)
+        grown = StreamingFactChecker(incremental=True, seed=3)
+        rebuilt = StreamingFactChecker(incremental=False, seed=3)
         for arrival in arrivals:
             a = grown.observe(arrival)
             b = rebuilt.observe(arrival)

@@ -20,11 +20,11 @@ from repro.streaming.stream import stream_from_database
 from tests.fixtures import build_micro_database
 
 
-def make_icrf(database, backend="numpy", seed=13, **kwargs):
+def make_icrf(database, seed=13, **kwargs):
     kwargs.setdefault("em_iterations", 2)
     kwargs.setdefault("num_samples", 8)
     kwargs.setdefault("burn_in", 3)
-    return ICrf(database, engine=backend, seed=seed, **kwargs)
+    return ICrf(database, seed=seed, **kwargs)
 
 
 class TestChainWarmStart:
