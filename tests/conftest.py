@@ -12,6 +12,7 @@ from repro.utils.rng import forbid_global_rng
 
 from tests.fixtures import (  # noqa: F401
     build_micro_database,
+    engine,
     micro_db,
     random_databases,
     rng,

@@ -17,6 +17,7 @@ from repro.data.database import FactDatabase
 from repro.data.entities import Claim, ClaimLink, Document, Source
 from repro.data.stance import Stance
 from repro.datasets import load_dataset
+from repro.inference.engine import SpeculativeEngine
 
 
 def build_micro_database(prior: float = 0.5) -> FactDatabase:
@@ -131,3 +132,32 @@ def wiki_db() -> FactDatabase:
 def rng() -> np.random.Generator:
     """Deterministic random generator for tests."""
     return np.random.default_rng(12345)
+
+
+#: The merge walks a session can run, under the ids of the retired
+#: backends that ran them (kept so test ids stay stable): the scalar
+#: oracle, the Python walk (hosts without a C compiler) and the compiled
+#: kernel the production engine runs.
+ENGINE_WALKS = ("numpy", "reference", "sharded")
+
+
+@pytest.fixture
+def engine(request, monkeypatch) -> str:
+    """Run every engine a test builds on one walk of :data:`ENGINE_WALKS`.
+
+    Sessions have no engine option, so the walk is swapped in where
+    :func:`~repro.inference.engine.create_engine` resolves its default;
+    parametrise with ``@pytest.mark.parametrize("engine", ENGINE_WALKS,
+    indirect=True)``.
+    """
+    from tests.reference_engine import PythonWalkEngine, ReferenceEngine
+
+    factory = {
+        "numpy": PythonWalkEngine,
+        "reference": ReferenceEngine,
+        "sharded": SpeculativeEngine,
+    }[request.param]
+    monkeypatch.setattr(
+        "repro.inference.engine.speculative.SpeculativeEngine", factory
+    )
+    return request.param

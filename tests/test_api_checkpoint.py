@@ -4,7 +4,8 @@ Golden-fixture style: the uninterrupted run *is* the golden reference —
 the same spec is run once to completion, and once interrupted mid-run,
 checkpointed, reloaded, and continued.  Every trace field except
 wall-clock time, the final weights, the final probabilities, and the
-onward RNG streams must match exactly, in both session modes.
+onward RNG streams must match exactly, in both session modes and, for
+the resume tests, on every merge walk of the engine.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.api import FactCheckSession, SessionSpec
 from repro.errors import CheckpointError
 from repro.streaming import stream_from_database
 
-from tests.fixtures import build_micro_database
+from tests.fixtures import ENGINE_WALKS, build_micro_database
 
 def batch_spec() -> SessionSpec:
     return SessionSpec(
@@ -70,8 +71,9 @@ def assert_records_identical(golden, resumed):
         assert a.repairs == b.repairs
 
 
+@pytest.mark.parametrize("engine", ENGINE_WALKS, indirect=True)
 class TestBatchResume:
-    def test_resumed_run_matches_uninterrupted(self, tmp_path):
+    def test_resumed_run_matches_uninterrupted(self, engine, tmp_path):
         golden = FactCheckSession(batch_spec()).run()
 
         interrupted = FactCheckSession(batch_spec()).open()
@@ -91,7 +93,7 @@ class TestBatchResume:
         assert golden.final_precision == resumed.final_precision
         assert golden.trace.final_grounding == resumed.trace.final_grounding
 
-    def test_resume_restores_database_state(self, tmp_path):
+    def test_resume_restores_database_state(self, engine, tmp_path):
         session = FactCheckSession(batch_spec()).open()
         session.step()
         session.step()
@@ -110,8 +112,9 @@ class TestBatchResume:
         ]
 
 
+@pytest.mark.parametrize("engine", ENGINE_WALKS, indirect=True)
 class TestStreamingResume:
-    def test_resumed_stream_matches_uninterrupted(self, tmp_path):
+    def test_resumed_stream_matches_uninterrupted(self, engine, tmp_path):
         database = build_database()
         arrivals = list(stream_from_database(database))
         cut = len(arrivals) // 2

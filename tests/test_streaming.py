@@ -231,10 +231,11 @@ class TestIncrementalGrowth:
     ``incremental=False`` keeps the historical rebuild-everything path as
     a reference implementation; the default in-place growth must match it
     bit for bit at every arrival — including across mid-stream labels and
-    parameter exchanges.
+    parameter exchanges — on the Python walk and the scalar oracle.
     """
 
-    def test_micro_stream_matches_rebuild_bit_for_bit(self, micro_db):
+    @pytest.mark.parametrize("engine", ("numpy", "reference"), indirect=True)
+    def test_micro_stream_matches_rebuild_bit_for_bit(self, engine, micro_db):
         arrivals = list(stream_from_database(micro_db))
         grown = StreamingFactChecker(incremental=True, seed=3)
         rebuilt = StreamingFactChecker(incremental=False, seed=3)
@@ -260,7 +261,8 @@ class TestIncrementalGrowth:
                 grown.receive_weights(exchanged)
                 rebuilt.receive_weights(exchanged)
 
-    def test_wiki_stream_matches_rebuild_bit_for_bit(self):
+    @pytest.mark.parametrize("engine", ("numpy", "reference"), indirect=True)
+    def test_wiki_stream_matches_rebuild_bit_for_bit(self, engine):
         db = load_dataset("wiki", seed=42, scale=0.15)
         arrivals = list(stream_from_database(db))
         grown = StreamingFactChecker(incremental=True, seed=3)
