@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import InferenceSpec
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
@@ -68,6 +69,8 @@ REPEATS = 2 if SMOKE else 5
 HARD_FLOOR = 2.0 if SMOKE else 3.0
 #: Fraction of the recorded baseline speedup that must be retained.
 BASELINE_FRACTION = 0.5
+#: One EM iteration of the timed iCRF runs.
+EM_SPEC = InferenceSpec(em_iterations=1, num_samples=12, burn_in=4)
 
 
 def _best_of(callable_, repeats: int = REPEATS) -> float:
@@ -139,18 +142,12 @@ def _em_iteration(engine):
 
     def run():
         database.restore_state(state)
-        icrf = ICrf(
-            database, em_iterations=1, num_samples=12, burn_in=4,
-            engine=engine, seed=123,
-        )
+        icrf = ICrf(database, EM_SPEC, seed=123, engine=engine)
         icrf.infer()
 
     elapsed = _best_of(run)
     database.restore_state(state)
-    icrf = ICrf(
-        database, em_iterations=1, num_samples=12, burn_in=4,
-        engine=engine, seed=123,
-    )
+    icrf = ICrf(database, EM_SPEC, seed=123, engine=engine)
     return elapsed, icrf.infer().marginals
 
 

@@ -7,11 +7,12 @@ Two parts share this module:
   phase (structure growth, Alg. 2 lines 2–6) and the online-EM phase
   (lines 8–9);
 * the **regression benchmark**: replays the wiki corpus at benchmark
-  scale twice — once with the default incremental engine growth and once
-  with ``incremental=False`` (the historical rebuild-per-arrival path,
-  kept as the reference oracle) — asserts the two runs are bit-for-bit
-  identical (per-arrival weights and final probabilities), and asserts
-  the incremental path is at least ``HARD_FLOOR``× faster per arrival.
+  scale twice — once with the checker's in-place (incremental) growth
+  and once with the rebuild-per-arrival oracle of
+  ``tests/stream_rebuild_oracle.py`` — asserts the two runs are
+  bit-for-bit identical (per-arrival weights and final probabilities),
+  and asserts the incremental path is at least ``HARD_FLOOR``× faster
+  per arrival.
   ``benchmarks/perf_baseline.json`` records the measured speedups
   (``stream_*`` keys) next to the inference hot-path ones.
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ from repro.datasets import load_dataset
 from repro.experiments import stream_update_time
 from repro.streaming.process import StreamingFactChecker
 from repro.streaming.stream import stream_from_database
+from tests.stream_rebuild_oracle import RebuildingFactChecker
 
 BASELINE_PATH = Path(__file__).parent / "perf_baseline.json"
 RESULTS_PATH = Path(__file__).parent / "results" / "stream_update_time.txt"
@@ -72,11 +73,8 @@ BASELINE_FRACTION = 0.5
 
 def _replay(arrivals, incremental: bool):
     """One full stream replay; returns timings and the oracle trail."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        checker = StreamingFactChecker(
-            incremental=incremental, seed=CHECKER_SEED
-        )
+    checker_cls = StreamingFactChecker if incremental else RebuildingFactChecker
+    checker = checker_cls(seed=CHECKER_SEED)
     ingest = update = 0.0
     weight_trail = []
     started = time.perf_counter()

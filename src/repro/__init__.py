@@ -38,13 +38,11 @@ Quickstart::
         result = session.run()
     print(result.stop_reason, result.num_labelled, result.final_precision)
 
-The pre-1.1 constructor surface (``ValidationProcess``, ``ICrf``,
-``StreamingFactChecker`` with their keyword explosions) keeps working but
-emits :class:`repro.LegacyAPIWarning`; see ``docs/API.md`` for the
-migration table.
+The runtime classes (``ValidationProcess``, ``ICrf``,
+``StreamingFactChecker``) take the same specs directly; see
+``docs/API.md``.
 """
 
-from repro._legacy import LegacyAPIWarning
 from repro.api import (
     DatasetSpec,
     EffortSpec,
@@ -109,13 +107,12 @@ __all__ = [
     "save_database",
     "stream_from_database",
     # Users and errors.
-    "LegacyAPIWarning",
     "ReproError",
     "SessionError",
     "SimulatedUser",
     "SpecError",
     "User",
-    # Legacy (deprecated) constructor surface.
+    # Runtime classes configured by the specs.
     "ICrf",
     "StreamingFactChecker",
     "TruePrecisionGoal",

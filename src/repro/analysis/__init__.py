@@ -13,7 +13,7 @@ invariants that example-based tests can only sample:
   checkpointed class is covered by ``state_dict`` or explicitly excluded);
 * lock discipline (hosted sessions are only touched under their lock);
 * API-contract consistency (``SpecError`` field paths name real spec
-  fields; the deprecated ``_legacy`` shims gain no new importers).
+  fields).
 
 :mod:`repro.analysis` turns those invariants into machine-checked lint
 rules over the stdlib :mod:`ast`.  Entry points:

@@ -1,4 +1,4 @@
-"""API: spec/wire contract consistency rules.
+"""API: spec/wire contract consistency rule.
 
 * API001 — ``SpecError`` field paths must be real.  The HTTP service
   relays :attr:`SpecError.field` verbatim so clients can highlight the
@@ -8,11 +8,6 @@
   any ``[...]`` subscript stripped) must name a field of that dataclass.
   Computed field paths (f-strings, variables, ``with_prefix`` chains)
   are out of static reach and are skipped.
-
-* API002 — the deprecated ``repro._legacy`` shims must gain no new
-  importers.  The allowlist below froze the importers at the time the
-  rule landed; new code must target the modern ``repro.api`` surface.
-  Shrink the list as modules are weaned — never grow it.
 """
 
 from __future__ import annotations
@@ -25,25 +20,6 @@ from repro.analysis.registry import ModuleContext, checker, rule_spec
 from repro.analysis.rules import decorator_call, iter_functions, literal_str
 
 rule_spec("API001", "SpecError field path does not name a dataclass field")
-rule_spec("API002", "new import of the deprecated repro._legacy shims")
-
-_LEGACY_MODULE = "repro._legacy"
-
-#: Modules allowed to import ``repro._legacy`` (frozen 2026-08; shrink only).
-LEGACY_IMPORT_ALLOWLIST = frozenset(
-    {
-        "repro",
-        "repro._legacy",
-        "repro.api.build",
-        "repro.experiments.ablations",
-        "repro.experiments.runner",
-        "repro.experiments.stream_update_time",
-        "repro.experiments.table2_stream_order",
-        "repro.inference.icrf",
-        "repro.streaming.process",
-        "repro.validation.process",
-    }
-)
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -119,28 +95,3 @@ def check_api(ctx: ModuleContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.ClassDef) and _is_dataclass(node):
             yield from _check_dataclass(ctx, node)
-    if ctx.module_name and ctx.module_name in LEGACY_IMPORT_ALLOWLIST:
-        return
-    for node in ast.walk(ctx.tree):
-        imported = None
-        if isinstance(node, ast.Import):
-            if any(alias.name == _LEGACY_MODULE for alias in node.names):
-                imported = _LEGACY_MODULE
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module == _LEGACY_MODULE:
-                imported = _LEGACY_MODULE
-            elif node.module == "repro" and any(
-                alias.name == "_legacy" for alias in node.names
-            ):
-                imported = _LEGACY_MODULE
-        if imported is not None:
-            yield ctx.finding(
-                "API002",
-                node,
-                f"import of deprecated `{imported}` outside the frozen "
-                f"allowlist",
-                hint=(
-                    "use the modern repro.api surface; the shim allowlist "
-                    "in repro.analysis.rules.api_contract only shrinks"
-                ),
-            )

@@ -17,7 +17,7 @@ Specs serialise to/from JSON (``spec.to_json()`` / ``SessionSpec.from_json``)
 and fully determine a run; sessions checkpoint mid-run with
 ``session.save(path)`` and resume bit-for-bit with
 ``FactCheckSession.load(path)``.  See ``docs/API.md`` for the lifecycle,
-every spec field, and the migration table from the legacy constructors.
+every spec field, and the constructors of the runtime classes.
 """
 
 from repro.api.checkpoint import (

@@ -62,15 +62,19 @@ def checkpoint_spec(payload: dict) -> dict:
     ``guidance.parallel``/``max_workers`` and
     ``guidance.gain.parallel``/``max_workers``/``cache_gains``; those
     written before the engine backends were folded into one carry the
-    backend name and shard count under ``inference``.  They chose how
-    work was executed and never changed a result, so they are dropped
-    here and those files (service spool entries included) still load.
-    Specs supplied by a user still fail on these keys.
+    backend name and shard count under ``inference``; those written
+    before streaming always grew its snapshot in place carry
+    ``stream.incremental``.  They chose how work was executed and never
+    changed a result, so they are dropped here and those files (service
+    spool entries included) still load.  Specs supplied by a user still
+    fail on these keys.
     """
     spec = payload["spec"]
     inference = spec.get("inference") or {}
     for key in ("engine", "num_shards"):
         inference.pop(key, None)
+    stream = spec.get("stream") or {}
+    stream.pop("incremental", None)
     guidance = spec.get("guidance") or {}
     for key in ("parallel", "max_workers"):
         guidance.pop(key, None)

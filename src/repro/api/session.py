@@ -33,21 +33,16 @@ import numpy as np
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
-from repro.errors import CheckpointError, SessionError
-from repro.streaming.process import StreamUpdate
+from repro.errors import CheckpointError, SessionError, SpecError
+from repro.inference.icrf import ICrf
+from repro.streaming.process import StreamingFactChecker, StreamUpdate
 from repro.streaming.stream import ClaimArrival
 from repro.utils.rng import derive_rng, ensure_rng, rng_state, set_rng_state
 from repro.validation.oracle import User
+from repro.validation.process import ValidationProcess
 from repro.validation.session import IterationRecord, ValidationTrace
 
 from repro.api import checkpoint as ckpt
-from repro.api.build import (
-    build_checker,
-    build_icrf,
-    build_process,
-    build_user,
-    resolve_database,
-)
 from repro.api.specs import SessionSpec
 
 
@@ -123,7 +118,7 @@ class FactCheckSession:
         self._spec = spec
         self._status = "new"
         self._explicit_database = database
-        self._database_from_spec = False
+        self._database_generated = False
         self._explicit_user = user
         self._user: Optional[User] = None
         self._result: Optional[SessionResult] = None
@@ -229,16 +224,16 @@ class FactCheckSession:
         root = ensure_rng(spec.seed)
         if spec.mode == "batch":
             database = resolve_database(spec, self._explicit_database)
-            self._database_from_spec = (
+            self._database_generated = (
                 self._explicit_database is None and spec.dataset is not None
             )
             self._user = (
                 self._explicit_user
                 if self._explicit_user is not None
-                else build_user(spec.user, seed=derive_rng(root, 0))
+                else spec.user.build(seed=derive_rng(root, 0))
             )
-            icrf = build_icrf(database, spec.inference, seed=derive_rng(root, 1))
-            self._process = build_process(
+            icrf = ICrf(database, spec.inference, seed=derive_rng(root, 1))
+            self._process = ValidationProcess(
                 database, spec, user=self._user, icrf=icrf, seed=derive_rng(root, 2)
             )
             if resume is None:
@@ -251,9 +246,9 @@ class FactCheckSession:
             self._user = (
                 self._explicit_user
                 if self._explicit_user is not None
-                else build_user(spec.user, seed=derive_rng(root, 0))
+                else spec.user.build(seed=derive_rng(root, 0))
             )
-            self._checker = build_checker(spec, seed=derive_rng(root, 1))
+            self._checker = StreamingFactChecker(spec, seed=derive_rng(root, 1))
             if resume is not None:
                 if "stream_position" in resume:
                     # Compact checkpoint: regenerate the entity sets by
@@ -346,13 +341,11 @@ class FactCheckSession:
         records: List[IterationRecord] = []
         if snapshot.unlabelled_indices.size == 0:
             return records
-        icrf = build_icrf(
-            snapshot, self._spec.inference, seed=derive_rng(self._rng, 0)
-        )
+        icrf = ICrf(snapshot, self._spec.inference, seed=derive_rng(self._rng, 0))
         weights = self._checker.weights
         if weights is not None:
             icrf.set_weights(weights)
-        process = build_process(
+        process = ValidationProcess(
             snapshot,
             self._spec,
             user=self._user,
@@ -736,7 +729,7 @@ class FactCheckSession:
         if self.mode == "batch":
             from repro.datasets.io import database_to_dict
 
-            if self._database_from_spec:
+            if self._database_generated:
                 payload["database_fingerprint"] = ckpt.database_fingerprint(
                     self._process.database
                 )
@@ -845,7 +838,7 @@ class FactCheckSession:
                 ckpt.verify_fingerprint(corpus, fingerprint, path)
             session = cls(spec, database=corpus, user=user)
             session._build(resume=payload["state"])
-            session._database_from_spec = regenerated
+            session._database_generated = regenerated
         else:
             session = cls(spec, user=user)
             session._build(resume=payload["state"])
@@ -879,3 +872,17 @@ class FactCheckSession:
                 f"{operation}() is only available in {mode} mode "
                 f"(this session is {self.mode!r})"
             )
+
+
+def resolve_database(
+    spec: SessionSpec, database: Optional[FactDatabase]
+) -> FactDatabase:
+    """The corpus a session runs on: explicit object or ``spec.dataset``."""
+    if database is not None:
+        return database
+    if spec.dataset is None:
+        raise SpecError(
+            "no corpus: pass a FactDatabase to the session or set "
+            "SessionSpec.dataset"
+        )
+    return spec.dataset.load()

@@ -2,11 +2,11 @@
 
 A :class:`SessionSpec` fully determines a fact-checking run: which corpus,
 which inference settings, which guidance strategy, which effort policy, and
-— for streaming sessions — the online-EM schedule.  It replaces the kwarg
-explosion of the legacy constructors (``ValidationProcess`` took 17 keyword
-arguments) with composable dataclasses that round-trip through JSON, so a
-run can be version-controlled, shipped to a service, or resumed from a
-checkpoint with identical semantics.
+— for streaming sessions — the online-EM schedule.  The runtime classes
+(``ICrf``, ``ValidationProcess``, ``StreamingFactChecker``) take these specs
+as their only configuration, and the composable dataclasses round-trip
+through JSON, so a run can be version-controlled, shipped to a service, or
+resumed from a checkpoint with identical semantics.
 
 Layout::
 
@@ -44,6 +44,9 @@ GOAL_KINDS = ("none", "true_precision", "estimated_precision")
 
 #: Termination-criterion kinds buildable from a :class:`TerminationSpec`.
 TERMINATION_KINDS = ("urr", "cng", "pre", "pir")
+
+#: E-step modes of the iCRF engine.
+ESTEP_MODES = ("gibbs", "meanfield")
 
 _S = TypeVar("_S")
 
@@ -145,6 +148,16 @@ class UserSpec:
             if not 0.0 <= value <= 1.0:
                 raise SpecError(f"{name} must lie in [0, 1], got {value}", field=name)
 
+    def build(self, seed=None):
+        """Instantiate the :class:`~repro.validation.oracle.SimulatedUser`."""
+        from repro.validation.oracle import SimulatedUser
+
+        return SimulatedUser(
+            error_probability=self.error_probability,
+            skip_probability=self.skip_probability,
+            seed=seed,
+        )
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -165,7 +178,11 @@ class InferenceSpec:
         em_tolerance: Mean-absolute marginal change below which EM stops.
         burn_in / num_samples: Gibbs sampling schedule of the E-step.
         initial_bias: Cold-start bias weight (symmetry breaking).
-        estep_mode: ``"gibbs"`` (sampling) or ``"meanfield"`` (deterministic).
+        estep_mode: ``"gibbs"`` (the paper's sampling E-step) or
+            ``"meanfield"`` — a deterministic damped fixed-point E-step
+            that trades the sample-based grounding of Eq. 10 for exact
+            reproducibility and speed (Table 2 uses it to remove sampling
+            noise from comparisons of validation orders).
         mstep: M-step hyper-parameters (embedded
             :class:`~repro.inference.mstep.MStepConfig`).
     """
@@ -181,11 +198,9 @@ class InferenceSpec:
     mstep: MStepConfig = field(default_factory=MStepConfig)
 
     def __post_init__(self) -> None:
-        from repro.inference.icrf import ICrf
-
-        if self.estep_mode not in ICrf.ESTEP_MODES:
+        if self.estep_mode not in ESTEP_MODES:
             raise SpecError(
-                f"estep_mode must be one of {ICrf.ESTEP_MODES}, "
+                f"estep_mode must be one of {ESTEP_MODES}, "
                 f"got {self.estep_mode!r}",
                 field="estep_mode",
             )
@@ -503,9 +518,6 @@ class StreamSpec:
             ``ingest_from_source()`` can drive the session without an
             explicit arrival iterable, and checkpoints store a compact
             fingerprint + position instead of embedding the entities.
-        incremental: Grow the snapshot model in place per arrival
-            (default) instead of rebuilding it; results are bit-for-bit
-            identical either way.
         allow_pending_labels: Park labels recorded for claims that have
             not arrived yet instead of rejecting them.
     """
@@ -517,7 +529,6 @@ class StreamSpec:
     online_mstep_iterations: int = 5
     validation_every: Optional[int] = None
     source: Optional[StreamSourceSpec] = None
-    incremental: bool = True
     allow_pending_labels: bool = False
 
     def __post_init__(self) -> None:

@@ -28,7 +28,7 @@ from repro.experiments.runner import (
     DEFAULT_SCALES,
     ExperimentConfig,
     build_database,
-    build_process,
+    make_process,
     run_to_precision,
 )
 
@@ -57,7 +57,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "build_database",
-    "build_process",
+    "make_process",
     "run_to_precision",
     "series_at_grid",
 ]

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro._legacy import suppress_legacy_warnings
+from repro.api.specs import InferenceSpec, SessionSpec
 from repro.crf.partition import ComponentIndex
 from repro.effort.batching import (
     exhaustive_topk_selection,
@@ -30,11 +30,37 @@ from repro.effort.batching import (
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.runner import ExperimentConfig, build_database
 from repro.guidance.gain import GainConfig, GainEstimator
-from repro.guidance.strategies import make_strategy
 from repro.inference.icrf import ICrf
 from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs
 from repro.validation.oracle import SimulatedUser
 from repro.validation.process import ValidationProcess
+
+
+def _inference(config: ExperimentConfig, **overrides) -> InferenceSpec:
+    """The experiments' EM and Gibbs budget, with ablated settings."""
+    return InferenceSpec(
+        em_iterations=config.em_iterations,
+        num_samples=config.gibbs_samples,
+        **overrides,
+    )
+
+
+def _process(
+    database, config: ExperimentConfig, strategy: str, rng, **inference
+) -> ValidationProcess:
+    """Validation process whose iCRF carries the ablated settings."""
+    spec = SessionSpec(
+        inference=_inference(config, **inference),
+        guidance={"strategy": strategy, "candidate_limit": config.candidate_limit},
+    )
+    icrf = ICrf(database, spec.inference, seed=derive_rng(rng, 0))
+    return ValidationProcess(
+        database,
+        spec,
+        user=SimulatedUser(seed=derive_rng(rng, 1)),
+        icrf=icrf,
+        seed=derive_rng(rng, 2),
+    )
 
 
 def coupling_ablation(
@@ -60,22 +86,9 @@ def coupling_ablation(
         for seed in spawn_rngs(config.seed, config.runs):
             rng = ensure_rng(seed)
             database = build_database(dataset, config, rng)
-            with suppress_legacy_warnings():
-                icrf = ICrf(
-                    database,
-                    coupling_enabled=enabled,
-                    em_iterations=config.em_iterations,
-                    num_samples=config.gibbs_samples,
-                    seed=derive_rng(rng, 0),
-                )
-                process = ValidationProcess(
-                    database,
-                    strategy=make_strategy("hybrid"),
-                    user=SimulatedUser(seed=derive_rng(rng, 1)),
-                    icrf=icrf,
-                    candidate_limit=config.candidate_limit,
-                    seed=derive_rng(rng, 2),
-                )
+            process = _process(
+                database, config, "hybrid", rng, coupling_enabled=enabled
+            )
             process.initialize()
             initials.append(process.current_precision() or 0.0)
             budget = int(round(effort_fraction * database.num_claims))
@@ -124,22 +137,7 @@ def aggregation_ablation(
         for seed in spawn_rngs(config.seed, config.runs):
             rng = ensure_rng(seed)
             database = build_database(dataset, config, rng)
-            with suppress_legacy_warnings():
-                icrf = ICrf(
-                    database,
-                    aggregation=mode,
-                    em_iterations=config.em_iterations,
-                    num_samples=config.gibbs_samples,
-                    seed=derive_rng(rng, 0),
-                )
-                process = ValidationProcess(
-                    database,
-                    strategy=make_strategy("info"),
-                    user=SimulatedUser(seed=derive_rng(rng, 1)),
-                    icrf=icrf,
-                    candidate_limit=config.candidate_limit,
-                    seed=derive_rng(rng, 2),
-                )
+            process = _process(database, config, "info", rng, aggregation=mode)
             process.initialize()
             budget = int(round(effort_fraction * database.num_claims))
             for _ in range(budget):
@@ -174,13 +172,7 @@ def warm_start_ablation(
             rng = ensure_rng(seed)
             database = build_database(dataset, config, rng)
             truth = database.truth_vector()
-            with suppress_legacy_warnings():
-                icrf = ICrf(
-                    database,
-                    em_iterations=config.em_iterations,
-                    num_samples=config.gibbs_samples,
-                    seed=derive_rng(rng, 0),
-                )
+            icrf = ICrf(database, _inference(config), seed=derive_rng(rng, 0))
             icrf.infer()
             order = derive_rng(rng, 1).permutation(database.num_claims)
             for claim in order[:iterations]:
@@ -219,13 +211,7 @@ def batch_selection_ablation(
     )
     rng = ensure_rng(config.seed)
     database = build_database(dataset, config, rng)
-    with suppress_legacy_warnings():
-        icrf = ICrf(
-            database,
-            em_iterations=config.em_iterations,
-            num_samples=config.gibbs_samples,
-            seed=derive_rng(rng, 0),
-        )
+    icrf = ICrf(database, _inference(config), seed=derive_rng(rng, 0))
     # A single E-step without weight updates: claims stay genuinely
     # uncertain, so the information gains the selectors trade off are
     # non-degenerate (after full EM convergence most gains vanish and

@@ -19,7 +19,7 @@ from repro.experiments.reporting import ExperimentResult
 from repro.experiments.runner import (
     ExperimentConfig,
     build_database,
-    build_process,
+    make_process,
 )
 from repro.utils.rng import ensure_rng, spawn_rngs
 
@@ -72,7 +72,7 @@ def _precision_at_effort(
     """Run with batches of size k to the effort budget; return precision."""
     rng = ensure_rng(seed)
     database = build_database(dataset, config, rng)
-    process = build_process(
+    process = make_process(
         database, "info", config, rng, batch_size=batch_size
     )
     process.initialize()

@@ -19,7 +19,7 @@ from repro.experiments.reporting import ExperimentResult
 from repro.experiments.runner import (
     ExperimentConfig,
     build_database,
-    build_process,
+    make_process,
 )
 from repro.utils.rng import ensure_rng, spawn_rngs
 
@@ -85,7 +85,7 @@ def _efforts_to_thresholds(
     for seed in spawn_rngs(config.seed, config.runs):
         rng = ensure_rng(seed)
         database = build_database(dataset, config, rng)
-        process = build_process(
+        process = make_process(
             database,
             "info",
             config,

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import ExperimentConfig, build_database, build_process
+from repro.experiments.runner import ExperimentConfig, build_database, make_process
 from repro.guidance.gain import GainConfig
 from repro.utils.rng import spawn_rngs
 
@@ -68,7 +68,7 @@ def run(
             times = []
             for rng in spawn_rngs(config.seed, config.runs):
                 database = build_database(dataset, config, rng)
-                process = build_process(
+                process = make_process(
                     database,
                     "hybrid",
                     config,

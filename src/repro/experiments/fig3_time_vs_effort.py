@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import ExperimentConfig, build_database, build_process
+from repro.experiments.runner import ExperimentConfig, build_database, make_process
 from repro.utils.rng import spawn_rngs
 
 #: Effort bins of the figure's x-axis (fractions of |C|).
@@ -36,7 +36,7 @@ def run(
     binned = [[] for _ in bins]
     for rng in spawn_rngs(config.seed, config.runs):
         database = build_database(dataset, config, rng)
-        process = build_process(database, "hybrid", config, rng)
+        process = make_process(database, "hybrid", config, rng)
         process.initialize()
         total = database.num_claims
         while database.unlabelled_indices.size > 0:

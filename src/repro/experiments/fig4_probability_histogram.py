@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import ExperimentConfig, build_database, build_process
+from repro.experiments.runner import ExperimentConfig, build_database, make_process
 from repro.utils.rng import spawn_rngs
 
 #: Effort checkpoints of the figure.
@@ -38,7 +38,7 @@ def run(
         for rng in spawn_rngs(config.seed, config.runs):
             database = build_database(dataset, config, rng)
             truth = database.truth_vector()
-            process = build_process(database, "info", config, rng)
+            process = make_process(database, "info", config, rng)
             process.initialize()
             _collect(collected, 0.0, database, truth)
             total = database.num_claims

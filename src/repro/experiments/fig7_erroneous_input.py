@@ -18,12 +18,10 @@ from repro.experiments.reporting import ExperimentResult, series_at_grid
 from repro.experiments.runner import (
     ExperimentConfig,
     build_database,
-    build_process,
+    make_process,
 )
 from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs
-from repro.validation.goals import TruePrecisionGoal
 from repro.validation.oracle import SimulatedUser
-from repro.validation.robustness import ConfirmationChecker
 
 STRATEGY_NAMES = ("random", "uncertainty", "info", "source", "hybrid")
 DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -64,14 +62,14 @@ def run(
                     error_probability=error_probability,
                     seed=derive_rng(rng, 1),
                 )
-                process = build_process(
+                process = make_process(
                     database,
                     strategy,
                     config,
                     derive_rng(rng, 2),
-                    goal=TruePrecisionGoal(1.0),
+                    precision_goal=1.0,
                     user=user,
-                    robustness=ConfirmationChecker(interval=interval),
+                    confirmation_interval=interval,
                 )
                 trace = process.run()
                 efforts = np.concatenate(

@@ -19,10 +19,9 @@ from repro.experiments.reporting import ExperimentResult
 from repro.experiments.runner import (
     ExperimentConfig,
     build_database,
-    build_process,
+    make_process,
 )
 from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs
-from repro.validation.goals import TruePrecisionGoal
 from repro.validation.oracle import SimulatedUser
 
 #: Skip probabilities of the figure's x-axis.
@@ -78,12 +77,12 @@ def _mean_efforts(
         user = SimulatedUser(
             skip_probability=skip_probability, seed=derive_rng(rng, 1)
         )
-        process = build_process(
+        process = make_process(
             database,
             strategy,
             config,
             derive_rng(rng, 2),
-            goal=TruePrecisionGoal(max(targets)),
+            precision_goal=max(targets),
             user=user,
         )
         trace = process.run()

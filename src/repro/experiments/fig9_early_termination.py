@@ -19,7 +19,7 @@ import numpy as np
 from repro.effort.crossval import estimate_precision
 from repro.effort.termination import cng_series, pre_series, urr_series
 from repro.experiments.reporting import ExperimentResult, series_at_grid
-from repro.experiments.runner import ExperimentConfig, build_database, build_process
+from repro.experiments.runner import ExperimentConfig, build_database, make_process
 from repro.utils.rng import ensure_rng
 
 DEFAULT_GRID = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -35,7 +35,7 @@ def run(
     config = config if config is not None else ExperimentConfig()
     rng = ensure_rng(config.seed)
     database = build_database(dataset, config, rng)
-    process = build_process(database, "hybrid", config, rng)
+    process = make_process(database, "hybrid", config, rng)
     process.initialize()
 
     precision_estimates = []

@@ -13,17 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
-from repro._legacy import suppress_legacy_warnings
+from repro.api.specs import (
+    EffortSpec,
+    GoalSpec,
+    GuidanceSpec,
+    InferenceSpec,
+    SessionSpec,
+)
 from repro.data.database import FactDatabase
 from repro.datasets import generate_dataset, get_profile
 from repro.guidance.gain import GainConfig
-from repro.guidance.strategies import make_strategy
+from repro.inference.icrf import ICrf
 from repro.inference.mstep import MStepConfig
 from repro.utils.rng import RandomState, ensure_rng
-from repro.validation.goals import TruePrecisionGoal, ValidationGoal
 from repro.validation.oracle import SimulatedUser
 from repro.validation.process import ValidationProcess
-from repro.validation.robustness import ConfirmationChecker
 
 #: Default corpus scales: chosen so each replica has 25–50 claims and a few
 #: hundred to ~1.5k documents — large enough for the guidance dynamics to
@@ -80,51 +84,51 @@ def build_database(
     return generate_dataset(profile, seed=seed, scale=config.scale_of(dataset))
 
 
-def build_process(
+def make_process(
     database: FactDatabase,
     strategy_name: str,
     config: ExperimentConfig,
     seed: RandomState,
-    goal: Optional[ValidationGoal] = None,
+    precision_goal: Optional[float] = None,
     user: Optional[SimulatedUser] = None,
     gain_config: Optional[GainConfig] = None,
-    robustness: Optional[ConfirmationChecker] = None,
+    confirmation_interval: Optional[int] = None,
     batch_size: int = 1,
 ) -> ValidationProcess:
     """Assemble a validation process with the experiment defaults.
 
-    Construction goes through the declarative :class:`repro.api.InferenceSpec`
-    path so experiment inference settings stay serialisable alongside
-    session specs.
+    Args:
+        precision_goal: Stop once the true precision reaches this value
+            (``None``: no goal).
+        confirmation_interval: Run the §5.2 confirmation check after this
+            many validations (``None``: off).
     """
-    from repro.api.build import build_icrf
-    from repro.api.specs import InferenceSpec
-
     rng = ensure_rng(seed)
-    icrf = build_icrf(
-        database,
-        InferenceSpec(
+    spec = SessionSpec(
+        inference=InferenceSpec(
             em_iterations=config.em_iterations,
             num_samples=config.gibbs_samples,
             mstep=MStepConfig(max_iterations=15),
         ),
-        seed=rng,
+        guidance=GuidanceSpec(
+            strategy=strategy_name,
+            candidate_limit=config.candidate_limit,
+            gain=gain_config,
+        ),
+        effort=EffortSpec(
+            goal=(
+                None
+                if precision_goal is None
+                else GoalSpec(kind="true_precision", threshold=precision_goal)
+            ),
+            batch_size=batch_size,
+            confirmation_interval=confirmation_interval,
+        ),
     )
+    icrf = ICrf(database, spec.inference, seed=rng)
     if user is None:
         user = SimulatedUser(seed=rng)
-    with suppress_legacy_warnings():
-        return ValidationProcess(
-            database,
-            strategy=make_strategy(strategy_name),
-            user=user,
-            goal=goal,
-            icrf=icrf,
-            gain_config=gain_config,
-            candidate_limit=config.candidate_limit,
-            robustness=robustness,
-            batch_size=batch_size,
-            seed=rng,
-        )
+    return ValidationProcess(database, spec, user=user, icrf=icrf, seed=rng)
 
 
 def run_to_precision(
@@ -133,9 +137,6 @@ def run_to_precision(
     config: ExperimentConfig,
     seed: RandomState,
     precision: float = 1.0,
-    user: Optional[SimulatedUser] = None,
-    gain_config: Optional[GainConfig] = None,
-    robustness: Optional[ConfirmationChecker] = None,
 ):
     """Run one validation process until a precision target (or exhaustion).
 
@@ -144,15 +145,8 @@ def run_to_precision(
     """
     rng = ensure_rng(seed)
     database = build_database(dataset, config, rng)
-    process = build_process(
-        database,
-        strategy_name,
-        config,
-        rng,
-        goal=TruePrecisionGoal(precision),
-        user=user,
-        gain_config=gain_config,
-        robustness=robustness,
+    process = make_process(
+        database, strategy_name, config, rng, precision_goal=precision
     )
     trace = process.run()
     return trace, process

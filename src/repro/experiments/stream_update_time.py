@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro._legacy import suppress_legacy_warnings
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.runner import ExperimentConfig, build_database
 from repro.streaming.process import StreamingFactChecker
@@ -43,8 +42,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
     for dataset in config.datasets:
         rng = ensure_rng(config.seed)
         database = build_database(dataset, config, rng)
-        with suppress_legacy_warnings():
-            checker = StreamingFactChecker(seed=rng)
+        checker = StreamingFactChecker(seed=rng)
         times, ingests, updates = [], [], []
         for arrival in stream_from_database(database):
             update = checker.observe(arrival)

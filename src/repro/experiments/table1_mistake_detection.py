@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import ExperimentConfig, build_database, build_process
+from repro.experiments.runner import ExperimentConfig, build_database, make_process
 from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs
 from repro.validation.oracle import SimulatedUser
-from repro.validation.robustness import ConfirmationChecker
 
 #: Mistake probabilities of the table's columns.
 DEFAULT_PROBABILITIES = (0.15, 0.20, 0.25, 0.30)
@@ -72,13 +71,13 @@ def _detection_rate(
     # with the scaled corpora that is at least every claim.
     interval = max(1, database.num_claims // 100)
     user = SimulatedUser(error_probability=probability, seed=derive_rng(rng, 1))
-    process = build_process(
+    process = make_process(
         database,
         "hybrid",
         config,
         derive_rng(rng, 2),
         user=user,
-        robustness=ConfirmationChecker(interval=interval),
+        confirmation_interval=interval,
     )
     process.initialize()
     budget = int(round(effort_fraction * database.num_claims))

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.api.specs import SessionSpec
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.runner import ExperimentConfig, build_database
 from repro.inference.icrf import ICrf
@@ -30,6 +31,7 @@ from repro.streaming.process import StreamingFactChecker
 from repro.streaming.stream import stream_from_database
 from repro.utils.rng import derive_rng, ensure_rng
 from repro.validation.oracle import SimulatedUser
+from repro.validation.process import ValidationProcess
 
 #: Validation periods of the table's columns (fractions of |C|).
 DEFAULT_PERIODS = (0.05, 0.10, 0.20, 0.30)
@@ -86,30 +88,25 @@ def _offline_sequence(database, config: ExperimentConfig, seed) -> List[str]:
 
 def _make_process(snapshot, config: ExperimentConfig, seed, weights=None):
     """Deterministic validation process over one database snapshot."""
-    from repro.guidance.strategies import make_strategy
-    from repro.validation.process import ValidationProcess
-
-    from repro._legacy import suppress_legacy_warnings
-
+    spec = SessionSpec(
+        inference={"em_iterations": config.em_iterations, "estep_mode": "meanfield"},
+        guidance={
+            "strategy": "info",
+            "candidate_limit": config.candidate_limit,
+            "deterministic_ties": True,
+        },
+    )
     rng = ensure_rng(seed)
-    with suppress_legacy_warnings():
-        icrf = ICrf(
-            snapshot,
-            em_iterations=config.em_iterations,
-            estep_mode="meanfield",
-            seed=derive_rng(rng, 0),
-        )
-        if weights is not None:
-            icrf.set_weights(weights)
-        return ValidationProcess(
-            snapshot,
-            strategy=make_strategy("info"),
-            user=SimulatedUser(seed=derive_rng(rng, 2)),
-            icrf=icrf,
-            candidate_limit=config.candidate_limit,
-            deterministic_ties=True,
-            seed=derive_rng(rng, 1),
-        )
+    icrf = ICrf(snapshot, spec.inference, seed=derive_rng(rng, 0))
+    if weights is not None:
+        icrf.set_weights(weights)
+    return ValidationProcess(
+        snapshot,
+        spec,
+        user=SimulatedUser(seed=derive_rng(rng, 2)),
+        icrf=icrf,
+        seed=derive_rng(rng, 1),
+    )
 
 
 def _streaming_sequence(
@@ -125,10 +122,7 @@ def _streaming_sequence(
     fewer selections constrained by partial claim availability — the
     mechanism behind the increasing trend of Table 2.
     """
-    from repro._legacy import suppress_legacy_warnings
-
-    with suppress_legacy_warnings():
-        checker = StreamingFactChecker(seed=validator_seed)
+    checker = StreamingFactChecker(seed=validator_seed)
     arrivals = list(stream_from_database(database))
     claim_arrivals = sum(1 for a in arrivals if a.claim is not None)
     period_length = max(1, int(round(period * claim_arrivals)))

@@ -25,11 +25,10 @@ paper's Fig. 6.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from repro._legacy import warn_legacy
 from repro.crf.gibbs import GibbsResult, GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
@@ -38,9 +37,12 @@ from repro.errors import InferenceError
 from repro.inference.decide import decide_grounding
 from repro.inference.engine import InferenceEngine, create_engine
 from repro.inference.engine.base import EngineFactory
-from repro.inference.mstep import MStepConfig, run_m_step
+from repro.inference.mstep import run_m_step
 from repro.inference.result import InferenceResult
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
+
+if TYPE_CHECKING:
+    from repro.api.specs import InferenceSpec
 
 
 class ICrf:
@@ -48,116 +50,59 @@ class ICrf:
 
     Args:
         database: The probabilistic fact database Q.
-        aggregation: Claim-evidence aggregation mode (see
-            :class:`~repro.crf.potentials.CliqueFeaturizer`).
-        coupling_enabled: Whether the indirect (source-consistency)
-            relation participates; ablation knob.
-        em_iterations: EM iterations per :meth:`infer` call.
-        em_tolerance: Mean-absolute marginal change below which EM stops.
-        burn_in / num_samples: Gibbs sampling schedule.
-        initial_bias: Cold-start bias weight (symmetry breaking for the
-            unsupervised first inference).
-        mstep: M-step hyper-parameters.
-        estep_mode: ``"gibbs"`` (default, the paper's sampling E-step) or
-            ``"meanfield"`` — a deterministic damped fixed-point E-step.
-            Mean-field trades the sample-based grounding of Eq. 10 for
-            exact reproducibility and speed; experiments that compare
-            validation *orders* across runs (Table 2) use it to remove
-            sampling noise from the comparison.
-        engine: ``None`` (the model's memoised engine) or the test seam
-            of :func:`~repro.inference.engine.create_engine` — an engine
-            or an engine factory.  The engine's cached evidence matrices
-            are shared between the E-step sweeps and the M-step design
-            assembly.
+        spec: The :class:`~repro.api.specs.InferenceSpec` (EM and Gibbs
+            schedule, model and M-step settings); ``None`` uses its
+            defaults.
         seed: Seed or generator.
+        engine: Test seam of :func:`~repro.inference.engine.create_engine`
+            (an engine or an engine factory); ``None`` uses the model's
+            memoised engine, shared by the E-step sweeps and the M-step
+            design assembly.
     """
 
-    #: Supported E-step modes.
-    ESTEP_MODES = ("gibbs", "meanfield")
-
     #: Not checkpointed (lint rule STATE001): the database is serialised
-    #: by the owning process/session, the engine and EM configuration are
-    #: rebuilt from the spec, and ``_last_gibbs`` is derived diagnostics
+    #: by the owning process/session, the engine and the spec are
+    #: rebuilt on resume, and ``_last_gibbs`` is derived diagnostics
     #: recomputed by the next :meth:`infer`.  ``state_dict`` carries the
     #: learned model weights and the sampler chain.
-    _STATE_EXCLUDED = (
-        "_estep_mode",
-        "_database",
-        "_engine",
-        "_em_iterations",
-        "_em_tolerance",
-        "_mstep_config",
-        "_last_gibbs",
-    )
+    _STATE_EXCLUDED = ("_spec", "_database", "_engine", "_last_gibbs")
 
     def __init__(
         self,
         database: FactDatabase,
-        aggregation: str = "sqrt",
-        coupling_enabled: bool = True,
-        em_iterations: int = 3,
-        em_tolerance: float = 5e-3,
-        burn_in: int = 4,
-        num_samples: int = 16,
-        initial_bias: float = 1.0,
-        mstep: Optional[MStepConfig] = None,
-        estep_mode: str = "gibbs",
-        engine: Union[None, InferenceEngine, EngineFactory] = None,
+        spec: Optional["InferenceSpec"] = None,
         seed: RandomState = None,
+        engine: Union[None, InferenceEngine, EngineFactory] = None,
     ) -> None:
-        warn_legacy(
-            "ICrf(...) with keyword arguments",
-            "ICrf.from_spec(database, InferenceSpec(...)) or "
-            "repro.api.FactCheckSession",
-        )
-        if em_iterations <= 0:
-            raise InferenceError("em_iterations must be positive")
-        if em_tolerance < 0:
-            raise InferenceError("em_tolerance must be non-negative")
-        if estep_mode not in self.ESTEP_MODES:
-            raise InferenceError(
-                f"estep_mode must be one of {self.ESTEP_MODES}, "
-                f"got {estep_mode!r}"
-            )
-        self._estep_mode = estep_mode
+        if spec is None:
+            from repro.api.specs import InferenceSpec
+
+            spec = InferenceSpec()
         rng = ensure_rng(seed)
+        self._spec = spec
         self._database = database
         weights = CrfWeights.zeros(
             database.document_features.shape[1],
             database.source_features.shape[1],
         )
-        weights.values[0] = float(initial_bias)
+        weights.values[0] = float(spec.initial_bias)
         self._model = CrfModel(
             database,
             weights=weights,
-            aggregation=aggregation,
-            coupling_enabled=coupling_enabled,
+            aggregation=spec.aggregation,
+            coupling_enabled=spec.coupling_enabled,
         )
         self._engine = create_engine(self._model, engine)
         self._sampler = GibbsSampler(
             self._model,
-            burn_in=burn_in,
-            num_samples=num_samples,
+            burn_in=spec.burn_in,
+            num_samples=spec.num_samples,
             seed=derive_rng(rng, 0),
             engine=self._engine,
         )
-        self._em_iterations = em_iterations
-        self._em_tolerance = em_tolerance
-        self._mstep_config = mstep if mstep is not None else MStepConfig()
         self._last_gibbs: Optional[GibbsResult] = None
 
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_spec(cls, database: FactDatabase, spec=None, seed: RandomState = None):
-        """Construct from a declarative :class:`repro.api.InferenceSpec`.
-
-        This is the non-deprecated constructor path; ``spec=None`` uses
-        the spec defaults.
-        """
-        from repro.api.build import build_icrf
-
-        return build_icrf(database, spec, seed=seed)
 
     def state_dict(self) -> dict:
         """Serialise weights and Gibbs-chain state for session checkpoints."""
@@ -233,7 +178,7 @@ class ICrf:
             An :class:`InferenceResult`; the database's ``P`` reflects the
             returned marginals.
         """
-        budget = self._em_iterations if em_iterations is None else em_iterations
+        budget = self._spec.em_iterations if em_iterations is None else em_iterations
         if budget <= 0:
             raise InferenceError("em_iterations must be positive")
 
@@ -243,7 +188,7 @@ class ICrf:
         gibbs_result: Optional[GibbsResult] = None
         performed = 0
         for _ in range(budget):
-            if self._estep_mode == "meanfield":
+            if self._spec.estep_mode == "meanfield":
                 gibbs_result = self._mean_field_estep(claim_subset)
             else:
                 gibbs_result = self._sampler.sample(claim_subset=claim_subset)
@@ -251,14 +196,14 @@ class ICrf:
             self._database.set_probabilities(marginals)
             if update_weights:
                 run_m_step(
-                    self._model, marginals, self._mstep_config,
+                    self._model, marginals, self._spec.mstep,
                     engine=self._engine,
                 )
             delta = float(np.mean(np.abs(marginals - previous)))
             deltas.append(delta)
             previous = marginals.copy()
             performed += 1
-            if delta <= self._em_tolerance:
+            if delta <= self._spec.em_tolerance:
                 converged = True
                 break
 

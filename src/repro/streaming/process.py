@@ -15,15 +15,13 @@ symbolically.  Credibility estimates and user labels are carried across
 arrivals by claim identifier, so earlier inference is reused, never
 recomputed from scratch.
 
-By default the snapshot database, model and engine are *grown in place*
-per arrival (``incremental=True``): :meth:`FactDatabase.extend` merges
-the new cliques into the columnar arrays, the featurizer patches its
-cached matrices, and the engine refreshes its gathered views — the
-literal reading of the paper's reuse discipline.  ``incremental=False``
-falls back to rebuilding the snapshot from scratch per arrival; the two
-paths produce bit-for-bit identical results (the rebuild is kept as the
-reference oracle in the test suite), the incremental one just does it
-without the O(corpus) per-arrival rebuild cost.
+The snapshot database, model and engine are *grown in place* per
+arrival: :meth:`FactDatabase.extend` merges the new cliques into the
+columnar arrays, the featurizer patches its cached matrices, and the
+engine refreshes its gathered views — the literal reading of the paper's
+reuse discipline, without an O(corpus) per-arrival rebuild.  The test
+suite keeps a rebuild-per-arrival checker as the oracle this growth must
+match bit for bit.
 
 The checker interoperates with the validation process (Alg. 1): the
 current parameters can be handed to / received from an
@@ -34,21 +32,23 @@ the Table 2 experiment uses to interleave validation with arrivals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro._legacy import warn_legacy
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.data.entities import Claim, Document, Source
 from repro.errors import StreamingError
-from repro.inference.mstep import MStepConfig, run_m_step
+from repro.inference.mstep import run_m_step
 from repro.streaming.schedule import RobbinsMonroSchedule
 from repro.streaming.stream import ClaimArrival
 from repro.utils.rng import RandomState, ensure_rng
+
+if TYPE_CHECKING:
+    from repro.api.specs import SessionSpec
 
 
 @dataclass
@@ -86,22 +86,11 @@ class StreamingFactChecker:
     """Online fact-checking model over a claim stream (Alg. 2).
 
     Args:
-        schedule: Step-size schedule for the stochastic approximation.
-        aggregation: Claim-evidence aggregation mode of the CRF.
-        coupling_enabled: Whether the indirect relation is active.
-        mstep: M-step hyper-parameters (the online step uses a tightened
-            iteration budget regardless).
-        meanfield_steps: E-step fixed-point iterations per arrival.
-        initial_bias: Cold-start bias weight of a fresh model.
-        prior: Credibility prior of newly arrived claims.
-        incremental: Grow the snapshot database/model/engine in place per
-            arrival (default).  ``False`` rebuilds the snapshot from
-            scratch per arrival — same results bit for bit, kept as the
-            reference oracle.
-        allow_pending_labels: Accept :meth:`record_label` for claims that
-            have not arrived yet, parking them until the claim does.
-            When ``False`` (default) labelling an unknown claim raises
-            :class:`~repro.errors.StreamingError`.
+        spec: The :class:`~repro.api.specs.SessionSpec`; ``spec.stream``
+            sets the online-EM schedule and ``spec.inference`` the shared
+            model settings, its M-step capped at
+            ``stream.online_mstep_iterations`` Newton iterations.
+            ``None`` uses the spec defaults.
         seed: Seed or generator.
     """
 
@@ -110,44 +99,24 @@ class StreamingFactChecker:
     #: drifts per arrival — corpus, weights, probabilities, labels, RNG,
     #: step counter, rebuilt model/database — is carried (or explicitly
     #: reconstructed) by ``state_dict``/``load_state_dict``.
-    _STATE_EXCLUDED = (
-        "_schedule",
-        "_aggregation",
-        "_coupling_enabled",
-        "_mstep",
-        "_meanfield_steps",
-        "_initial_bias",
-        "_prior",
-        "_incremental",
-        "_allow_pending_labels",
-    )
+    _STATE_EXCLUDED = ("_stream", "_inference", "_schedule", "_mstep")
 
     def __init__(
-        self,
-        schedule: Optional[RobbinsMonroSchedule] = None,
-        aggregation: str = "sqrt",
-        coupling_enabled: bool = True,
-        mstep: Optional[MStepConfig] = None,
-        meanfield_steps: int = 3,
-        initial_bias: float = 1.0,
-        prior: float = 0.5,
-        incremental: bool = True,
-        allow_pending_labels: bool = False,
-        seed: RandomState = None,
+        self, spec: Optional["SessionSpec"] = None, seed: RandomState = None
     ) -> None:
-        warn_legacy(
-            "StreamingFactChecker(...) with keyword arguments",
-            "repro.api.FactCheckSession with a SessionSpec(mode='streaming')",
+        if spec is None:
+            from repro.api.specs import SessionSpec
+
+            spec = SessionSpec()
+        self._stream = spec.stream
+        self._inference = spec.inference
+        self._schedule = RobbinsMonroSchedule(
+            beta=spec.stream.schedule_beta, scale=spec.stream.schedule_scale
         )
-        self._schedule = schedule if schedule is not None else RobbinsMonroSchedule()
-        self._aggregation = aggregation
-        self._coupling_enabled = coupling_enabled
-        self._mstep = mstep if mstep is not None else MStepConfig(max_iterations=5)
-        self._meanfield_steps = meanfield_steps
-        self._initial_bias = float(initial_bias)
-        self._prior = float(prior)
-        self._incremental = bool(incremental)
-        self._allow_pending_labels = bool(allow_pending_labels)
+        self._mstep = replace(
+            spec.inference.mstep,
+            max_iterations=spec.stream.online_mstep_iterations,
+        )
         self._rng = ensure_rng(seed)
 
         self._sources: List[Source] = []
@@ -165,20 +134,8 @@ class StreamingFactChecker:
         self._model: Optional[CrfModel] = None
 
     # ------------------------------------------------------------------
-    # Declarative construction and checkpoint state
+    # Checkpoint state
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_spec(cls, spec, seed: RandomState = None):
-        """Construct from a declarative :class:`repro.api.SessionSpec`.
-
-        Uses ``spec.stream`` for the online-EM schedule and
-        ``spec.inference`` for the shared model settings; the preferred
-        entry point is :class:`repro.api.FactCheckSession`.
-        """
-        from repro.api.build import build_checker
-
-        return build_checker(spec, seed=seed)
 
     def state_dict(self) -> dict:
         """Serialise the complete online-EM state (JSON-compatible)."""
@@ -322,8 +279,9 @@ class StreamingFactChecker:
 
         Labels for claims that have not arrived are rejected by default
         (a typo'd identifier would otherwise be stored forever and never
-        applied); with ``allow_pending_labels=True`` they are parked in
-        :attr:`pending_labels` and applied the moment the claim arrives.
+        applied); with ``stream.allow_pending_labels`` set in the spec they
+        are parked in :attr:`pending_labels` and applied the moment the
+        claim arrives.
 
         Args:
             claim: Claim identifier, or a dense index into the *current*
@@ -334,18 +292,18 @@ class StreamingFactChecker:
 
         Raises:
             StreamingError: On an invalid label value, or — unless
-                ``allow_pending_labels`` is set — on a claim identifier
+                ``stream.allow_pending_labels`` is set — on a claim identifier
                 that has not arrived on this stream.
         """
         if value not in (0, 1):
             raise StreamingError(f"label must be 0 or 1, got {value!r}")
         claim_id = self._resolve_claim_id(claim)
         if claim_id not in self._known_claims:
-            if not self._allow_pending_labels:
+            if not self._stream.allow_pending_labels:
                 raise StreamingError(
                     f"cannot label unknown claim {claim_id!r}: it has not "
-                    "arrived on this stream (construct the checker with "
-                    "allow_pending_labels=True to park labels for future "
+                    "arrived on this stream (set the spec field "
+                    "stream.allow_pending_labels to park labels for future "
                     "claims)"
                 )
             self._pending_labels[claim_id] = int(value)
@@ -398,17 +356,17 @@ class StreamingFactChecker:
         started = time.perf_counter()
         self._t += 1
         new_sources, new_documents, new_claims = self._ingest(arrival)
-        if self._incremental and self._database is not None:
-            self._grow(new_sources, new_documents, new_claims)
-        else:
+        if self._database is None:
             self._rebuild()
+        else:
+            self._grow(new_sources, new_documents, new_claims)
         assert self._database is not None and self._model is not None
         ingested = time.perf_counter()
 
         # E-step: light inference over the grown model.
         marginals = self._model.mean_field(
             self._database.probabilities,
-            steps=self._meanfield_steps,
+            steps=self._stream.meanfield_steps,
             damping=0.3,
             fixed=self._database.labelled_indices,
         )
@@ -423,12 +381,6 @@ class StreamingFactChecker:
         blended = previous + gamma * (candidate - previous)
         self._weights = CrfWeights(blended)
         self._model.set_weights(self._weights)
-
-        if not self._incremental:
-            # The snapshot is discarded at the next rebuild: persist the
-            # marginals by claim id for reuse.  The incremental path keeps
-            # the snapshot alive, so the array itself carries them.
-            self._sync_probabilities()
 
         finished = time.perf_counter()
         return StreamUpdate(
@@ -451,7 +403,7 @@ class StreamingFactChecker:
         """Lines 2–6: extend C^U, D, S with the arrival's entities.
 
         Returns the novel ``(sources, documents, claims)`` of this
-        arrival, for the incremental growth path.
+        arrival, for :meth:`_grow`.
         """
         new_sources: List[Source] = []
         new_documents: List[Document] = []
@@ -492,8 +444,8 @@ class StreamingFactChecker:
         arrays, the model patches its cached matrices, and the memoised
         engine refreshes its gathered views — no object is rebuilt.  New
         claims start at the prior; a parked or previously recorded label
-        for a new claim is applied immediately, matching the rebuild
-        path's label re-imposition.
+        for a new claim is applied immediately, as :meth:`_rebuild`
+        re-imposes labels.
         """
         assert self._database is not None and self._model is not None
         delta = self._database.extend(
@@ -516,53 +468,25 @@ class StreamingFactChecker:
             self._probabilities[claim.claim_id] = float(values[index])
 
     def _rebuild(self) -> None:
-        """(Re)build the snapshot database/model over all seen entities.
+        """Build the snapshot database/model over all seen entities.
 
-        Documents may reference claims that have not arrived yet (a multi-
-        claim document delivered with its first claim); such forward links
-        are truncated until the claim arrives, keeping every reference in
-        the snapshot valid.  In incremental mode this runs only for the
-        first build and when restoring a checkpoint — the pending links
-        are then parked inside the database so later arrivals can
-        materialise them in place.
+        Runs for the first arrival and when restoring a checkpoint; later
+        arrivals :meth:`_grow` it.  Documents may reference claims that
+        have not arrived yet (a multi-claim document delivered with its
+        first claim); such forward links are parked inside the database so
+        later arrivals can materialise them in place.
         """
-        if self._incremental:
-            database = FactDatabase(
-                sources=self._sources,
-                documents=self._documents,
-                claims=self._claims,
-                prior=self._prior,
-                allow_pending_links=True,
-            )
-        else:
-            documents = []
-            for doc in self._documents:
-                known_links = tuple(
-                    link
-                    for link in doc.claim_links
-                    if link.claim_id in self._known_claims
-                )
-                if len(known_links) == len(doc.claim_links):
-                    documents.append(doc)
-                else:
-                    documents.append(
-                        Document(
-                            document_id=doc.document_id,
-                            source_id=doc.source_id,
-                            features=doc.features,
-                            claim_links=known_links,
-                            metadata=doc.metadata,
-                        )
-                    )
-            database = FactDatabase(
-                sources=self._sources,
-                documents=documents,
-                claims=self._claims,
-                prior=self._prior,
-            )
+        prior = float(self._stream.prior)
+        database = FactDatabase(
+            sources=self._sources,
+            documents=self._documents,
+            claims=self._claims,
+            prior=prior,
+            allow_pending_links=True,
+        )
         probabilities = np.asarray(
             [
-                self._probabilities.get(claim.claim_id, self._prior)
+                self._probabilities.get(claim.claim_id, prior)
                 for claim in self._claims
             ]
         )
@@ -576,12 +500,12 @@ class StreamingFactChecker:
                 database.document_features.shape[1],
                 database.source_features.shape[1],
             )
-            weights.values[0] = self._initial_bias
+            weights.values[0] = float(self._inference.initial_bias)
             self._weights = weights
         self._database = database
         self._model = CrfModel(
             database,
             weights=self._weights,
-            aggregation=self._aggregation,
-            coupling_enabled=self._coupling_enabled,
+            aggregation=self._inference.aggregation,
+            coupling_enabled=self._inference.coupling_enabled,
         )

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro._legacy import suppress_legacy_warnings, warn_legacy
 from repro.crf.entropy import (
     approximate_entropy,
     source_trust_from_grounding,
@@ -28,16 +27,19 @@ from repro.crf.partition import ComponentIndex
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
 from repro.errors import ValidationProcessError
-from repro.guidance.base import SelectionContext, SelectionStrategy
-from repro.guidance.gain import GainConfig, GainEstimator
+from repro.guidance.base import SelectionContext
+from repro.guidance.gain import GainEstimator
 from repro.guidance.hybrid_score import error_rate as compute_error_rate
 from repro.guidance.hybrid_score import hybrid_score
+from repro.guidance.strategies import make_strategy
 from repro.inference.icrf import ICrf
-from repro.validation.goals import NoGoal, ValidationGoal
 from repro.validation.oracle import User
 from repro.validation.robustness import ConfirmationChecker
 from repro.validation.session import IterationRecord, ValidationTrace
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
+
+if TYPE_CHECKING:
+    from repro.api.specs import SessionSpec
 
 
 @dataclass
@@ -65,25 +67,16 @@ class ValidationProcess:
 
     Args:
         database: The probabilistic fact database Q.
-        strategy: Claim-selection strategy (step 1).
-        user: The validating user (step 2); simulated in experiments.
-        goal: Validation goal Δ; default: none (run to budget/exhaustion).
-        budget: User-effort budget b (max validations); default |C|.
-        icrf: Inference engine; constructed with defaults when omitted.
-        gain_config: Configuration of information-gain evaluation.
-        candidate_limit: Pool restriction for gain-based strategies.
-        batch_size: Claims validated per iteration (k of §6.2); batches
-            are chosen by the greedy submodular selector.
-        batch_utility_weight: The w of Eq. 27 balancing individual benefit
-            against redundancy.
-        robustness: Confirmation checker (§5.2); ``None`` disables it.
-        termination: Early-termination criteria (§6.1) consulted after
-            every iteration.
-        max_skip_attempts: How many next-best candidates to offer when the
-            user keeps skipping before forcing the last one.
-        deterministic_ties: Break selection-score ties by claim index
-            rather than randomly (reproducible validation orders).
-        seed: Seed or generator.
+        spec: The :class:`~repro.api.specs.SessionSpec` whose ``guidance``
+            (strategy, candidate pool, gain evaluation, tie breaking) and
+            ``effort`` (goal, budget, batching, confirmation check,
+            termination, skip handling) configure the loop.
+        user: The validating user (step 2); defaults to the simulated
+            oracle of ``spec.user``, unseeded — pass one for determinism.
+        icrf: Inference engine; built from ``spec.inference`` when
+            omitted, seeded from the process seed.
+        seed: Seed or generator for the process (strategy roulette, tie
+            breaks, skip fallbacks) and — when built here — the iCRF chain.
     """
 
     #: Not checkpointed (lint rule STATE001): strategy/goal/robustness
@@ -109,55 +102,44 @@ class ValidationProcess:
     def __init__(
         self,
         database: FactDatabase,
-        strategy: SelectionStrategy,
-        user: User,
-        goal: Optional[ValidationGoal] = None,
-        budget: Optional[int] = None,
+        spec: "SessionSpec",
+        user: Optional[User] = None,
         icrf: Optional[ICrf] = None,
-        gain_config: Optional[GainConfig] = None,
-        candidate_limit: Optional[int] = None,
-        batch_size: int = 1,
-        batch_utility_weight: float = 1.0,
-        robustness: Optional[ConfirmationChecker] = None,
-        termination: Sequence = (),
-        max_skip_attempts: int = 5,
-        deterministic_ties: bool = False,
         seed: RandomState = None,
     ) -> None:
-        warn_legacy(
-            "ValidationProcess(...) with keyword arguments",
-            "repro.api.FactCheckSession with a SessionSpec",
-        )
-        if batch_size < 1:
-            raise ValidationProcessError("batch_size must be at least 1")
-        if budget is not None and budget < 1:
-            raise ValidationProcessError("budget must be at least 1")
         rng = ensure_rng(seed)
+        guidance = spec.guidance
+        effort = spec.effort
         self.database = database
-        self.strategy = strategy
-        self.user = user
-        self.goal = goal if goal is not None else NoGoal()
-        self.budget = budget if budget is not None else database.num_claims
-        with suppress_legacy_warnings():
-            self.icrf = (
-                icrf
-                if icrf is not None
-                else ICrf(database, seed=derive_rng(rng, 0))
-            )
+        self.strategy = make_strategy(guidance.strategy)
+        self.user = user if user is not None else spec.user.build()
+        self.goal = effort.goal.build()
+        self.budget = (
+            effort.budget if effort.budget is not None else database.num_claims
+        )
+        self.icrf = (
+            icrf
+            if icrf is not None
+            else ICrf(database, spec.inference, seed=derive_rng(rng, 0))
+        )
         self.components = ComponentIndex(database)
         self.gains = GainEstimator(
             self.icrf.model,
             components=self.components,
-            config=gain_config,
+            config=guidance.gain,
             seed=derive_rng(rng, 1),
         )
-        self.candidate_limit = candidate_limit
-        self.batch_size = batch_size
-        self.batch_utility_weight = batch_utility_weight
-        self.robustness = robustness
-        self.termination = list(termination)
-        self.max_skip_attempts = max_skip_attempts
-        self.deterministic_ties = deterministic_ties
+        self.candidate_limit = guidance.candidate_limit
+        self.batch_size = effort.batch_size
+        self.batch_utility_weight = effort.batch_utility_weight
+        self.robustness = (
+            ConfirmationChecker(interval=effort.confirmation_interval)
+            if effort.confirmation_interval is not None
+            else None
+        )
+        self.termination = [entry.build() for entry in effort.termination]
+        self.max_skip_attempts = effort.max_skip_attempts
+        self.deterministic_ties = guidance.deterministic_ties
         self._rng = derive_rng(rng, 2)
 
         self._truth: Optional[np.ndarray] = None
@@ -174,20 +156,8 @@ class ValidationProcess:
         self.robustness_stats = RobustnessStats()
 
     # ------------------------------------------------------------------
-    # Declarative construction and checkpoint state
+    # Checkpoint state
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_spec(cls, database, spec, user=None, icrf=None, seed=None):
-        """Construct from a declarative :class:`repro.api.SessionSpec`.
-
-        This is the non-deprecated constructor path; the preferred entry
-        point is :class:`repro.api.FactCheckSession`, which adds lifecycle
-        management and checkpointing on top.
-        """
-        from repro.api.build import build_process
-
-        return build_process(database, spec, user=user, icrf=icrf, seed=seed)
 
     def state_dict(self) -> dict:
         """Serialise the complete mutable run state (JSON-compatible).

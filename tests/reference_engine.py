@@ -4,7 +4,7 @@ Golden fixtures (``tests/golden/``) are recorded against this oracle and
 the production engine is tested for bit-for-bit agreement with it.  It
 plugs into ``ICrf``/``GibbsSampler``/``run_m_step`` through their
 ``engine=`` seam: pass the class as an engine factory, e.g.
-``ICrf(database, engine=ReferenceEngine)``.
+``ICrf(database, spec, engine=ReferenceEngine)``.
 """
 
 from __future__ import annotations

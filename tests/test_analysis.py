@@ -377,18 +377,6 @@ class TestApiRules:
             """
         ) == [("API001", 10)]
 
-    def test_api002_new_legacy_importer(self):
-        source = "from repro._legacy import warn_legacy"
-        assert fired(source, module_name="repro.brand_new") == [("API002", 1)]
-
-    def test_api002_allowlisted_module_is_fine(self):
-        source = "from repro._legacy import warn_legacy"
-        assert fired(source, module_name="repro.inference.icrf") == []
-
-    def test_api002_other_import_forms(self):
-        assert fired("import repro._legacy", "repro.new_a") == [("API002", 1)]
-        assert fired("from repro import _legacy", "repro.new_b") == [("API002", 1)]
-
     def test_lint001_unparsable_file(self):
         findings, _ = lint_source("def broken(:\n", "bad.py")
         assert [f.rule for f in findings] == ["LINT001"]
@@ -582,7 +570,7 @@ class TestSelfCheck:
             "CACHE001", "CACHE002", "CACHE003",
             "STATE001", "STATE002",
             "LOCK001", "LOCK002",
-            "API001", "API002",
+            "API001",
             "LINT001",
         } <= ids
 

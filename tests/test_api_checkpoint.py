@@ -430,6 +430,66 @@ class TestRetiredEngineKeys(TestRetiredSpecKeys):
             assert excinfo.value.field == f"inference.{key}"
 
 
+class TestRetiredStreamKey:
+    """Streaming checkpoints whose spec names the removed ``incremental``.
+
+    The golden file was saved by the release that still had
+    ``stream.incremental``, set to ``false`` (the rebuild-per-arrival
+    path), together with how that run continued: the weights after each
+    following arrival and the claim probabilities and labels at the end.
+    """
+
+    GOLDEN = (
+        Path(__file__).parent / "golden" / "checkpoint_v3_stream_incremental_knob.json"
+    )
+
+    def _write_checkpoint(self, path):
+        golden = json.loads(self.GOLDEN.read_text())
+        path.write_text(json.dumps(golden["checkpoint"]))
+        return golden
+
+    def test_loads_and_continues_like_the_saving_release(self, tmp_path):
+        path = tmp_path / "old.json"
+        golden = self._write_checkpoint(path)
+        assert golden["checkpoint"]["spec"]["stream"]["incremental"] is False
+        resumed = FactCheckSession.load(path)
+        updates = resumed.ingest_from_source(len(golden["continuation"]))
+        assert [u.weights.values.tolist() for u in updates] == golden["continuation"]
+        snapshot = resumed.database
+        probabilities = np.asarray(snapshot.probabilities)
+        assert {
+            claim.claim_id: float(probabilities[index])
+            for index, claim in enumerate(snapshot.claims)
+        } == golden["probabilities"]
+        assert sorted(
+            snapshot.claim_id(int(index)) for index in snapshot.labelled_indices
+        ) == golden["labelled"]
+
+    def test_service_restores_spool_entry(self, tmp_path):
+        from repro.service import ServiceConfig, SessionManager
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        golden = self._write_checkpoint(spool / "old.json.gz")
+        manager = SessionManager(ServiceConfig(spool_dir=spool, workers=1))
+        try:
+            assert manager.restore() == ["old"]
+            assert manager.restore_errors == []
+            summary = manager.summary("old")
+            assert summary["arrivals"] == golden["checkpoint"]["state"][
+                "stream_position"
+            ]
+        finally:
+            manager.shutdown(checkpoint=False)
+
+    def test_user_specs_still_reject_the_knobs(self):
+        from repro.errors import SpecError
+
+        with pytest.raises(SpecError) as excinfo:
+            SessionSpec.from_dict({"stream": {"incremental": False}})
+        assert excinfo.value.field == "stream.incremental"
+
+
 def sourced_streaming_spec() -> SessionSpec:
     """Streaming spec whose arrivals come from a declared replayable source."""
     return SessionSpec(

@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro import LegacyAPIWarning, SimulatedUser, make_strategy
 from repro.api import FactCheckSession, SessionResult, SessionSpec
 from repro.errors import SessionError
-from repro.inference.icrf import ICrf
 from repro.streaming import stream_from_database
-from repro.streaming.process import StreamingFactChecker
 from repro.validation.oracle import User
-from repro.validation.process import ValidationProcess
-
-from tests.fixtures import build_micro_database
 
 
 def micro_spec(**overrides) -> SessionSpec:
@@ -253,32 +245,3 @@ class TestCustomUser:
         resumed = FactCheckSession.load(path)
         assert resumed.trace.iterations == result.trace.iterations
         assert resumed.run().stop_reason == result.stop_reason
-
-
-class TestDeprecations:
-    def test_legacy_constructors_warn(self, micro_db):
-        with pytest.warns(LegacyAPIWarning):
-            ValidationProcess(
-                micro_db,
-                strategy=make_strategy("random"),
-                user=SimulatedUser(seed=0),
-                seed=0,
-            )
-        with pytest.warns(LegacyAPIWarning):
-            ICrf(build_micro_database(), seed=0)
-        with pytest.warns(LegacyAPIWarning):
-            StreamingFactChecker(seed=0)
-
-    def test_session_api_does_not_warn(self, micro_db):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LegacyAPIWarning)
-            FactCheckSession(micro_spec(), database=micro_db).run()
-
-    def test_from_spec_paths_do_not_warn(self, micro_db):
-        from repro.api import InferenceSpec
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LegacyAPIWarning)
-            icrf = ICrf.from_spec(micro_db, InferenceSpec(), seed=0)
-            ValidationProcess.from_spec(micro_db, micro_spec(), icrf=icrf, seed=0)
-            StreamingFactChecker.from_spec(micro_spec(mode="streaming"), seed=0)

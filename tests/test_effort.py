@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SessionSpec
 from repro.crf.partition import ComponentIndex
 from repro.effort.batching import (
     batch_utility,
@@ -27,7 +28,6 @@ from repro.effort.termination import (
 )
 from repro.errors import GuidanceError, ValidationProcessError
 from repro.guidance.gain import GainConfig, GainEstimator
-from repro.guidance.strategies import make_strategy
 from repro.inference.icrf import ICrf
 from repro.validation.oracle import SimulatedUser
 from repro.validation.process import ValidationProcess
@@ -130,14 +130,18 @@ class TestTerminationCriteria:
         from repro.datasets import load_dataset
 
         db = load_dataset("wiki", seed=31, scale=0.1)
-        process = ValidationProcess(
-            db,
-            strategy=make_strategy("uncertainty"),
-            user=SimulatedUser(seed=0),
-            termination=[GroundingChangeCriterion(max_changes=db.num_claims,
-                                                  patience=1)],
-            seed=0,
+        spec = SessionSpec(
+            guidance={"strategy": "uncertainty"},
+            effort={
+                "termination": [
+                    {
+                        "kind": "cng",
+                        "params": {"max_changes": db.num_claims, "patience": 1},
+                    }
+                ]
+            },
         )
+        process = ValidationProcess(db, spec, user=SimulatedUser(seed=0), seed=0)
         trace = process.run()
         assert trace.stop_reason == "cng"
         assert trace.iterations == 1
@@ -187,7 +191,7 @@ class TestCrossValidation:
         db = load_dataset("wiki", seed=33, scale=0.15)
         process = ValidationProcess(
             db,
-            strategy=make_strategy("uncertainty"),
+            SessionSpec(guidance={"strategy": "uncertainty"}),
             user=SimulatedUser(seed=0),
             seed=0,
         )
@@ -373,9 +377,8 @@ class TestBatching:
         db = load_dataset("wiki", seed=39, scale=0.1)
         process = ValidationProcess(
             db,
-            strategy=make_strategy("info"),
+            SessionSpec(guidance={"strategy": "info"}, effort={"batch_size": 3}),
             user=SimulatedUser(seed=0),
-            batch_size=3,
             seed=0,
         )
         process.initialize()

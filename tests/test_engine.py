@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import InferenceSpec
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
@@ -164,14 +165,14 @@ class TestBackendEquivalence:
     def test_full_icrf_em_identical(self, database, seed):
         apply_random_labels(database, seed)
         state = database.clone_state()
-        ref = ICrf(database, em_iterations=2, num_samples=6,
-                   engine=ReferenceEngine, seed=seed)
+        spec = InferenceSpec(em_iterations=2, num_samples=6)
+        ref = ICrf(database, spec, seed=seed, engine=ReferenceEngine)
         result_ref = ref.infer()
         marginals_ref = result_ref.marginals.copy()
         weights_ref = result_ref.weights.values.copy()
         grounding_ref = result_ref.grounding.values.copy()
         database.restore_state(state)
-        vec = ICrf(database, em_iterations=2, num_samples=6, seed=seed)
+        vec = ICrf(database, spec, seed=seed)
         result_vec = vec.infer()
         assert np.array_equal(marginals_ref, result_vec.marginals)
         assert np.array_equal(weights_ref, result_vec.weights.values)

@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import InferenceSpec
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
@@ -60,8 +61,10 @@ def _micro_icrf_outputs(backend: str) -> dict:
     """Two chained ICrf inferences on the micro corpus (cold + warm)."""
     database = build_micro_database()
     icrf = ICrf(
-        database, em_iterations=3, num_samples=12, burn_in=4,
-        engine=BACKENDS[backend], seed=7,
+        database,
+        InferenceSpec(em_iterations=3, num_samples=12, burn_in=4),
+        seed=7,
+        engine=BACKENDS[backend],
     )
     first = icrf.infer()
     database.label(0, 1)
@@ -81,8 +84,10 @@ def _wiki_icrf_outputs(backend: str) -> dict:
     """One EM round at reduced wiki scale."""
     database = load_dataset("wiki", seed=42, scale=0.3)
     icrf = ICrf(
-        database, em_iterations=2, num_samples=10, burn_in=3,
-        engine=BACKENDS[backend], seed=123,
+        database,
+        InferenceSpec(em_iterations=2, num_samples=10, burn_in=3),
+        seed=123,
+        engine=BACKENDS[backend],
     )
     result = icrf.infer()
     return {

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import InferenceSpec, SessionSpec
 from repro.crf.gibbs import GibbsResult
-from repro.errors import InferenceError
+from repro.errors import InferenceError, SpecError
 from repro.inference.decide import decide_grounding, threshold_grounding
 from repro.inference.icrf import ICrf
 from repro.inference.mstep import MStepConfig, build_design_matrix, run_m_step
@@ -40,7 +41,7 @@ class TestMStep:
 
     def test_mstep_learns_positive_bias_from_positive_labels(self):
         db = build_micro_database()
-        icrf = ICrf(db, initial_bias=0.0, seed=0)
+        icrf = ICrf(db, InferenceSpec(initial_bias=0.0), seed=0)
         # Label everything with the truth; evidence aligns with stances.
         truth = db.truth_vector()
         for claim in range(3):
@@ -67,11 +68,15 @@ class TestMStep:
 
 class TestICrf:
     def test_construction_validation(self):
-        db = build_micro_database()
-        with pytest.raises(InferenceError):
-            ICrf(db, em_iterations=0)
-        with pytest.raises(InferenceError):
-            ICrf(db, em_tolerance=-1.0)
+        """The spec validates the EM settings ICrf reads."""
+        for field, value in (
+            ("em_iterations", 0),
+            ("em_tolerance", -1.0),
+            ("estep_mode", "exact"),
+        ):
+            with pytest.raises(SpecError) as excinfo:
+                SessionSpec(inference={field: value})
+            assert excinfo.value.field == f"inference.{field}"
 
     def test_infer_updates_database_probabilities(self):
         db = build_micro_database()
@@ -115,7 +120,7 @@ class TestICrf:
 
     def test_em_iteration_budget(self):
         db = build_micro_database()
-        icrf = ICrf(db, em_iterations=2, em_tolerance=0.0, seed=0)
+        icrf = ICrf(db, InferenceSpec(em_iterations=2, em_tolerance=0.0), seed=0)
         result = icrf.infer()
         assert result.em_iterations <= 2
         assert len(result.marginal_deltas) == result.em_iterations

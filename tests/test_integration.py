@@ -6,17 +6,21 @@ import numpy as np
 
 from repro import (
     ICrf,
+    SessionSpec,
     SimulatedUser,
-    TruePrecisionGoal,
     ValidationProcess,
     load_dataset,
-    make_strategy,
 )
-from repro.effort.termination import UncertaintyReductionCriterion
-from repro.guidance.gain import GainConfig
 from repro.streaming.process import StreamingFactChecker
 from repro.streaming.stream import stream_from_database
-from repro.validation.robustness import ConfirmationChecker
+
+
+def precision_spec(strategy: str, threshold: float = 0.9) -> SessionSpec:
+    """Run ``strategy`` until the true precision reaches ``threshold``."""
+    return SessionSpec(
+        guidance={"strategy": strategy},
+        effort={"goal": {"kind": "true_precision", "threshold": threshold}},
+    )
 
 
 class TestGuidedValidationEndToEnd:
@@ -25,11 +29,7 @@ class TestGuidedValidationEndToEnd:
         with clearly less than full effort on the wiki replica."""
         db = load_dataset("wiki", seed=3, scale=0.2)
         process = ValidationProcess(
-            db,
-            strategy=make_strategy("hybrid"),
-            user=SimulatedUser(seed=3),
-            goal=TruePrecisionGoal(0.9),
-            seed=3,
+            db, precision_spec("hybrid"), user=SimulatedUser(seed=3), seed=3
         )
         trace = process.run()
         assert process.current_precision() >= 0.9
@@ -50,9 +50,8 @@ class TestGuidedValidationEndToEnd:
                 db = load_dataset("wiki", seed=100 + seed, scale=0.2)
                 process = ValidationProcess(
                     db,
-                    strategy=make_strategy(name),
+                    precision_spec(name),
                     user=SimulatedUser(seed=seed),
-                    goal=TruePrecisionGoal(0.9),
                     seed=seed,
                 )
                 trace = process.run()
@@ -63,16 +62,21 @@ class TestGuidedValidationEndToEnd:
     def test_full_pipeline_with_all_features(self):
         """Robustness + termination + batching + erroneous user together."""
         db = load_dataset("wiki", seed=5, scale=0.2)
+        spec = SessionSpec(
+            guidance={"strategy": "hybrid", "gain": {"localize": True}},
+            effort={
+                "goal": {"kind": "true_precision", "threshold": 0.95},
+                "confirmation_interval": 5,
+                "termination": [
+                    {"kind": "urr", "params": {"threshold": 0.001, "patience": 5}}
+                ],
+                "batch_size": 2,
+            },
+        )
         process = ValidationProcess(
             db,
-            strategy=make_strategy("hybrid"),
+            spec,
             user=SimulatedUser(error_probability=0.1, seed=5),
-            goal=TruePrecisionGoal(0.95),
-            robustness=ConfirmationChecker(interval=5),
-            termination=[UncertaintyReductionCriterion(threshold=0.001,
-                                                       patience=5)],
-            batch_size=2,
-            gain_config=GainConfig(localize=True),
             seed=5,
         )
         trace = process.run()
@@ -85,7 +89,7 @@ class TestGuidedValidationEndToEnd:
         db = load_dataset("wiki", seed=7, scale=0.15)
         process = ValidationProcess(
             db,
-            strategy=make_strategy("uncertainty"),
+            SessionSpec(guidance={"strategy": "uncertainty"}),
             user=SimulatedUser(seed=7),
             seed=7,
         )
@@ -113,7 +117,7 @@ class TestStreamingIntegration:
         icrf.set_weights(weights)
         process = ValidationProcess(
             snapshot,
-            strategy=make_strategy("hybrid"),
+            SessionSpec(guidance={"strategy": "hybrid"}),
             user=SimulatedUser(seed=9),
             icrf=icrf,
             seed=9,
@@ -141,11 +145,7 @@ class TestPublicApi:
         """The quickstart in repro.__doc__ must actually work."""
         database = load_dataset("snopes", seed=7, scale=0.004)
         process = ValidationProcess(
-            database,
-            strategy=make_strategy("hybrid"),
-            user=SimulatedUser(seed=7),
-            goal=TruePrecisionGoal(0.9),
-            seed=7,
+            database, precision_spec("hybrid"), user=SimulatedUser(seed=7), seed=7
         )
         trace = process.run()
         assert trace.stop_reason in ("goal", "exhausted")

@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import InferenceSpec, SessionSpec
 from repro.crf.partition import ComponentIndex
-from repro.errors import InferenceError
+from repro.errors import SpecError
 from repro.experiments import ablations
 from repro.experiments.runner import ExperimentConfig
 from repro.guidance.base import SelectionContext
@@ -24,18 +25,20 @@ TINY = ExperimentConfig(
     seed=5, runs=1, scale_factor=0.4, datasets=("wiki",),
     em_iterations=1, gibbs_samples=8, candidate_limit=8,
 )
+MEANFIELD = InferenceSpec(estep_mode="meanfield")
 
 
 class TestMeanFieldEStep:
-    def test_invalid_mode_rejected(self, micro_db):
-        with pytest.raises(InferenceError):
-            ICrf(micro_db, estep_mode="variational")
+    def test_invalid_mode_rejected(self):
+        with pytest.raises(SpecError) as excinfo:
+            InferenceSpec(estep_mode="variational")
+        assert excinfo.value.field == "estep_mode"
 
     def test_meanfield_is_deterministic(self):
         results = []
         for seed in (1, 2):
             db = build_micro_database()
-            icrf = ICrf(db, estep_mode="meanfield", seed=seed)
+            icrf = ICrf(db, MEANFIELD, seed=seed)
             results.append(icrf.infer().marginals)
         assert np.allclose(results[0], results[1])
 
@@ -43,12 +46,12 @@ class TestMeanFieldEStep:
         results = []
         for seed in (1, 2):
             db = build_micro_database()
-            icrf = ICrf(db, estep_mode="gibbs", seed=seed)
+            icrf = ICrf(db, InferenceSpec(estep_mode="gibbs"), seed=seed)
             results.append(icrf.infer().marginals)
         assert not np.allclose(results[0], results[1])
 
     def test_meanfield_respects_labels(self, micro_db):
-        icrf = ICrf(micro_db, estep_mode="meanfield", seed=0)
+        icrf = ICrf(micro_db, MEANFIELD, seed=0)
         micro_db.label(0, 0)
         result = icrf.infer()
         assert result.marginals[0] == 0.0
@@ -64,10 +67,12 @@ class TestMeanFieldEStep:
         uninformative weights, flattening all marginals.
         """
         db_a = build_micro_database()
-        icrf_a = ICrf(db_a, estep_mode="gibbs", num_samples=200, seed=0)
+        icrf_a = ICrf(
+            db_a, InferenceSpec(estep_mode="gibbs", num_samples=200), seed=0
+        )
         gibbs = icrf_a.infer(update_weights=False).marginals
         db_b = build_micro_database()
-        icrf_b = ICrf(db_b, estep_mode="meanfield", seed=0)
+        icrf_b = ICrf(db_b, MEANFIELD, seed=0)
         meanfield = icrf_b.infer(update_weights=False).marginals
         c2 = db_b.claim_position("c2")
         c3 = db_b.claim_position("c3")
@@ -75,7 +80,7 @@ class TestMeanFieldEStep:
         assert meanfield[c3] > meanfield[c2]
 
     def test_meanfield_subset_restriction(self, micro_db):
-        icrf = ICrf(micro_db, estep_mode="meanfield", seed=0)
+        icrf = ICrf(micro_db, MEANFIELD, seed=0)
         before = np.asarray(micro_db.probabilities).copy()
         icrf.infer(claim_subset=np.asarray([2]))
         after = np.asarray(micro_db.probabilities)
@@ -86,7 +91,7 @@ class TestMeanFieldEStep:
 class TestDeterministicTies:
     def make_context(self, deterministic):
         db = build_micro_database()
-        icrf = ICrf(db, estep_mode="meanfield", seed=0)
+        icrf = ICrf(db, MEANFIELD, seed=0)
         icrf.infer()
         # Force an exact tie between all claims.
         db.set_probabilities(np.full(3, 0.5))
@@ -112,20 +117,22 @@ class TestDeterministicTies:
         """Two processes with deterministic ties and mean-field inference
         produce identical validation orders."""
         from repro.datasets import load_dataset
-        from repro.guidance.strategies import make_strategy
         from repro.validation.oracle import SimulatedUser
         from repro.validation.process import ValidationProcess
 
+        spec = SessionSpec(
+            inference={"estep_mode": "meanfield"},
+            guidance={"strategy": "info", "deterministic_ties": True},
+        )
         orders = []
         for seed in (10, 20):  # different process seeds
             db = load_dataset("wiki", seed=1, scale=0.1)
-            icrf = ICrf(db, estep_mode="meanfield", seed=seed)
+            icrf = ICrf(db, spec.inference, seed=seed)
             process = ValidationProcess(
                 db,
-                strategy=make_strategy("info"),
+                spec,
                 user=SimulatedUser(seed=seed),
                 icrf=icrf,
-                deterministic_ties=True,
                 seed=seed,
             )
             trace = process.run(max_iterations=6)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import InferenceSpec
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
@@ -85,7 +86,7 @@ class TestSamplerInvariants:
     @settings(max_examples=15, deadline=None)
     @given(random_databases(), st.integers(0, 100))
     def test_icrf_respects_labels_and_state_roundtrip(self, database, seed):
-        icrf = ICrf(database, em_iterations=1, num_samples=5, seed=seed)
+        icrf = ICrf(database, InferenceSpec(em_iterations=1, num_samples=5), seed=seed)
         snapshot = database.clone_state()
         result = icrf.infer()
         assert np.all((result.marginals >= 0) & (result.marginals <= 1))
@@ -99,6 +100,6 @@ class TestSamplerInvariants:
         claim = int(rng.integers(0, database.num_claims))
         value = int(rng.integers(0, 2))
         database.label(claim, value)
-        icrf = ICrf(database, em_iterations=1, num_samples=5, seed=0)
+        icrf = ICrf(database, InferenceSpec(em_iterations=1, num_samples=5), seed=0)
         result = icrf.infer()
         assert result.grounding[claim] == value

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SessionSpec
 from repro.datasets import load_dataset
-from repro.guidance import make_strategy
 from repro.validation import (
     SimulatedUser,
     ValidationProcess,
@@ -19,7 +19,7 @@ def run_small_process():
     db = load_dataset("wiki", seed=3, scale=0.1)
     process = ValidationProcess(
         db,
-        strategy=make_strategy("hybrid"),
+        SessionSpec(guidance={"strategy": "hybrid"}),
         user=SimulatedUser(seed=3),
         seed=3,
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import InferenceSpec
 from repro.crf.partition import ComponentIndex
 from repro.data.grounding import Grounding
 from repro.datasets import generate_dataset, get_profile
@@ -97,7 +98,7 @@ class TestGainBaselineCache:
     def test_batched_gains_match_scalar_gains(self):
         """The per-component baseline cache must not change results."""
         db = build_micro_database()
-        icrf = ICrf(db, estep_mode="meanfield", seed=0)
+        icrf = ICrf(db, InferenceSpec(estep_mode="meanfield"), seed=0)
         icrf.infer(update_weights=False)
         gains = GainEstimator(
             icrf.model,
@@ -111,7 +112,7 @@ class TestGainBaselineCache:
 
     def test_cache_cleared_between_calls(self):
         db = build_micro_database()
-        icrf = ICrf(db, estep_mode="meanfield", seed=0)
+        icrf = ICrf(db, InferenceSpec(estep_mode="meanfield"), seed=0)
         icrf.infer(update_weights=False)
         gains = GainEstimator(
             icrf.model,
@@ -129,7 +130,7 @@ class TestGainBaselineCache:
 
     def test_gain_at_maximum_uncertainty_bounded_by_log2_plus_propagation(self):
         db = build_micro_database()
-        icrf = ICrf(db, estep_mode="meanfield", seed=0)
+        icrf = ICrf(db, InferenceSpec(estep_mode="meanfield"), seed=0)
         icrf.infer(update_weights=False)
         gains = GainEstimator(
             icrf.model,

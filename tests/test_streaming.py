@@ -5,11 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SessionSpec
 from repro.datasets import load_dataset
 from repro.errors import StreamingError
 from repro.streaming.process import StreamingFactChecker
 from repro.streaming.schedule import RobbinsMonroSchedule
 from repro.streaming.stream import stream_from_database
+
+from tests.stream_rebuild_oracle import RebuildingFactChecker
+
+#: Spec of a checker that parks labels for claims yet to arrive.
+PENDING = SessionSpec(stream={"allow_pending_labels": True})
 
 
 class TestSchedule:
@@ -114,8 +120,9 @@ class TestStreamingFactChecker:
             StreamingFactChecker(seed=0).database
 
     def test_step_sizes_follow_schedule(self, micro_db):
-        schedule = RobbinsMonroSchedule(beta=0.7)
-        checker = StreamingFactChecker(schedule=schedule, seed=0)
+        schedule = RobbinsMonroSchedule(beta=0.8, scale=0.5)
+        spec = SessionSpec(stream={"schedule_beta": 0.8, "schedule_scale": 0.5})
+        checker = StreamingFactChecker(spec, seed=0)
         updates = [checker.observe(a) for a in stream_from_database(micro_db)]
         for update in updates:
             assert update.step_size == pytest.approx(
@@ -226,19 +233,20 @@ class TestStreamingFactChecker:
 
 
 class TestIncrementalGrowth:
-    """The incremental growth path against the rebuild-per-arrival oracle.
+    """In-place growth against the rebuild-per-arrival oracle.
 
-    ``incremental=False`` keeps the historical rebuild-everything path as
-    a reference implementation; the default in-place growth must match it
-    bit for bit at every arrival — including across mid-stream labels and
-    parameter exchanges — on the Python walk and the scalar oracle.
+    :class:`~tests.stream_rebuild_oracle.RebuildingFactChecker` keeps the
+    historical rebuild-everything path as a reference implementation; the
+    in-place growth must match it bit for bit at every arrival — including
+    across mid-stream labels and parameter exchanges — on the Python walk
+    and the scalar oracle.
     """
 
     @pytest.mark.parametrize("engine", ("numpy", "reference"), indirect=True)
     def test_micro_stream_matches_rebuild_bit_for_bit(self, engine, micro_db):
         arrivals = list(stream_from_database(micro_db))
-        grown = StreamingFactChecker(incremental=True, seed=3)
-        rebuilt = StreamingFactChecker(incremental=False, seed=3)
+        grown = StreamingFactChecker(seed=3)
+        rebuilt = RebuildingFactChecker(seed=3)
         for index, arrival in enumerate(arrivals):
             a = grown.observe(arrival)
             b = rebuilt.observe(arrival)
@@ -265,8 +273,8 @@ class TestIncrementalGrowth:
     def test_wiki_stream_matches_rebuild_bit_for_bit(self, engine):
         db = load_dataset("wiki", seed=42, scale=0.15)
         arrivals = list(stream_from_database(db))
-        grown = StreamingFactChecker(incremental=True, seed=3)
-        rebuilt = StreamingFactChecker(incremental=False, seed=3)
+        grown = StreamingFactChecker(seed=3)
+        rebuilt = RebuildingFactChecker(seed=3)
         for arrival in arrivals:
             a = grown.observe(arrival)
             b = rebuilt.observe(arrival)
@@ -333,11 +341,12 @@ class TestPendingLabels:
         checker = StreamingFactChecker(seed=0)
         arrivals = list(stream_from_database(micro_db))
         checker.observe(arrivals[0])
-        with pytest.raises(StreamingError, match="has not arrived"):
+        with pytest.raises(StreamingError, match="has not arrived") as excinfo:
             checker.record_label("no-such-claim", 1)
+        assert "stream.allow_pending_labels" in str(excinfo.value)
 
     def test_pending_label_parked_then_promoted(self, micro_db):
-        checker = StreamingFactChecker(allow_pending_labels=True, seed=0)
+        checker = StreamingFactChecker(PENDING, seed=0)
         arrivals = list(stream_from_database(micro_db))
         future = [a.claim.claim_id for a in arrivals if a.claim is not None][-1]
         checker.record_label(future, 1)
@@ -350,12 +359,12 @@ class TestPendingLabels:
         assert db.probability(db.claim_position(future)) == 1.0
 
     def test_pending_labels_survive_state_roundtrip(self, micro_db):
-        checker = StreamingFactChecker(allow_pending_labels=True, seed=0)
+        checker = StreamingFactChecker(PENDING, seed=0)
         arrivals = list(stream_from_database(micro_db))
         checker.observe(arrivals[0])
         future = [a.claim.claim_id for a in arrivals if a.claim is not None][-1]
         checker.record_label(future, 0)
-        clone = StreamingFactChecker(allow_pending_labels=True, seed=0)
+        clone = StreamingFactChecker(PENDING, seed=0)
         clone.load_state_dict(checker.state_dict())
         assert clone.pending_labels == {future: 0}
         for arrival in arrivals[1:]:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SessionSpec
 from repro.crf.partition import ComponentIndex
 from repro.data.entities import Claim
-from repro.errors import ValidationProcessError
-from repro.guidance.strategies import make_strategy
+from repro.errors import SpecError, ValidationProcessError
 from repro.inference.icrf import ICrf
 from repro.validation.goals import (
     EstimatedPrecisionGoal,
@@ -22,14 +22,13 @@ from repro.validation.robustness import ConfirmationChecker
 from tests.fixtures import build_micro_database
 
 
-def make_process(db=None, strategy="uncertainty", seed=0, **kwargs):
+def make_process(db=None, strategy="uncertainty", seed=0, **effort):
     db = db if db is not None else build_micro_database()
     return ValidationProcess(
         db,
-        strategy=make_strategy(strategy),
+        SessionSpec(guidance={"strategy": strategy}, effort=effort),
         user=SimulatedUser(seed=seed),
         seed=seed,
-        **kwargs,
     )
 
 
@@ -120,12 +119,14 @@ class TestProcessBasics:
         assert record.user_values[0] == truth[claim]
 
     def test_invalid_batch_size(self):
-        with pytest.raises(ValidationProcessError):
-            make_process(batch_size=0)
+        with pytest.raises(SpecError) as excinfo:
+            SessionSpec(effort={"batch_size": 0})
+        assert excinfo.value.field == "effort.batch_size"
 
     def test_invalid_budget(self):
-        with pytest.raises(ValidationProcessError):
-            make_process(budget=0)
+        with pytest.raises(SpecError) as excinfo:
+            SessionSpec(effort={"budget": 0})
+        assert excinfo.value.field == "effort.budget"
 
 
 class TestRun:
@@ -142,7 +143,7 @@ class TestRun:
         assert process.database.num_labelled == 2
 
     def test_goal_stops_run(self):
-        process = make_process(goal=TruePrecisionGoal(0.0))
+        process = make_process(goal={"kind": "true_precision", "threshold": 0.0})
         trace = process.run()
         assert trace.stop_reason == "goal"
         assert trace.iterations == 0
@@ -154,7 +155,7 @@ class TestRun:
         assert trace.iterations == 1
 
     def test_oracle_run_reaches_full_precision(self):
-        process = make_process(goal=TruePrecisionGoal(1.0))
+        process = make_process(goal={"kind": "true_precision", "threshold": 1.0})
         trace = process.run()
         assert trace.stop_reason in ("goal", "exhausted")
         assert process.current_precision() == 1.0
@@ -177,7 +178,7 @@ class TestSkipping:
         db = build_micro_database()
         process = ValidationProcess(
             db,
-            strategy=make_strategy("uncertainty"),
+            SessionSpec(guidance={"strategy": "uncertainty"}),
             user=SimulatedUser(skip_probability=1.0, seed=0),
             seed=0,
         )
@@ -191,7 +192,7 @@ class TestSkipping:
         db = build_micro_database()
         process = ValidationProcess(
             db,
-            strategy=make_strategy("uncertainty"),
+            SessionSpec(guidance={"strategy": "uncertainty"}),
             user=SimulatedUser(skip_probability=0.5, seed=3),
             seed=0,
         )
@@ -248,9 +249,11 @@ class TestRobustness:
         db = load_dataset("wiki", seed=11, scale=0.15)
         process = ValidationProcess(
             db,
-            strategy=make_strategy("uncertainty"),
+            SessionSpec(
+                guidance={"strategy": "uncertainty"},
+                effort={"confirmation_interval": 2},
+            ),
             user=SimulatedUser(error_probability=0.3, seed=5),
-            robustness=ConfirmationChecker(interval=2),
             seed=0,
         )
         trace = process.run(max_iterations=10)
@@ -291,12 +294,7 @@ class TestGoals:
         from repro.datasets import load_dataset
 
         db = load_dataset("wiki", seed=11, scale=0.15)
-        process = ValidationProcess(
-            db,
-            strategy=make_strategy("uncertainty"),
-            user=SimulatedUser(seed=0),
-            seed=0,
-        )
+        process = make_process(db)
         process.initialize()
         for _ in range(8):
             process.step()
@@ -320,12 +318,11 @@ class TestHybridProcessIntegration:
         from repro.datasets import load_dataset
 
         db = load_dataset("wiki", seed=13, scale=0.1)
-        process = ValidationProcess(
+        process = make_process(
             db,
-            strategy=make_strategy("hybrid"),
-            user=SimulatedUser(seed=1),
-            goal=TruePrecisionGoal(0.9),
+            strategy="hybrid",
             seed=1,
+            goal={"kind": "true_precision", "threshold": 0.9},
         )
         trace = process.run()
         assert trace.stop_reason in ("goal", "exhausted")

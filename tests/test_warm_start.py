@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api import InferenceSpec, SessionSpec
 from repro.crf.weights import CrfWeights
 from repro.datasets import load_dataset
 from repro.inference.icrf import ICrf
@@ -20,11 +21,9 @@ from repro.streaming.stream import stream_from_database
 from tests.fixtures import build_micro_database
 
 
-def make_icrf(database, seed=13, **kwargs):
-    kwargs.setdefault("em_iterations", 2)
-    kwargs.setdefault("num_samples", 8)
-    kwargs.setdefault("burn_in", 3)
-    return ICrf(database, seed=seed, **kwargs)
+def make_icrf(database, seed=13):
+    spec = InferenceSpec(em_iterations=2, num_samples=8, burn_in=3)
+    return ICrf(database, spec, seed=seed)
 
 
 class TestChainWarmStart:
@@ -159,7 +158,9 @@ class TestStreamingWarmStart:
 
     def test_label_recorded_before_claim_arrives(self):
         arrivals = self._arrivals()
-        checker = StreamingFactChecker(allow_pending_labels=True, seed=5)
+        checker = StreamingFactChecker(
+            SessionSpec(stream={"allow_pending_labels": True}), seed=5
+        )
         checker.observe(arrivals[0])
         future_ids = {
             arrival.claim.claim_id for arrival in arrivals[1:]
