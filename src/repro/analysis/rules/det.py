@@ -114,8 +114,8 @@ def check_det(ctx: ModuleContext) -> Iterator[Finding]:
                     node,
                     f"wall-clock read `{name}()`",
                     hint=(
-                        "use time.perf_counter (repro.utils.timer) for "
-                        "durations; pass timestamps in as data"
+                        "use time.perf_counter for durations; pass "
+                        "timestamps in as data"
                     ),
                 )
             elif len(parts) >= 2 and parts[0] in imports.random_aliases:
@@ -145,8 +145,8 @@ def check_det(ctx: ModuleContext) -> Iterator[Finding]:
                     node,
                     f"wall-clock read `{name}()`",
                     hint=(
-                        "use time.perf_counter (repro.utils.timer) for "
-                        "durations; pass timestamps in as data"
+                        "use time.perf_counter for durations; pass "
+                        "timestamps in as data"
                     ),
                 )
             elif parts[-1] in _WALL_CLOCK_DATETIME and (

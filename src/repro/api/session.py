@@ -317,9 +317,9 @@ class FactCheckSession:
         """Ingest one claim arrival with online EM (Alg. 2; streaming)."""
         self._require_open()
         self._require_mode("streaming", "observe")
+        update = self._checker.observe(arrival)
         if not self._replaying_source:
             self._external_arrivals = True
-        update = self._checker.observe(arrival)
         self._updates.append(update)
         self._since_validation += 1
         return update

@@ -140,21 +140,21 @@ def component_entropy(
     gamma = model.weights.coupling if model.coupling_enabled else 0.0
     stance_matrix = None
     if gamma != 0.0:
+        graph = model.graph
         spins_base = 2.0 * base - 1.0
         stats_base = model.source_statistics(spins_base)
-        denom = np.maximum(model.source_clique_count, 1.0)
+        denom = np.maximum(graph.source_cliques, 1.0)
         quad_base = stats_base * stats_base / denom
         # Net-stance matrix of the free claims over the sources they touch.
-        grouped = model.pair_order
-        starts = model.pair_ptr[free_claims]
-        counts = model.pair_ptr[free_claims + 1] - starts
-        rows = grouped[concat_ranges(starts, counts)]
+        starts = graph.claim_ptr[free_claims]
+        counts = graph.claim_ptr[free_claims + 1] - starts
+        rows = concat_ranges(starts, counts)
         if rows.size:
-            touched = np.unique(model.pair_source[rows])
+            touched = np.unique(graph.source[rows])
             stance_matrix = np.zeros((k, touched.size))
             local_claim = np.repeat(np.arange(k), counts)
-            column = np.searchsorted(touched, model.pair_source[rows])
-            stance_matrix[local_claim, column] = model.pair_stance[rows]
+            column = np.searchsorted(touched, graph.source[rows])
+            stance_matrix[local_claim, column] = graph.stance[rows]
             stats_touched = stats_base[touched]
             denom_touched = denom[touched]
             quad_rest = float(quad_base.sum() - quad_base[touched].sum())
@@ -207,19 +207,12 @@ def source_trust_from_grounding(
     credible.  Sources without claims get the neutral value 0.5.
     """
     values = np.asarray(grounding.values, dtype=float)
-    clique_claim, _, clique_source, _ = database.clique_arrays()
-    if clique_claim.size == 0:
-        return np.full(database.num_sources, 0.5)
-    # Unique (source, claim) edges of the bipartite graph, then a per-
-    # source mean of the grounding over the connected claims.
-    num_claims = database.num_claims
-    keys = np.unique(clique_source * num_claims + clique_claim)
-    edge_source = keys // num_claims
-    edge_claim = keys % num_claims
-    counts = np.bincount(edge_source, minlength=database.num_sources)
+    graph = database.claim_source_graph()
+    counts = np.diff(graph.source_ptr)
+    # Grounding values are 0/1, so each per-source sum is exact in any
+    # summation order.
     sums = np.bincount(
-        edge_source, weights=values[edge_claim],
-        minlength=database.num_sources,
+        graph.source, weights=values[graph.claim], minlength=database.num_sources
     )
     trust = np.full(database.num_sources, 0.5)
     covered = counts > 0

@@ -41,7 +41,7 @@ import numpy as np
 from repro.analysis.contracts import derived_cache, mutates
 from repro.crf.potentials import CliqueFeaturizer, sigmoid
 from repro.crf.weights import CrfWeights
-from repro.data.database import FactDatabase
+from repro.data.database import ClaimSourceGraph, FactDatabase
 from repro.errors import InferenceError
 
 
@@ -75,7 +75,7 @@ class CrfModel:
                 database.document_features.shape[1],
                 database.source_features.shape[1],
             )
-        self._build_pairs()
+        self._adopt_graph()
         self.set_weights(weights)
 
     # ------------------------------------------------------------------
@@ -83,42 +83,15 @@ class CrfModel:
     # ------------------------------------------------------------------
 
     @mutates("engine_views")
-    def _build_pairs(self) -> None:
-        """Collapse cliques into unique (claim, source) pairs.
+    def _adopt_graph(self) -> None:
+        """Take the database's claim–source graph as the pair table.
 
-        ``B_{s,c}`` sums the stance signs of all cliques shared by the
-        pair; ``n_s`` counts the cliques of each source (with
-        multiplicity), normalising its consistency statistic.
+        ``B_{s,c}`` (``graph.stance``) sums the stance signs of all
+        cliques shared by the pair; ``n_s`` (``graph.source_cliques``)
+        counts the cliques of each source (with multiplicity), normalising
+        its consistency statistic.
         """
-        featurizer = self._featurizer
-        database = self._database
-        clique_claim = featurizer.clique_claim
-        clique_source = featurizer.clique_source
-        signs = featurizer.stance_signs
-        num_sources = max(database.num_sources, 1)
-        if clique_claim.size:
-            # Composite (claim, source) key; np.unique sorts it exactly like
-            # lexicographic ordering of the pairs.
-            keys = clique_claim * num_sources + clique_source
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            self._pair_claim = (unique_keys // num_sources).astype(np.intp)
-            self._pair_source = (unique_keys % num_sources).astype(np.intp)
-            self._pair_stance = np.bincount(
-                inverse, weights=signs, minlength=unique_keys.size
-            )
-        else:
-            self._pair_claim = np.empty(0, dtype=np.intp)
-            self._pair_source = np.empty(0, dtype=np.intp)
-            self._pair_stance = np.empty(0, dtype=float)
-
-        self._source_clique_count = np.bincount(
-            clique_source, minlength=database.num_sources
-        ).astype(float)
-        # Pair rows grouped by claim for O(deg) Gibbs updates.
-        order = np.argsort(self._pair_claim, kind="stable")
-        self._pair_order = order
-        counts = np.bincount(self._pair_claim, minlength=database.num_claims)
-        self._pair_ptr = np.concatenate(([0], np.cumsum(counts)))
+        self._graph = self._database.claim_source_graph()
         self._refresh_engines()
 
     def _refresh_engines(self) -> None:
@@ -126,7 +99,7 @@ class CrfModel:
 
         Engines created via :func:`repro.inference.engine.create_engine`
         gather the pair table into their own structure-derived arrays;
-        whenever the pair table is rebuilt they must re-gather (their
+        whenever the model adopts a new graph they must re-gather (their
         views read only the pair structure, never the weights, so the
         refresh is safe before :meth:`set_weights` runs).  A no-op at
         construction time — the memo does not exist yet.
@@ -137,16 +110,16 @@ class CrfModel:
     def grow(self, delta) -> None:
         """Refresh the cached structure after :meth:`FactDatabase.extend`.
 
-        The featurizer patches its matrices row-wise; the (claim, source)
-        pair table and the local fields are cheap integer/matvec
-        derivations of the (already exact) columnar arrays, so they are
-        re-derived wholesale — the results are bit-for-bit identical to a
+        The featurizer patches its matrices row-wise; the claim–source
+        graph and the local fields are cheap integer/matvec derivations of
+        the (already exact) columnar arrays, so they are re-derived
+        wholesale — the results are bit-for-bit identical to a
         fresh model over the grown database.  Engines cached on this model
         via :func:`repro.inference.engine.create_engine` are refreshed in
         place.
         """
         self._featurizer.grow(delta)
-        self._build_pairs()
+        self._adopt_graph()
         self.set_weights(self._weights)
 
     @property
@@ -187,53 +160,16 @@ class CrfModel:
         """Cached per-claim direct-relation evidence ``lf_c``."""
         return self._local_fields
 
-    @derived_cache(
-        "engine_views",
-        backing=(
-            "_pair_claim",
-            "_pair_source",
-            "_pair_stance",
-            "_pair_order",
-            "_pair_ptr",
-            "_source_clique_count",
-        ),
-        hook="_refresh_engines",
-    )
+    @property
+    @derived_cache("engine_views", backing=("_graph",), hook="_refresh_engines")
+    def graph(self) -> ClaimSourceGraph:
+        """The (claim, source) pair table: the database's claim–source graph."""
+        return self._graph
+
     def pairs_of_claim(self, claim_index: int) -> np.ndarray:
-        """Rows of the (claim, source) pair table involving the claim."""
-        start = self._pair_ptr[claim_index]
-        stop = self._pair_ptr[claim_index + 1]
-        return self._pair_order[start:stop]
-
-    @property
-    def pair_claim(self) -> np.ndarray:
-        """Claim index per pair row."""
-        return self._pair_claim
-
-    @property
-    def pair_source(self) -> np.ndarray:
-        """Source index per pair row."""
-        return self._pair_source
-
-    @property
-    def pair_stance(self) -> np.ndarray:
-        """Net stance ``B_{s,c}`` per pair row."""
-        return self._pair_stance
-
-    @property
-    def pair_order(self) -> np.ndarray:
-        """Pair rows sorted by claim (CSR order over the pair table)."""
-        return self._pair_order
-
-    @property
-    def pair_ptr(self) -> np.ndarray:
-        """Per-claim slice boundaries into :attr:`pair_order`."""
-        return self._pair_ptr
-
-    @property
-    def source_clique_count(self) -> np.ndarray:
-        """``n_s`` — cliques per source (with multiplicity)."""
-        return self._source_clique_count
+        """Rows of the pair table involving the claim."""
+        ptr = self._graph.claim_ptr
+        return np.arange(ptr[claim_index], ptr[claim_index + 1])
 
     # ------------------------------------------------------------------
     # Consistency statistics and conditionals
@@ -246,9 +182,10 @@ class CrfModel:
             spins: Per-claim spin vector; hard configurations use ±1,
                 expectations use ``2 P(c) - 1``.
         """
-        contributions = self._pair_stance * spins[self._pair_claim]
+        graph = self._graph
+        contributions = graph.stance * spins[graph.claim]
         return np.bincount(
-            self._pair_source,
+            graph.source,
             weights=contributions,
             minlength=self._database.num_sources,
         )
@@ -261,14 +198,15 @@ class CrfModel:
         matrix and, multiplied by γ, the coupling part of a claim's
         conditional logit.
         """
+        graph = self._graph
         spins = 2.0 * np.asarray(probabilities, dtype=float) - 1.0
         stats = self.source_statistics(spins)
-        own = self._pair_stance * spins[self._pair_claim]
-        excluded = stats[self._pair_source] - own
-        denom = np.maximum(self._source_clique_count[self._pair_source], 1.0)
-        contributions = 2.0 * self._pair_stance * excluded / denom
+        own = graph.stance * spins[graph.claim]
+        excluded = stats[graph.source] - own
+        denom = np.maximum(graph.source_cliques[graph.source], 1.0)
+        contributions = 2.0 * graph.stance * excluded / denom
         signals = np.zeros(self._database.num_claims)
-        np.add.at(signals, self._pair_claim, contributions)
+        np.add.at(signals, graph.claim, contributions)
         if not self._coupling_enabled:
             signals[:] = 0.0
         return signals
@@ -292,11 +230,11 @@ class CrfModel:
         rows = self.pairs_of_claim(claim_index)
         if rows.size == 0:
             return logit
-        sources = self._pair_source[rows]
-        stances = self._pair_stance[rows]
+        sources = self._graph.source[rows]
+        stances = self._graph.stance[rows]
         own = stances * spins[claim_index]
         excluded = source_stats[sources] - own
-        denom = np.maximum(self._source_clique_count[sources], 1.0)
+        denom = np.maximum(self._graph.source_cliques[sources], 1.0)
         logit += 2.0 * gamma * float(np.sum(stances * excluded / denom))
         return logit
 
@@ -366,7 +304,7 @@ class CrfModel:
         if self._coupling_enabled and self._weights.coupling != 0.0:
             spins = 2.0 * configuration.astype(float) - 1.0
             stats = self.source_statistics(spins)
-            denom = np.maximum(self._source_clique_count, 1.0)
+            denom = np.maximum(self._graph.source_cliques, 1.0)
             value += 0.5 * self._weights.coupling * float(
                 np.sum(stats * stats / denom)
             )

@@ -2,11 +2,11 @@
 
 Exports the entity types (:class:`Source`, :class:`Document`,
 :class:`Claim`), document-claim :class:`Stance`, the probabilistic fact
-database :class:`FactDatabase`, and :class:`Grounding` — the trusted set of
-facts derived from it.
+database :class:`FactDatabase` with its :class:`ClaimSourceGraph`, and
+:class:`Grounding` — the trusted set of facts derived from it.
 """
 
-from repro.data.database import Clique, FactDatabase, FactDatabaseState
+from repro.data.database import ClaimSourceGraph, FactDatabase, FactDatabaseState
 from repro.data.entities import Claim, ClaimLink, Document, Source
 from repro.data.grounding import Grounding, precision_improvement
 from repro.data.stance import Stance
@@ -14,7 +14,7 @@ from repro.data.stance import Stance
 __all__ = [
     "Claim",
     "ClaimLink",
-    "Clique",
+    "ClaimSourceGraph",
     "Document",
     "FactDatabase",
     "FactDatabaseState",

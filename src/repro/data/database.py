@@ -42,19 +42,34 @@ _KEY_BASE = 2**32
 
 
 @dataclass(frozen=True)
-class Clique:
-    """A relation factor π = {c, d, s} of the CRF (§3.1).
+class ClaimSourceGraph:
+    """The claim–source bipartite graph of a fact database.
 
-    One clique exists per (document, claim-link) pair; the publishing source
-    completes the triple.  ``stance_sign`` is ``+1`` when the document
-    supports the claim and ``-1`` when it refutes it, implementing the
-    opposing-variable construction of Eq. 3.
+    One row per distinct (claim, source) pair that shares at least one
+    clique, sorted by claim and then by source.  It is the structure read
+    by the CRF's indirect relation (§3.1), source trust (Eq. 17), graph
+    partitioning (§5.1) and batch source correlation (Eq. 26).  All
+    arrays are read-only.
+
+    Attributes:
+        claim: Claim index per row.
+        source: Source index per row.
+        stance: Net stance ``B_{s,c}`` per row — the sum of the stance
+            signs of the pair's cliques.
+        claim_ptr: Claim ``c``'s rows are ``claim_ptr[c]:claim_ptr[c + 1]``.
+        source_rows: The rows in source-then-claim order.
+        source_ptr: Source ``s``'s rows are
+            ``source_rows[source_ptr[s]:source_ptr[s + 1]]``.
+        source_cliques: ``n_s`` — cliques per source, with multiplicity.
     """
 
-    claim_index: int
-    document_index: int
-    source_index: int
-    stance_sign: int
+    claim: np.ndarray
+    source: np.ndarray
+    stance: np.ndarray
+    claim_ptr: np.ndarray
+    source_rows: np.ndarray
+    source_ptr: np.ndarray
+    source_cliques: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,19 +160,9 @@ class FactDatabase:
         # document_index -> untruncated original / number of parked links
         self._full_documents: Dict[int, Document] = {}
         self._doc_pending_count: Dict[int, int] = {}
+        # Derived structure, built on demand and dropped on extend().
+        self._graph_cache: Optional[ClaimSourceGraph] = None
         self._build_cliques()
-
-        # Derived structures, built on demand and dropped on extend().
-        self._cliques_cache: Optional[Tuple[Clique, ...]] = None
-        self._adjacency_cache: Optional[
-            Tuple[List[List[int]], List[List[int]], List[List[int]]]
-        ] = None
-        self._bipartite_cache: Optional[
-            Tuple[List[np.ndarray], List[np.ndarray]]
-        ] = None
-        self._bipartite_csr_cache: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
 
         self._prior = float(prior)
         self._probabilities = np.full(len(self._claims), self._prior, dtype=float)
@@ -168,7 +173,7 @@ class FactDatabase:
     # Construction helpers
     # ------------------------------------------------------------------
 
-    @mutates("cliques", "adjacency", "bipartite", "bipartite_csr")
+    @mutates("graph")
     def _build_cliques(self) -> None:
         claim_arr: List[int] = []
         document_arr: List[int] = []
@@ -245,10 +250,7 @@ class FactDatabase:
         )
 
     def _invalidate_structure_caches(self) -> None:
-        self._cliques_cache = None
-        self._adjacency_cache = None
-        self._bipartite_cache = None
-        self._bipartite_csr_cache = None
+        self._graph_cache = None
 
     def _invalidate_label_arrays(self) -> None:
         self._label_arrays = None
@@ -257,7 +259,7 @@ class FactDatabase:
     # Incremental growth (§7)
     # ------------------------------------------------------------------
 
-    @mutates("cliques", "adjacency", "bipartite", "bipartite_csr")
+    @mutates("graph")
     def extend(
         self,
         sources: Sequence[Source] = (),
@@ -277,13 +279,32 @@ class FactDatabase:
             downstream caches.
 
         Raises:
-            DataModelError: On identifier collisions or dangling
-                references.  Validation happens before any mutation.
+            DataModelError: On identifier collisions, dangling references,
+                or inconsistent feature dimensionalities.  Validation
+                happens before any mutation.
         """
         sources = list(sources)
         documents = list(documents)
         claims = list(claims)
         self._validate_extension(sources, documents, claims)
+        # Stacking checks the feature widths, so it also runs before any
+        # mutation.
+        source_features = (
+            _append_features(
+                self._source_features, [s.features for s in sources], "source"
+            )
+            if sources
+            else self._source_features
+        )
+        document_features = (
+            _append_features(
+                self._document_features,
+                [d.features for d in documents],
+                "document",
+            )
+            if documents
+            else self._document_features
+        )
 
         num_sources_before = len(self._sources)
         num_documents_before = len(self._documents)
@@ -293,12 +314,7 @@ class FactDatabase:
         for offset, source in enumerate(sources):
             self._source_index[source.source_id] = num_sources_before + offset
         self._sources = self._sources + tuple(sources)
-        if sources:
-            self._source_features = _append_features(
-                self._source_features,
-                [s.features for s in sources],
-                "source",
-            )
+        self._source_features = source_features
 
         for offset, claim in enumerate(claims):
             self._claim_index[claim.claim_id] = num_claims_before + offset
@@ -371,12 +387,7 @@ class FactDatabase:
             else:
                 exposed_new.append(document)
         self._documents = self._documents + tuple(exposed_new)
-        if documents:
-            self._document_features = _append_features(
-                self._document_features,
-                [d.features for d in documents],
-                "document",
-            )
+        self._document_features = document_features
 
         keys = np.asarray(new_key, dtype=np.int64)
         order = np.argsort(keys, kind="stable")
@@ -553,39 +564,6 @@ class FactDatabase:
         """All claims, in index order."""
         return self._claims
 
-    @property
-    @derived_cache(
-        "cliques",
-        backing=(
-            "_clique_claim_arr",
-            "_clique_document_arr",
-            "_clique_source_arr",
-            "_clique_sign_arr",
-            "_clique_key_arr",
-            "_clique_buffers",
-        ),
-        hook="_invalidate_structure_caches",
-        storage="_cliques_cache",
-    )
-    def cliques(self) -> Tuple[Clique, ...]:
-        """All relation factors π = {c, d, s} (§3.1)."""
-        if self._cliques_cache is None:
-            self._cliques_cache = tuple(
-                Clique(
-                    claim_index=int(c),
-                    document_index=int(d),
-                    source_index=int(s),
-                    stance_sign=int(g),
-                )
-                for c, d, s, g in zip(
-                    self._clique_claim_arr.tolist(),
-                    self._clique_document_arr.tolist(),
-                    self._clique_source_arr.tolist(),
-                    self._clique_sign_arr.tolist(),
-                )
-            )
-        return self._cliques_cache
-
     def clique_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Dense clique structure as parallel arrays.
 
@@ -641,153 +619,72 @@ class FactDatabase:
             raise DataModelError(f"unknown document {document_id!r}") from None
 
     # ------------------------------------------------------------------
-    # Graph adjacency (derived lazily from the columnar arrays)
+    # Claim–source graph (derived lazily from the columnar arrays)
     # ------------------------------------------------------------------
 
     @derived_cache(
-        "adjacency",
-        backing=(
-            "_clique_claim_arr",
-            "_clique_document_arr",
-            "_clique_source_arr",
-            "_clique_buffers",
-        ),
-        hook="_invalidate_structure_caches",
-        storage="_adjacency_cache",
-    )
-    def _adjacency(
-        self,
-    ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
-        if self._adjacency_cache is None:
-            claim_cliques: List[List[int]] = [[] for _ in self._claims]
-            source_cliques: List[List[int]] = [[] for _ in self._sources]
-            document_cliques: List[List[int]] = [[] for _ in self._documents]
-            for idx, (c, d, s) in enumerate(
-                zip(
-                    self._clique_claim_arr.tolist(),
-                    self._clique_document_arr.tolist(),
-                    self._clique_source_arr.tolist(),
-                )
-            ):
-                claim_cliques[c].append(idx)
-                source_cliques[s].append(idx)
-                document_cliques[d].append(idx)
-            self._adjacency_cache = (claim_cliques, source_cliques, document_cliques)
-        return self._adjacency_cache
-
-    @derived_cache(
-        "bipartite",
+        "graph",
         backing=(
             "_clique_claim_arr",
             "_clique_source_arr",
+            "_clique_sign_arr",
             "_clique_buffers",
         ),
         hook="_invalidate_structure_caches",
-        storage="_bipartite_cache",
+        storage="_graph_cache",
     )
-    def _bipartite_adjacency(
-        self,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        if self._bipartite_cache is None:
-            claim_sources: List[set] = [set() for _ in self._claims]
-            source_claims: List[set] = [set() for _ in self._sources]
-            for c, s in zip(
-                self._clique_claim_arr.tolist(), self._clique_source_arr.tolist()
-            ):
-                claim_sources[c].add(s)
-                source_claims[s].add(c)
-            self._bipartite_cache = (
-                [
-                    np.fromiter(sorted(members), dtype=np.intp, count=len(members))
-                    for members in claim_sources
-                ],
-                [
-                    np.fromiter(sorted(members), dtype=np.intp, count=len(members))
-                    for members in source_claims
-                ],
-            )
-        return self._bipartite_cache
-
-    def cliques_of_claim(self, claim_index: int) -> List[int]:
-        """Indices of cliques containing the claim."""
-        return list(self._adjacency()[0][claim_index])
-
-    def cliques_of_source(self, source_index: int) -> List[int]:
-        """Indices of cliques containing the source."""
-        return list(self._adjacency()[1][source_index])
-
-    def sources_of_claim(self, claim_index: int) -> np.ndarray:
-        """Indices of sources with at least one document about the claim."""
-        return self._bipartite_adjacency()[0][claim_index]
-
-    def claims_of_source(self, source_index: int) -> np.ndarray:
-        """C_s: indices of claims connected to the source (Eq. 17)."""
-        return self._bipartite_adjacency()[1][source_index]
-
-    @derived_cache(
-        "bipartite_csr",
-        backing=(
-            "_clique_claim_arr",
-            "_clique_source_arr",
-            "_clique_buffers",
-        ),
-        hook="_invalidate_structure_caches",
-        storage="_bipartite_csr_cache",
-    )
-    def bipartite_csr(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat CSR form of the claim–source bipartite graph.
-
-        Returns ``(claim_ptr, claim_sources, source_ptr, source_claims)``:
-        claim ``c``'s sources are ``claim_sources[claim_ptr[c]:
-        claim_ptr[c + 1]]`` and source ``s``'s claims (``C_s``, Eq. 17)
-        are ``source_claims[source_ptr[s]:source_ptr[s + 1]]``, each in
-        ascending index order — the vectorised counterpart of
-        :meth:`sources_of_claim`/:meth:`claims_of_source`, built once per
-        structure for grouped reductions (``np.bincount``/``np.add.at``)
-        over whole source neighbourhoods.
-        """
-        if self._bipartite_csr_cache is None:
-            claim_sources, source_claims = self._bipartite_adjacency()
-            claim_counts = np.asarray(
-                [members.size for members in claim_sources], dtype=np.intp
-            )
-            source_counts = np.asarray(
-                [members.size for members in source_claims], dtype=np.intp
-            )
+    def claim_source_graph(self) -> ClaimSourceGraph:
+        """The claim–source bipartite graph, built once per structure."""
+        if self._graph_cache is None:
+            num_sources = max(self.num_sources, 1)
+            # Composite (claim, source) key; np.unique sorts it exactly
+            # like lexicographic ordering of the pairs.
+            keys = self._clique_claim_arr * num_sources + self._clique_source_arr
+            unique_keys, inverse = np.unique(keys, return_inverse=True)
+            claim = (unique_keys // num_sources).astype(np.intp)
+            source = (unique_keys % num_sources).astype(np.intp)
+            # An empty weighted bincount comes back as int64.
+            stance = np.bincount(
+                inverse, weights=self._clique_sign_arr, minlength=unique_keys.size
+            ).astype(float, copy=False)
             claim_ptr = np.concatenate(
-                ([0], np.cumsum(claim_counts))
+                ([0], np.cumsum(np.bincount(claim, minlength=self.num_claims)))
             ).astype(np.intp)
-            source_ptr = np.concatenate(
-                ([0], np.cumsum(source_counts))
-            ).astype(np.intp)
-            flat_sources = (
-                np.concatenate(claim_sources)
-                if claim_sources
-                else np.empty(0, dtype=np.intp)
-            ).astype(np.intp)
-            flat_claims = (
-                np.concatenate(source_claims)
-                if source_claims
-                else np.empty(0, dtype=np.intp)
-            ).astype(np.intp)
-            for array in (claim_ptr, source_ptr, flat_sources, flat_claims):
-                array.flags.writeable = False
-            self._bipartite_csr_cache = (
-                claim_ptr, flat_sources, source_ptr, flat_claims
+            # The (source, claim) keys are distinct, so any sort of them
+            # yields the one source-then-claim order.
+            source_rows = np.argsort(source * self.num_claims + claim).astype(
+                np.intp
             )
-        return self._bipartite_csr_cache
+            source_ptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(source, minlength=self.num_sources)))
+            ).astype(np.intp)
+            source_cliques = np.bincount(
+                self._clique_source_arr, minlength=self.num_sources
+            ).astype(float)
+            graph = ClaimSourceGraph(
+                claim=claim,
+                source=source,
+                stance=stance,
+                claim_ptr=claim_ptr,
+                source_rows=source_rows,
+                source_ptr=source_ptr,
+                source_cliques=source_cliques,
+            )
+            for array in vars(graph).values():
+                array.flags.writeable = False
+            self._graph_cache = graph
+        return self._graph_cache
 
     def connected_components(self) -> List[np.ndarray]:
         """Partition claims into CRF connected components (§5.1).
 
         Two claims are connected when they share a source (sharing a
         document implies sharing its source, so source-sharing subsumes
-        document-sharing).  Returns a list of arrays of claim indices;
-        singleton components are included.
+        document-sharing).  Returns a list of arrays of claim indices,
+        ordered by their smallest claim, each ascending; singleton
+        components are included.
         """
-        parent = np.arange(self.num_claims, dtype=np.intp)
+        parent = list(range(self.num_claims))
 
         def find(node: int) -> int:
             root = node
@@ -797,12 +694,15 @@ class FactDatabase:
                 parent[node], node = root, parent[node]
             return root
 
-        for claim_indices in self._bipartite_adjacency()[1]:
-            if claim_indices.size < 2:
+        graph = self.claim_source_graph()
+        claims = graph.claim[graph.source_rows].tolist()
+        ptr = graph.source_ptr.tolist()
+        for start, stop in zip(ptr[:-1], ptr[1:]):
+            if stop - start < 2:
                 continue
-            first = find(int(claim_indices[0]))
-            for other in claim_indices[1:]:
-                parent[find(int(other))] = first
+            first = find(claims[start])
+            for other in claims[start + 1 : stop]:
+                parent[find(other)] = first
 
         groups: Dict[int, List[int]] = {}
         for claim in range(self.num_claims):

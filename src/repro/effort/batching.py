@@ -63,8 +63,10 @@ def correlation_matrix(
     claim's own sources.
     """
     claims = list(claims)
+    graph = database.claim_source_graph()
     source_sets = [
-        set(int(s) for s in database.sources_of_claim(int(c))) for c in claims
+        set(graph.source[graph.claim_ptr[c] : graph.claim_ptr[c + 1]].tolist())
+        for c in claims
     ]
     size = len(claims)
     matrix = np.zeros((size, size))

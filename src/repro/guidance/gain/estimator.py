@@ -296,7 +296,7 @@ class GainEstimator:
 
         Source trust is estimated from the thresholded marginals — the
         light-inference surrogate of the grounding of Eq. 17.  Fully
-        vectorised over the cached bipartite CSR: one gather of the
+        vectorised over the cached claim–source graph: one gather of the
         scope's source lists, one gather of those sources' claim lists,
         one segmented mean.
         """
@@ -304,24 +304,18 @@ class GainEstimator:
         label_indices, label_values = snapshot.label_arrays()
         if label_indices.size:
             grounding[label_indices] = label_values.astype(np.int8)
-        claim_ptr, claim_sources, source_ptr, source_claims = (
-            self._database.bipartite_csr()
-        )
+        graph = self._database.claim_source_graph()
         scope = np.asarray(scope, dtype=np.intp)
-        starts = claim_ptr[scope]
-        counts = claim_ptr[scope + 1] - starts
-        touched = np.unique(claim_sources[concat_ranges(starts, counts)])
+        starts = graph.claim_ptr[scope]
+        counts = graph.claim_ptr[scope + 1] - starts
+        touched = np.unique(graph.source[concat_ranges(starts, counts)])
         if touched.size == 0:
             return 0.0
-        src_starts = source_ptr[touched]
-        src_counts = source_ptr[touched + 1] - src_starts
-        covered = src_counts > 0
-        touched = touched[covered]
-        src_starts = src_starts[covered]
-        src_counts = src_counts[covered]
-        if touched.size == 0:
-            return 0.0
-        gathered = source_claims[concat_ranges(src_starts, src_counts)]
+        src_starts = graph.source_ptr[touched]
+        src_counts = graph.source_ptr[touched + 1] - src_starts
+        gathered = graph.claim[
+            graph.source_rows[concat_ranges(src_starts, src_counts)]
+        ]
         segment = np.repeat(np.arange(touched.size), src_counts)
         sums = np.bincount(
             segment,

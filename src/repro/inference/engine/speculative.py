@@ -84,16 +84,13 @@ class SpeculativeEngine(InferenceEngine):
         the model in place; the free-set gather cache is dropped because
         claim indices shift meaning when the structure changes.
         """
-        model = self._model
-        # Claim-grouped view of the (claim, source) pair table: claim c's
-        # pair rows are the grouped slice ptr[c]:ptr[c + 1].
-        grouped = model.pair_order
-        self._ptr = model.pair_ptr
-        self._g_source = model.pair_source[grouped]
-        self._g_stance = model.pair_stance[grouped]
-        self._g_denom = np.maximum(
-            model.source_clique_count[self._g_source], 1.0
-        )
+        # The claim–source graph is claim-grouped: claim c's pair rows
+        # are the slice ptr[c]:ptr[c + 1].
+        graph = self._model.graph
+        self._ptr = graph.claim_ptr
+        self._g_source = graph.source
+        self._g_stance = graph.stance
+        self._g_denom = np.maximum(graph.source_cliques[graph.source], 1.0)
         # Gathered-row cache keyed by the free-claim set: sample() runs
         # many sweeps over the same free claims, so the scatter/gather
         # index work is done once per set, not once per sweep.  Key and

@@ -39,9 +39,9 @@ import numpy as np
 
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
-from repro.data.database import FactDatabase
+from repro.data.database import DatabaseDelta, FactDatabase
 from repro.data.entities import Claim, Document, Source
-from repro.errors import StreamingError
+from repro.errors import DataModelError, StreamingError
 from repro.inference.mstep import run_m_step
 from repro.streaming.schedule import RobbinsMonroSchedule
 from repro.streaming.stream import ClaimArrival
@@ -217,7 +217,7 @@ class StreamingFactChecker:
             )
         count = 0
         for arrival in arrivals:
-            self._ingest(arrival)
+            self._commit(*self._novel(arrival))
             count += 1
         self._t = count
         return count
@@ -352,14 +352,24 @@ class StreamingFactChecker:
     # ------------------------------------------------------------------
 
     def observe(self, arrival: ClaimArrival) -> StreamUpdate:
-        """Process one claim arrival (lines 2–10 of Alg. 2)."""
+        """Process one claim arrival (lines 2–10 of Alg. 2).
+
+        Raises:
+            StreamingError: When the arrival is rejected: the first
+                arrival carries no claim, its claim has arrived before, or
+                its entities cannot join the snapshot database.  Every
+                check runs before the first mutation, so a rejected
+                arrival leaves the checker unchanged.
+        """
         started = time.perf_counter()
+        new_sources, new_documents, new_claims = self._novel(arrival)
+        delta = self._extend_snapshot(new_sources, new_documents, new_claims)
         self._t += 1
-        new_sources, new_documents, new_claims = self._ingest(arrival)
+        self._commit(new_sources, new_documents, new_claims)
         if self._database is None:
             self._rebuild()
         else:
-            self._grow(new_sources, new_documents, new_claims)
+            self._grow(delta, new_claims)
         assert self._database is not None and self._model is not None
         ingested = time.perf_counter()
 
@@ -399,58 +409,91 @@ class StreamingFactChecker:
     # Internals
     # ------------------------------------------------------------------
 
-    def _ingest(self, arrival: ClaimArrival):
-        """Lines 2–6: extend C^U, D, S with the arrival's entities.
+    def _novel(self, arrival: ClaimArrival):
+        """The arrival's ``(sources, documents, claims)`` not seen yet.
 
-        Returns the novel ``(sources, documents, claims)`` of this
-        arrival, for :meth:`_grow`.
+        Mutates nothing.
+
+        Raises:
+            StreamingError: When the arrival's claim has arrived before.
         """
-        new_sources: List[Source] = []
-        new_documents: List[Document] = []
-        new_claims: List[Claim] = []
-        for source in arrival.sources:
-            if source.source_id not in self._known_sources:
-                self._known_sources.add(source.source_id)
-                self._sources.append(source)
-                new_sources.append(source)
-        for document in arrival.documents:
-            if document.document_id not in self._known_documents:
-                self._known_documents.add(document.document_id)
-                self._documents.append(document)
-                new_documents.append(document)
+        new_sources = _unseen(arrival.sources, self._known_sources, "source_id")
+        new_documents = _unseen(
+            arrival.documents, self._known_documents, "document_id"
+        )
         if arrival.claim is None:
-            return new_sources, new_documents, new_claims
-        claim_id = arrival.claim.claim_id
-        if claim_id in self._known_claims:
-            raise StreamingError(f"claim {claim_id!r} arrived twice")
-        self._known_claims.add(claim_id)
-        self._claims.append(arrival.claim)
-        new_claims.append(arrival.claim)
-        pending = self._pending_labels.pop(claim_id, None)
-        if pending is not None:
-            self._labels[claim_id] = pending
-            self._probabilities[claim_id] = float(pending)
-        return new_sources, new_documents, new_claims
+            return new_sources, new_documents, []
+        if arrival.claim.claim_id in self._known_claims:
+            raise StreamingError(f"claim {arrival.claim.claim_id!r} arrived twice")
+        return new_sources, new_documents, [arrival.claim]
 
-    def _grow(
+    def _extend_snapshot(
+        self,
+        new_sources: List[Source],
+        new_documents: List[Document],
+        new_claims: List[Claim],
+    ) -> Optional[DatabaseDelta]:
+        """Grow the snapshot database by the arrival's novel entities.
+
+        Before the first arrival there is no snapshot: the entities are
+        only checked, and ``None`` is returned.
+
+        Raises:
+            StreamingError: When the first arrival carries no claim, or
+                the database rejects the entities; it validates before
+                mutating, so nothing has changed.
+        """
+        if self._database is None and not new_claims:
+            raise StreamingError("the first arrival must carry a claim")
+        try:
+            if self._database is not None:
+                return self._database.extend(
+                    sources=new_sources, documents=new_documents, claims=new_claims
+                )
+            # The first arrival builds the snapshot from scratch, so a
+            # trial build is its check.
+            FactDatabase(
+                sources=self._sources + new_sources,
+                documents=self._documents + new_documents,
+                claims=self._claims + new_claims,
+                allow_pending_links=True,
+            )
+        except DataModelError as error:
+            raise StreamingError(f"arrival rejected: {error}") from error
+        return None
+
+    def _commit(
         self,
         new_sources: List[Source],
         new_documents: List[Document],
         new_claims: List[Claim],
     ) -> None:
-        """Extend the live snapshot in place (§7: reuse, never recompute).
+        """Lines 2–6: extend C^U, D, S with the arrival's novel entities."""
+        for source in new_sources:
+            self._known_sources.add(source.source_id)
+            self._sources.append(source)
+        for document in new_documents:
+            self._known_documents.add(document.document_id)
+            self._documents.append(document)
+        for claim in new_claims:
+            self._known_claims.add(claim.claim_id)
+            self._claims.append(claim)
+            pending = self._pending_labels.pop(claim.claim_id, None)
+            if pending is not None:
+                self._labels[claim.claim_id] = pending
+                self._probabilities[claim.claim_id] = float(pending)
 
-        The database merges the arrival's cliques into its columnar
-        arrays, the model patches its cached matrices, and the memoised
-        engine refreshes its gathered views — no object is rebuilt.  New
-        claims start at the prior; a parked or previously recorded label
-        for a new claim is applied immediately, as :meth:`_rebuild`
-        re-imposes labels.
+    def _grow(self, delta: DatabaseDelta, new_claims: List[Claim]) -> None:
+        """Grow the live model with the snapshot (§7: reuse, never recompute).
+
+        :meth:`_extend_snapshot` has merged the arrival's cliques into the
+        database's columnar arrays; the model patches its cached matrices
+        and the memoised engine refreshes its gathered views — no object
+        is rebuilt.  New claims start at the prior; a parked or previously
+        recorded label for a new claim is applied immediately, as
+        :meth:`_rebuild` re-imposes labels.
         """
         assert self._database is not None and self._model is not None
-        delta = self._database.extend(
-            sources=new_sources, documents=new_documents, claims=new_claims
-        )
         self._model.grow(delta)
         for claim in new_claims:
             value = self._labels.get(claim.claim_id)
@@ -509,3 +552,13 @@ class StreamingFactChecker:
             aggregation=self._inference.aggregation,
             coupling_enabled=self._inference.coupling_enabled,
         )
+
+
+def _unseen(entities, known: set, key: str) -> list:
+    """Entities whose identifier is neither in ``known`` nor repeated."""
+    fresh: dict = {}
+    for entity in entities:
+        identifier = getattr(entity, key)
+        if identifier not in known:
+            fresh.setdefault(identifier, entity)
+    return list(fresh.values())

@@ -1,7 +1,6 @@
-"""Shared utilities: seeded randomness, timing, and argument checking."""
+"""Shared utilities: seeded randomness and argument checking."""
 
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
-from repro.utils.timer import Stopwatch, timed
 from repro.utils.checks import (
     check_fraction,
     check_non_negative,
@@ -13,8 +12,6 @@ __all__ = [
     "RandomState",
     "derive_rng",
     "ensure_rng",
-    "Stopwatch",
-    "timed",
     "check_fraction",
     "check_non_negative",
     "check_positive",

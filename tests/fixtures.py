@@ -9,6 +9,8 @@ directly.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.data.entities import Claim, ClaimLink, Document, Source
 from repro.data.stance import Stance
 from repro.datasets import load_dataset
 from repro.inference.engine import SpeculativeEngine
+from repro.streaming.stream import ClaimArrival
 
 
 def build_micro_database(prior: float = 0.5) -> FactDatabase:
@@ -108,6 +111,60 @@ def random_databases(draw):
             )
         )
     return FactDatabase(sources, documents, claims)
+
+
+#: Ways an arrival can be rejected, keys of :func:`rejected_arrivals`.
+REJECTION_CASES = (
+    "evidence-only first arrival",
+    "unknown source, first arrival",
+    "unknown source, later arrival",
+    "claim arrives twice",
+    "source feature width differs",
+)
+
+
+def rejected_arrivals(arrivals) -> dict:
+    """Invalid arrivals for a claim stream, one per :data:`REJECTION_CASES`.
+
+    Maps each case to ``(position, arrival)``: ``arrival`` must be
+    rejected when it follows ``arrivals[:position]``.  Where a valid
+    arrival is spoiled, ``arrivals[position]`` is its corrected form.
+    """
+    first, later = arrivals[0], arrivals[2]
+    assert first.claim is not None and later.claim is not None
+    source_width = first.sources[0].features.size
+    document_width = first.documents[0].features.size
+    stray_source = Source("s-stray", features=np.zeros(source_width))
+    stray_document = Document(
+        "d-stray",
+        source_id="s-stray",
+        features=np.zeros(document_width),
+        claim_links=(ClaimLink(first.claim.claim_id),),
+    )
+
+    def with_ghost_document(arrival):
+        ghost = Document(
+            "d-ghost",
+            source_id="s-ghost",
+            features=np.zeros(document_width),
+            claim_links=(ClaimLink(arrival.claim.claim_id),),
+        )
+        return replace(arrival, documents=list(arrival.documents) + [ghost])
+
+    wide_source = Source("s-wide", features=np.zeros(source_width + 1))
+    return {
+        "evidence-only first arrival": (
+            0, ClaimArrival(None, [stray_document], [stray_source])
+        ),
+        "unknown source, first arrival": (0, with_ghost_document(first)),
+        "unknown source, later arrival": (2, with_ghost_document(later)),
+        "claim arrives twice": (
+            2, ClaimArrival(first.claim, [stray_document], [stray_source])
+        ),
+        "source feature width differs": (
+            2, replace(later, sources=list(later.sources) + [wide_source])
+        ),
+    }
 
 
 @pytest.fixture

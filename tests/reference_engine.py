@@ -43,8 +43,8 @@ class ReferenceEngine(InferenceEngine):
             if rows.size:
                 np.add.at(
                     stats,
-                    model.pair_source[rows],
-                    model.pair_stance[rows] * delta,
+                    model.graph.source[rows],
+                    model.graph.stance[rows] * delta,
                 )
             spins[claim_index] = new_spin
 

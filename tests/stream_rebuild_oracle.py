@@ -34,7 +34,13 @@ class RebuildingFactChecker(StreamingFactChecker):
         self._sync_probabilities()
         return update
 
-    def _grow(self, new_sources, new_documents, new_claims) -> None:
+    def _extend_snapshot(self, new_sources, new_documents, new_claims) -> None:
+        # The snapshot is rebuilt in _grow, not extended (and a strict
+        # database would reject the forward links _rebuild truncates).
+        # The oracle replays valid streams only.
+        return None
+
+    def _grow(self, delta, new_claims) -> None:
         self._rebuild()
 
     def _rebuild(self) -> None:

@@ -96,15 +96,16 @@ class TestCliqueFeaturizer:
 
     def test_stance_flips_feature_sign(self, micro_db):
         feat = CliqueFeaturizer(micro_db)
-        for idx, clique in enumerate(micro_db.cliques):
+        for idx, sign in enumerate(micro_db.clique_arrays()[3]):
             # Bias column is 1 * stance sign.
-            assert feat.signed_features[idx, 0] == clique.stance_sign
+            assert feat.signed_features[idx, 0] == sign
 
     def test_cliques_of_claim_matches_database(self, micro_db):
         feat = CliqueFeaturizer(micro_db)
+        clique_claim = micro_db.clique_arrays()[0]
         for claim in range(micro_db.num_claims):
             via_feat = sorted(int(i) for i in feat.cliques_of_claim(claim))
-            via_db = sorted(micro_db.cliques_of_claim(claim))
+            via_db = np.flatnonzero(clique_claim == claim).tolist()
             assert via_feat == via_db
 
     @pytest.mark.parametrize("mode", AGGREGATION_MODES)
@@ -153,7 +154,7 @@ class TestCrfModel:
         model, db = micro_model()
         # 5 cliques but (claim, source) pairs: c1-s1, c1-s2, c2-s1, c2-s2,
         # c3-s1 -> 5 pairs here (no duplicate pairs in micro corpus).
-        assert model.pair_claim.size == 5
+        assert model.graph.claim.size == 5
 
     def test_source_statistics_alignment(self):
         model, db = micro_model()

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.crf.entropy import source_trust_from_grounding
 from repro.data.database import FactDatabase
 from repro.data.entities import Claim, ClaimLink, Document, Source
+from repro.data.grounding import Grounding
+from repro.data.stance import Stance
 from repro.errors import DataModelError
 
-from tests.fixtures import build_micro_database
+from tests.fixtures import build_micro_database, random_databases
 
 
 class TestConstruction:
@@ -70,7 +75,7 @@ class TestConstruction:
             build_micro_database(prior=1.5)
 
     def test_stance_signs_recorded(self, micro_db):
-        signs = sorted(c.stance_sign for c in micro_db.cliques)
+        signs = sorted(int(sign) for sign in micro_db.clique_arrays()[3])
         assert signs == [-1, -1, 1, 1, 1]
 
 
@@ -95,20 +100,25 @@ class TestIdentifierMapping:
 class TestAdjacency:
     def test_claims_of_source(self, micro_db):
         s1 = micro_db.source_position("s1")
-        claims = {micro_db.claim_id(int(i)) for i in micro_db.claims_of_source(s1)}
+        graph = micro_db.claim_source_graph()
+        rows = graph.source_rows[graph.source_ptr[s1] : graph.source_ptr[s1 + 1]]
+        claims = {micro_db.claim_id(int(i)) for i in graph.claim[rows]}
         assert claims == {"c1", "c2", "c3"}
 
     def test_sources_of_claim(self, micro_db):
         c1 = micro_db.claim_position("c1")
-        sources = set(int(s) for s in micro_db.sources_of_claim(c1))
+        graph = micro_db.claim_source_graph()
+        rows = slice(graph.claim_ptr[c1], graph.claim_ptr[c1 + 1])
+        sources = set(int(s) for s in graph.source[rows])
         assert sources == {
             micro_db.source_position("s1"),
             micro_db.source_position("s2"),
         }
 
     def test_cliques_of_claim_cover_all(self, micro_db):
+        clique_claim = micro_db.clique_arrays()[0]
         total = sum(
-            len(micro_db.cliques_of_claim(c)) for c in range(micro_db.num_claims)
+            np.count_nonzero(clique_claim == c) for c in range(micro_db.num_claims)
         )
         assert total == micro_db.num_cliques
 
@@ -136,6 +146,77 @@ class TestAdjacency:
         components = wiki_db_session.connected_components()
         seen = np.concatenate(components)
         assert sorted(seen.tolist()) == list(range(wiki_db_session.num_claims))
+
+
+class TestClaimSourceGraph:
+    def test_grown_graph_equals_fresh_build(self):
+        sources = [Source("s1", features=[0.0]), Source("s2", features=[1.0])]
+        documents = [
+            # d1's link to c2 is parked until c2 arrives; it then lands
+            # in front of d2's clique, in the middle of the arrays.
+            Document("d1", source_id="s1", features=[0.0], claim_links=(
+                ClaimLink("c1"), ClaimLink("c2", Stance.REFUTE),
+            )),
+            Document("d2", source_id="s2", features=[0.5], claim_links=(
+                ClaimLink("c1", Stance.REFUTE),
+            )),
+            Document("d3", source_id="s1", features=[1.0], claim_links=(
+                ClaimLink("c2"), ClaimLink("c1"),
+            )),
+        ]
+        claims = [Claim("c1"), Claim("c2")]
+        grown = FactDatabase(
+            sources[:1], documents[:1], claims[:1], allow_pending_links=True
+        )
+        assert grown.claim_source_graph().claim.tolist() == [0]
+        grown.extend(sources=sources[1:], documents=documents[1:2])
+        assert grown.claim_source_graph().claim.tolist() == [0, 0]
+        grown.extend(documents=documents[2:], claims=claims[1:])
+
+        fresh = FactDatabase(sources, documents, claims)
+        expected = vars(fresh.claim_source_graph())
+        actual = vars(grown.claim_source_graph())
+        assert expected.keys() == actual.keys()
+        for name, array in expected.items():
+            assert actual[name].dtype == array.dtype, name
+            assert np.array_equal(actual[name], array), name
+        assert expected["stance"].tolist() == [2.0, -1.0, 0.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_databases(), st.integers(0, 2**16))
+    def test_components_and_trust_match_brute_force(self, database, seed):
+        clique_claim, _, clique_source, _ = database.clique_arrays()
+        claims_of = {s: set() for s in range(database.num_sources)}
+        for claim, source in zip(clique_claim.tolist(), clique_source.tolist()):
+            claims_of[source].add(claim)
+
+        # Components: label every claim with the smallest claim it
+        # reaches through shared sources.
+        label = list(range(database.num_claims))
+        changed = True
+        while changed:
+            changed = False
+            for members in claims_of.values():
+                low = min((label[c] for c in members), default=None)
+                for claim in members:
+                    if label[claim] != low:
+                        label[claim], changed = low, True
+        expected = [
+            [c for c in range(database.num_claims) if label[c] == root]
+            for root in sorted(set(label))
+        ]
+        components = database.connected_components()
+        assert [members.tolist() for members in components] == expected
+
+        values = np.random.default_rng(seed).integers(0, 2, database.num_claims)
+        trust = source_trust_from_grounding(database, Grounding(values))
+        for source, members in claims_of.items():
+            expected_trust = (
+                sum(int(values[c]) for c in members) / len(members)
+                if members
+                else 0.5
+            )
+            assert trust[source] == expected_trust
 
 
 class TestProbabilisticState:

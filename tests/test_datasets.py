@@ -119,13 +119,14 @@ class TestGenerator:
         truth = db.truth_vector()
         aligned = 0
         total = 0
-        for clique in db.cliques:
-            source = db.sources[clique.source_index]
+        clique_claim, _, clique_source, signs = db.clique_arrays()
+        for claim, source_index, sign in zip(clique_claim, clique_source, signs):
+            source = db.sources[source_index]
             if source.metadata["reliability"] < 0.8:
                 continue
-            spin = 1 if truth[clique.claim_index] else -1
+            spin = 1 if truth[claim] else -1
             total += 1
-            if clique.stance_sign * spin > 0:
+            if sign * spin > 0:
                 aligned += 1
         assert total > 0
         assert aligned / total > 0.7
@@ -235,8 +236,12 @@ class TestIO:
         path = tmp_path / "micro.json"
         save_database(micro_db, path)
         loaded = load_database(path)
-        original = [(c.claim_index, c.stance_sign) for c in micro_db.cliques]
-        restored = [(c.claim_index, c.stance_sign) for c in loaded.cliques]
+        def stances(db):
+            claim, _, _, signs = db.clique_arrays()
+            return list(zip(claim.tolist(), signs.tolist()))
+
+        original = stances(micro_db)
+        restored = stances(loaded)
         assert original == restored
 
     def test_dict_roundtrip(self, micro_db):

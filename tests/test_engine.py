@@ -269,9 +269,9 @@ class TestVectorisedPotentials:
         for claim in range(database.num_claims):
             expected = 0.0
             for row in model.pairs_of_claim(claim):
-                source = model.pair_source[row]
-                stance = model.pair_stance[row]
+                source = model.graph.source[row]
+                stance = model.graph.stance[row]
                 excluded = stats[source] - stance * spins[claim]
-                denom = max(model.source_clique_count[source], 1.0)
+                denom = max(model.graph.source_cliques[source], 1.0)
                 expected += 2.0 * stance * excluded / denom
             assert signals[claim] == pytest.approx(expected, abs=1e-10)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import FactCheckSession, SessionSpec
-from repro.errors import ServiceError, SessionNotFoundError
+from repro.errors import ServiceError, SessionNotFoundError, StreamingError
 from repro.service import (
     ReproServiceServer,
     ServiceClient,
@@ -32,6 +32,8 @@ from repro.service.wire import (
     result_to_dict,
 )
 from repro.streaming import stream_from_database
+
+from tests.fixtures import REJECTION_CASES, rejected_arrivals
 
 
 def batch_spec(seed: int = 11, budget: int = 6) -> SessionSpec:
@@ -312,6 +314,34 @@ class TestConcurrency:
                 golden_session.validate(every)
         golden = golden_session.close()
         assert scrub(manager.result("stream")) == scrub(result_to_dict(golden))
+
+
+class TestRejectedArrivals:
+    @pytest.mark.parametrize("case", REJECTION_CASES)
+    def test_rejection_leaves_session_and_spool_unchanged(
+        self, manager, tmp_path, case
+    ):
+        arrivals = health_arrivals()[:10]
+        position, bad = rejected_arrivals(arrivals)[case]
+        manager.create(streaming_spec(), session_id="s")
+        if position:
+            manager.stream_claims("s", arrivals[:position])
+        with pytest.raises(StreamingError):
+            manager.stream_claims("s", [bad])
+        assert manager.summary("s")["arrivals"] == position
+        manager.stream_claims("s", arrivals[position:])
+
+        golden = FactCheckSession(streaming_spec()).open()
+        golden.ingest(arrivals)
+        assert scrub(manager.result("s")) == scrub(result_to_dict(golden.result()))
+        # The spool entry written after the rejection restores the live
+        # session exactly.
+        restarted = SessionManager(
+            ServiceConfig(spool_dir=tmp_path / "spool", workers=1)
+        )
+        assert restarted.restore() == ["s"]
+        assert scrub(restarted.result("s")) == scrub(manager.result("s"))
+        restarted.shutdown(checkpoint=False)
 
 
 class TestHTTPService:

@@ -150,11 +150,9 @@ class TestGeneratorStatistics:
         return generate_dataset(get_profile("snopes"), seed=13, scale=0.02)
 
     def test_claim_popularity_is_heavy_tailed(self, snopes_replica):
-        counts = np.asarray(
-            [
-                len(snopes_replica.cliques_of_claim(c))
-                for c in range(snopes_replica.num_claims)
-            ]
+        counts = np.bincount(
+            snopes_replica.clique_arrays()[0],
+            minlength=snopes_replica.num_claims,
         )
         # Top 20% of claims should hold a disproportionate share of links.
         counts = np.sort(counts)[::-1]
@@ -162,12 +160,7 @@ class TestGeneratorStatistics:
         assert top / counts.sum() > 0.35
 
     def test_source_activity_is_heavy_tailed(self, snopes_replica):
-        counts = np.asarray(
-            [
-                len(snopes_replica.cliques_of_source(s))
-                for s in range(snopes_replica.num_sources)
-            ]
-        )
+        counts = snopes_replica.claim_source_graph().source_cliques
         counts = np.sort(counts)[::-1]
         top = counts[: max(1, counts.size // 10)].sum()
         assert top / max(counts.sum(), 1) > 0.2
@@ -186,10 +179,9 @@ class TestGeneratorStatistics:
         from collections import defaultdict
 
         votes = defaultdict(list)
-        for clique in snopes_replica.cliques:
-            votes[(clique.source_index, clique.claim_index)].append(
-                clique.stance_sign
-            )
+        claim, _, source, signs = snopes_replica.clique_arrays()
+        for c, s, sign in zip(claim.tolist(), source.tolist(), signs.tolist()):
+            votes[(s, c)].append(sign)
         multi = {k: v for k, v in votes.items() if len(v) >= 3}
         if not multi:
             pytest.skip("no (source, claim) pair with 3+ documents")

@@ -12,6 +12,7 @@ from repro.streaming.process import StreamingFactChecker
 from repro.streaming.schedule import RobbinsMonroSchedule
 from repro.streaming.stream import stream_from_database
 
+from tests.fixtures import REJECTION_CASES, rejected_arrivals
 from tests.stream_rebuild_oracle import RebuildingFactChecker
 
 #: Spec of a checker that parks labels for claims yet to arrive.
@@ -230,6 +231,29 @@ class TestStreamingFactChecker:
         second_half = np.mean(times[len(times) // 2 :])
         # Quadratic blow-up would give ratios far above this bound.
         assert second_half < max(first_half * 25, 0.05)
+
+
+class TestRejectedArrivals:
+    """A rejected arrival leaves the checker as if it never came."""
+
+    @pytest.mark.parametrize("case", REJECTION_CASES)
+    def test_rejection_leaves_checker_unchanged(self, micro_db, case):
+        arrivals = list(stream_from_database(micro_db))
+        position, bad = rejected_arrivals(arrivals)[case]
+        checker = StreamingFactChecker(seed=3)
+        clean = StreamingFactChecker(seed=3)
+        for arrival in arrivals[:position]:
+            checker.observe(arrival)
+            clean.observe(arrival)
+        with pytest.raises(StreamingError):
+            checker.observe(bad)
+        assert checker.arrivals == position
+        for arrival in arrivals[position:]:
+            assert np.array_equal(
+                checker.observe(arrival).weights.values,
+                clean.observe(arrival).weights.values,
+            )
+        assert checker.state_dict() == clean.state_dict()
 
 
 class TestIncrementalGrowth:

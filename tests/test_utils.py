@@ -1,8 +1,6 @@
-"""Tests for repro.utils: rng handling, timing, argument checks."""
+"""Tests for repro.utils: rng handling and argument checks."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from repro.utils.checks import (
     check_probability,
 )
 from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs
-from repro.utils.timer import Stopwatch, timed
 
 
 class TestEnsureRng:
@@ -77,54 +74,6 @@ class TestSpawnRngs:
 
     def test_zero_count_allowed(self):
         assert spawn_rngs(3, 0) == []
-
-
-class TestStopwatch:
-    def test_measure_records_sample(self):
-        watch = Stopwatch()
-        with watch.measure("work"):
-            pass
-        assert watch.count("work") == 1
-        assert watch.total("work") >= 0.0
-
-    def test_mean_of_recorded_values(self):
-        watch = Stopwatch()
-        watch.record("x", 1.0)
-        watch.record("x", 3.0)
-        assert watch.mean("x") == pytest.approx(2.0)
-
-    def test_mean_of_unknown_label_is_zero(self):
-        assert Stopwatch().mean("nothing") == 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Stopwatch().record("x", -0.1)
-
-    def test_measure_times_sleep(self):
-        watch = Stopwatch()
-        with watch.measure("nap"):
-            time.sleep(0.01)
-        assert watch.total("nap") >= 0.005
-
-    def test_labels_in_insertion_order(self):
-        watch = Stopwatch()
-        watch.record("b", 1.0)
-        watch.record("a", 1.0)
-        assert watch.labels() == ["b", "a"]
-
-    def test_samples_returns_copy(self):
-        watch = Stopwatch()
-        watch.record("x", 1.0)
-        samples = watch.samples("x")
-        samples.append(99.0)
-        assert watch.count("x") == 1
-
-
-class TestTimed:
-    def test_elapsed_filled_in(self):
-        with timed() as elapsed:
-            time.sleep(0.01)
-        assert elapsed[0] >= 0.005
 
 
 class TestChecks:
