@@ -32,13 +32,9 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
-import numpy as np
-
-from repro.crf.weights import CrfWeights
 from repro.errors import CheckpointError
-from repro.streaming.process import StreamUpdate
 
 #: Identifying header of every checkpoint file.
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
@@ -82,40 +78,6 @@ def checkpoint_spec(payload: dict) -> dict:
     for key in ("parallel", "max_workers", "cache_gains"):
         gain.pop(key, None)
     return spec
-
-
-def stream_update_to_dict(update: StreamUpdate) -> dict:
-    """Render one :class:`StreamUpdate` as a JSON-compatible entry."""
-    return {
-        "arrival_index": update.arrival_index,
-        "elapsed_seconds": update.elapsed_seconds,
-        "ingest_seconds": update.ingest_seconds,
-        "update_seconds": update.update_seconds,
-        "step_size": update.step_size,
-        "weights": update.weights.values.tolist(),
-        "num_claims": update.num_claims,
-        "num_documents": update.num_documents,
-        "num_sources": update.num_sources,
-    }
-
-
-def stream_update_from_dict(entry: dict) -> StreamUpdate:
-    """Inverse of :func:`stream_update_to_dict`.
-
-    Pre-v3 checkpoints carry no phase split; their phase fields default
-    to zero while ``elapsed_seconds`` keeps the recorded total.
-    """
-    return StreamUpdate(
-        arrival_index=int(entry["arrival_index"]),
-        elapsed_seconds=float(entry["elapsed_seconds"]),
-        ingest_seconds=float(entry.get("ingest_seconds", 0.0)),
-        update_seconds=float(entry.get("update_seconds", 0.0)),
-        step_size=float(entry["step_size"]),
-        weights=CrfWeights(np.asarray(entry["weights"], dtype=float)),
-        num_claims=int(entry["num_claims"]),
-        num_documents=int(entry["num_documents"]),
-        num_sources=int(entry["num_sources"]),
-    )
 
 
 def write_checkpoint(
@@ -253,14 +215,3 @@ def verify_stream_fingerprint(checker, fingerprint: dict, path) -> None:
             f"(was the stream source or its dataset changed?)"
         )
 
-
-def records_to_dicts(records: List) -> List[dict]:
-    """Serialise a list of :class:`IterationRecord` objects."""
-    return [record.to_dict() for record in records]
-
-
-def records_from_dicts(entries: List[dict]) -> List:
-    """Inverse of :func:`records_to_dicts`."""
-    from repro.validation.session import IterationRecord
-
-    return [IterationRecord.from_dict(entry) for entry in entries]

@@ -30,6 +30,7 @@ from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
+from repro.codec import JsonRecord
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
@@ -47,7 +48,7 @@ from repro.api.specs import SessionSpec
 
 
 @dataclass
-class SessionResult:
+class SessionResult(JsonRecord):
     """Outcome of one fact-checking session — batch or streaming.
 
     Attributes:
@@ -76,19 +77,6 @@ class SessionResult:
     trace: Optional[ValidationTrace]
     stream_updates: List[StreamUpdate] = field(default_factory=list)
     weights: Optional[CrfWeights] = None
-
-    def to_dict(self) -> dict:
-        """Summary rendering (weights and traces reduced to plain lists)."""
-        return {
-            "mode": self.mode,
-            "stop_reason": self.stop_reason,
-            "num_claims": self.num_claims,
-            "num_labelled": self.num_labelled,
-            "final_precision": self.final_precision,
-            "validated_claim_ids": list(self.validated_claim_ids),
-            "iterations": 0 if self.trace is None else self.trace.iterations,
-            "arrivals": len(self.stream_updates),
-        }
 
 
 class FactCheckSession:
@@ -285,10 +273,11 @@ class FactCheckSession:
                 ):
                     self._user.load_state_dict(resume["user"])
                 self._updates = [
-                    ckpt.stream_update_from_dict(entry)
-                    for entry in resume["updates"]
+                    StreamUpdate.from_dict(entry) for entry in resume["updates"]
                 ]
-                self._records = ckpt.records_from_dicts(resume["records"])
+                self._records = [
+                    IterationRecord.from_dict(entry) for entry in resume["records"]
+                ]
                 self._validated = list(resume["validated"])
                 self._since_validation = int(resume["since_validation"])
 
@@ -765,10 +754,8 @@ class FactCheckSession:
                     if hasattr(self._user, "state_dict")
                     else None
                 ),
-                "updates": [
-                    ckpt.stream_update_to_dict(update) for update in self._updates
-                ],
-                "records": ckpt.records_to_dicts(self._records),
+                "updates": [update.to_dict() for update in self._updates],
+                "records": [record.to_dict() for record in self._records],
                 "validated": list(self._validated),
                 "since_validation": self._since_validation,
             }

@@ -19,9 +19,11 @@ Layout::
     └── stream:    StreamSpec      (online EM; streaming sessions only)
 
 Every spec validates on construction and exposes ``to_dict`` /
-``from_dict``; :class:`SessionSpec` adds ``to_json`` / ``from_json``.
-``GainConfig`` and ``MStepConfig`` — already dataclasses with validation —
-are embedded directly rather than mirrored.
+``from_dict`` from :class:`repro.codec.JsonRecord`, which type-checks each
+value and names the dotted path of the first bad one in the
+:class:`~repro.errors.SpecError` it raises; :class:`SessionSpec` adds
+``to_json`` / ``from_json``.  ``GainConfig`` and ``MStepConfig`` — already
+dataclasses with validation — are embedded directly rather than mirrored.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
+from typing import Any, Dict, Optional, Tuple
 
+from repro.codec import JsonRecord, coerce_fields
 from repro.errors import SpecError
 from repro.guidance.gain import GainConfig
 from repro.guidance.strategies import STRATEGIES
@@ -48,38 +51,8 @@ TERMINATION_KINDS = ("urr", "cng", "pre", "pir")
 #: E-step modes of the iCRF engine.
 ESTEP_MODES = ("gibbs", "meanfield")
 
-_S = TypeVar("_S")
-
-
-def _check_fields(cls: Type[_S], payload: Mapping[str, Any]) -> None:
-    """Reject payload keys that are not fields of ``cls``."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
-    if unknown:
-        raise SpecError(
-            f"{cls.__name__} does not accept {sorted(unknown)}; "
-            f"known fields: {sorted(known)}",
-            field=sorted(unknown)[0],
-        )
-
-
-def _build_config(cls: Type[_S], payload: Any, what: str) -> _S:
-    """Coerce ``payload`` (instance or mapping) into a config dataclass."""
-    if isinstance(payload, cls):
-        return payload
-    if payload is None:
-        return cls()
-    if not isinstance(payload, Mapping):
-        raise SpecError(f"{what} must be a {cls.__name__} or a mapping", field=what)
-    try:
-        _check_fields(cls, payload)
-        return cls(**payload)
-    except SpecError as exc:
-        raise exc.with_prefix(what) from None
-
-
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(JsonRecord):
     """Provenance of the corpus a session runs on.
 
     Attributes:
@@ -112,17 +85,9 @@ class DatasetSpec:
             return load_database(self.path)
         return load_dataset(self.name, seed=self.seed, scale=self.scale)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DatasetSpec":
-        _check_fields(cls, payload)
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class UserSpec:
+class UserSpec(JsonRecord):
     """Parameters of the validating user simulated from ground truth.
 
     Attributes:
@@ -158,17 +123,9 @@ class UserSpec:
             seed=seed,
         )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "UserSpec":
-        _check_fields(cls, payload)
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class InferenceSpec:
+class InferenceSpec(JsonRecord):
     """iCRF inference settings (§3.2).
 
     Attributes:
@@ -198,6 +155,7 @@ class InferenceSpec:
     mstep: MStepConfig = field(default_factory=MStepConfig)
 
     def __post_init__(self) -> None:
+        coerce_fields(self)
         if self.estep_mode not in ESTEP_MODES:
             raise SpecError(
                 f"estep_mode must be one of {ESTEP_MODES}, "
@@ -212,21 +170,10 @@ class InferenceSpec:
             raise SpecError("burn_in must be non-negative", field="burn_in")
         if self.num_samples <= 0:
             raise SpecError("num_samples must be positive", field="num_samples")
-        object.__setattr__(
-            self, "mstep", _build_config(MStepConfig, self.mstep, "mstep")
-        )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "InferenceSpec":
-        _check_fields(cls, payload)
-        return cls(**payload)
 
 
 @dataclass(frozen=True)
-class GuidanceSpec:
+class GuidanceSpec(JsonRecord):
     """Claim-selection settings (§4).
 
     Attributes:
@@ -245,6 +192,7 @@ class GuidanceSpec:
     gain: GainConfig = field(default_factory=GainConfig)
 
     def __post_init__(self) -> None:
+        coerce_fields(self)
         if self.strategy not in STRATEGIES:
             raise SpecError(
                 f"unknown strategy {self.strategy!r}; "
@@ -256,21 +204,10 @@ class GuidanceSpec:
                 "candidate_limit must be at least 1 (or None)",
                 field="candidate_limit",
             )
-        object.__setattr__(
-            self, "gain", _build_config(GainConfig, self.gain, "gain")
-        )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "GuidanceSpec":
-        _check_fields(cls, payload)
-        return cls(**payload)
 
 
 @dataclass(frozen=True)
-class GoalSpec:
+class GoalSpec(JsonRecord):
     """Validation goal Δ (§2.2) in declarative form.
 
     Attributes:
@@ -315,17 +252,9 @@ class GoalSpec:
             self.threshold, folds=self.folds, min_labels=self.min_labels
         )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "GoalSpec":
-        _check_fields(cls, payload)
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class TerminationSpec:
+class TerminationSpec(JsonRecord):
     """One early-termination criterion (§6.1) in declarative form.
 
     Attributes:
@@ -373,17 +302,10 @@ class TerminationSpec:
         }
         return registry[self.kind](**self.params)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TerminationSpec":
-        _check_fields(cls, payload)
-        return cls(**payload)
 
 
 @dataclass(frozen=True)
-class EffortSpec:
+class EffortSpec(JsonRecord):
     """Effort policy: goal, budget, batching, robustness, termination.
 
     Attributes:
@@ -406,9 +328,7 @@ class EffortSpec:
     termination: Tuple[TerminationSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "goal", _build_config(GoalSpec, self.goal, "goal")
-        )
+        coerce_fields(self)
         if self.budget is not None and self.budget < 1:
             raise SpecError("budget must be at least 1 (or None)", field="budget")
         if self.batch_size < 1:
@@ -422,34 +342,10 @@ class EffortSpec:
                 "confirmation_interval must be at least 1 (or None)",
                 field="confirmation_interval",
             )
-        object.__setattr__(
-            self, "termination", _build_termination(self.termination)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "goal": self.goal.to_dict(),
-            "budget": self.budget,
-            "batch_size": self.batch_size,
-            "batch_utility_weight": self.batch_utility_weight,
-            "max_skip_attempts": self.max_skip_attempts,
-            "confirmation_interval": self.confirmation_interval,
-            "termination": [entry.to_dict() for entry in self.termination],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EffortSpec":
-        _check_fields(cls, payload)
-        data = dict(payload)
-        if "goal" in data and isinstance(data["goal"], Mapping):
-            data["goal"] = _build_config(GoalSpec, data["goal"], "goal")
-        if "termination" in data:
-            data["termination"] = _build_termination(data["termination"])
-        return cls(**data)
 
 
 @dataclass(frozen=True)
-class StreamSourceSpec:
+class StreamSourceSpec(JsonRecord):
     """Replayable provenance of a claim stream.
 
     Declares *where the arrivals come from* so they need not be embedded
@@ -469,15 +365,12 @@ class StreamSourceSpec:
     order: str = "posting"
 
     def __post_init__(self) -> None:
+        coerce_fields(self)
         if self.dataset is None:
             raise SpecError(
                 "StreamSourceSpec needs a 'dataset' describing the corpus "
                 "the stream replays",
                 field="dataset",
-            )
-        if not isinstance(self.dataset, DatasetSpec):
-            object.__setattr__(
-                self, "dataset", _build_spec(DatasetSpec, self.dataset, "dataset")
             )
         if self.order != "posting":
             raise SpecError(
@@ -492,17 +385,9 @@ class StreamSourceSpec:
 
         return stream_from_database(self.dataset.load())
 
-    def to_dict(self) -> dict:
-        return {"dataset": self.dataset.to_dict(), "order": self.order}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "StreamSourceSpec":
-        _check_fields(cls, payload)
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(JsonRecord):
     """Online-EM settings for streaming sessions (§7, Alg. 2).
 
     Attributes:
@@ -532,12 +417,7 @@ class StreamSpec:
     allow_pending_labels: bool = False
 
     def __post_init__(self) -> None:
-        if self.source is not None and not isinstance(
-            self.source, StreamSourceSpec
-        ):
-            object.__setattr__(
-                self, "source", _build_spec(StreamSourceSpec, self.source, "source")
-            )
+        coerce_fields(self)
         if not 0.5 < self.schedule_beta <= 1.0:
             raise SpecError(
                 f"schedule_beta must lie in (0.5, 1], got {self.schedule_beta}",
@@ -560,17 +440,9 @@ class StreamSpec:
                 field="validation_every",
             )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "StreamSpec":
-        _check_fields(cls, payload)
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class SessionSpec:
+class SessionSpec(JsonRecord):
     """Complete declarative description of one fact-checking session.
 
     Attributes:
@@ -598,59 +470,11 @@ class SessionSpec:
                 f"mode must be one of {SESSION_MODES}, got {self.mode!r}",
                 field="mode",
             )
-        if self.dataset is not None and not isinstance(self.dataset, DatasetSpec):
-            object.__setattr__(
-                self, "dataset", _build_spec(DatasetSpec, self.dataset, "dataset")
-            )
-        object.__setattr__(self, "user", _build_config(UserSpec, self.user, "user"))
-        object.__setattr__(
-            self,
-            "inference",
-            _build_spec(InferenceSpec, self.inference, "inference"),
-        )
-        object.__setattr__(
-            self, "guidance", _build_spec(GuidanceSpec, self.guidance, "guidance")
-        )
-        object.__setattr__(
-            self, "effort", _build_spec(EffortSpec, self.effort, "effort")
-        )
-        object.__setattr__(
-            self, "stream", _build_spec(StreamSpec, self.stream, "stream")
-        )
+        coerce_fields(self)
 
     def replace(self, **overrides) -> "SessionSpec":
         """Copy with selected top-level fields replaced."""
         return dataclasses.replace(self, **overrides)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "dataset": None if self.dataset is None else self.dataset.to_dict(),
-            "user": self.user.to_dict(),
-            "inference": self.inference.to_dict(),
-            "guidance": self.guidance.to_dict(),
-            "effort": self.effort.to_dict(),
-            "stream": self.stream.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SessionSpec":
-        _check_fields(cls, payload)
-        data = dict(payload)
-        converters = {
-            "dataset": DatasetSpec,
-            "user": UserSpec,
-            "inference": InferenceSpec,
-            "guidance": GuidanceSpec,
-            "effort": EffortSpec,
-            "stream": StreamSpec,
-        }
-        for name, spec_cls in converters.items():
-            value = data.get(name)
-            if isinstance(value, Mapping):
-                data[name] = _build_spec(spec_cls, value, name)
-        return cls(**data)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Serialise the spec to a JSON document."""
@@ -667,36 +491,3 @@ class SessionSpec:
             raise SpecError("session-spec JSON must be an object")
         return cls.from_dict(payload)
 
-
-def _build_spec(cls: Type[_S], payload: Any, what: str) -> _S:
-    """Coerce ``payload`` (spec instance or mapping) into a spec class.
-
-    Validation failures inside the nested spec are re-raised with ``what``
-    prepended to their field path, so errors surfacing from
-    :meth:`SessionSpec.from_json` name the full dotted location
-    (``inference.estep_mode``, ``effort.goal.kind``, …).
-    """
-    if isinstance(payload, cls):
-        return payload
-    if payload is None:
-        return cls()
-    if not isinstance(payload, Mapping):
-        raise SpecError(f"{what} must be a {cls.__name__} or a mapping", field=what)
-    try:
-        return cls.from_dict(payload)
-    except SpecError as exc:
-        raise exc.with_prefix(what) from None
-
-
-def _build_termination(entries) -> Tuple[TerminationSpec, ...]:
-    """Coerce a termination sequence, indexing errors per entry."""
-    criteria = []
-    for index, entry in enumerate(entries):
-        if isinstance(entry, TerminationSpec):
-            criteria.append(entry)
-            continue
-        try:
-            criteria.append(TerminationSpec.from_dict(entry))
-        except SpecError as exc:
-            raise exc.with_prefix(f"termination[{index}]") from None
-    return tuple(criteria)

@@ -80,6 +80,15 @@ class CrfWeights:
         """Deep copy."""
         return CrfWeights(self.values.copy())
 
+    def to_list(self) -> list:
+        """JSON form: the weight vector as a plain list."""
+        return self.values.tolist()
+
+    @classmethod
+    def from_list(cls, values: list) -> "CrfWeights":
+        """Inverse of :meth:`to_list`."""
+        return cls(np.asarray(values, dtype=float))
+
     def distance(self, other: "CrfWeights") -> float:
         """Euclidean distance to another weight vector (EM convergence)."""
         if other.size != self.size:

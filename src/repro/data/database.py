@@ -510,16 +510,6 @@ class FactDatabase:
                             f"unknown claim {link.claim_id!r}"
                         )
 
-    @property
-    def num_pending_links(self) -> int:
-        """Parked claim links awaiting their claim's arrival."""
-        return sum(len(entries) for entries in self._pending_links.values())
-
-    @property
-    def pending_claim_ids(self) -> Tuple[str, ...]:
-        """Identifiers of not-yet-arrived claims referenced by documents."""
-        return tuple(sorted(self._pending_links))
-
     # ------------------------------------------------------------------
     # Sizes and entity access
     # ------------------------------------------------------------------

@@ -57,6 +57,15 @@ class Grounding:
         """Read-only 0/1 array, one entry per claim."""
         return self._values
 
+    def to_list(self) -> list:
+        """JSON form: the 0/1 values as a plain list."""
+        return self._values.tolist()
+
+    @classmethod
+    def from_list(cls, values: list) -> "Grounding":
+        """Inverse of :meth:`to_list`."""
+        return cls(values)
+
     @property
     def num_claims(self) -> int:
         """Number of claims covered by the grounding."""

@@ -24,28 +24,12 @@ class InferenceError(ReproError):
     """Credibility inference failed or was invoked on an invalid state."""
 
 
-class ConvergenceError(InferenceError):
-    """An iterative optimiser exhausted its iteration budget.
-
-    Carries the best iterate found so far in :attr:`last_value` so callers
-    may decide to continue with a sub-optimal result.
-    """
-
-    def __init__(self, message: str, last_value=None):
-        super().__init__(message)
-        self.last_value = last_value
-
-
 class GuidanceError(ReproError):
     """A claim-selection strategy could not produce a candidate."""
 
 
 class ValidationProcessError(ReproError):
     """The interactive validation process was misconfigured or misused."""
-
-
-class BudgetExhaustedError(ValidationProcessError):
-    """The user-effort budget was consumed before the goal was reached."""
 
 
 class StreamingError(ReproError):
@@ -76,9 +60,17 @@ class SpecError(ReproError):
         return str(message)
 
     def with_prefix(self, prefix: str) -> "SpecError":
-        """A copy of this error with ``prefix`` prepended to the field path."""
+        """A copy of this error with ``prefix`` prepended to the field path.
+
+        A path that starts with a list index (``[1].kind``) is joined
+        without a dot (``termination[1].kind``).
+        """
         message = self.args[0] if self.args else ""
-        field = prefix if not self.field else f"{prefix}.{self.field}"
+        if not self.field:
+            field = prefix
+        else:
+            dot = "" if self.field.startswith("[") else "."
+            field = f"{prefix}{dot}{self.field}"
         return SpecError(message, field=field)
 
 

@@ -10,7 +10,7 @@ least 67% — i.e. roughly *half the effort* of the baselines.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -79,14 +79,3 @@ def run(
             )
     return result
 
-
-def effort_summary(result: ExperimentResult) -> Dict[str, Dict[str, float]]:
-    """Per-dataset mapping of strategy -> mean effort to the target."""
-    summary: Dict[str, Dict[str, float]] = {}
-    target_column = result.headers[-1]
-    for row in result.rows:
-        dataset, strategy = row[0], row[1]
-        summary.setdefault(dataset, {})[strategy] = row[
-            result.headers.index(target_column)
-        ]
-    return summary

@@ -113,11 +113,11 @@ def make_process(
         guidance=GuidanceSpec(
             strategy=strategy_name,
             candidate_limit=config.candidate_limit,
-            gain=gain_config,
+            gain=gain_config or GainConfig(),
         ),
         effort=EffortSpec(
             goal=(
-                None
+                GoalSpec()
                 if precision_goal is None
                 else GoalSpec(kind="true_precision", threshold=precision_goal)
             ),

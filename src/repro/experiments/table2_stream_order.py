@@ -79,13 +79,6 @@ def run(
     return result
 
 
-def _offline_sequence(database, config: ExperimentConfig, seed) -> List[str]:
-    """Full offline validation order (claim identifiers)."""
-    process = _make_process(database, config, seed)
-    trace = process.run()
-    return [database.claim_id(index) for index in trace.validated_claims()]
-
-
 def _make_process(snapshot, config: ExperimentConfig, seed, weights=None):
     """Deterministic validation process over one database snapshot."""
     spec = SessionSpec(

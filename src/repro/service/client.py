@@ -22,7 +22,6 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.api import SessionResult, SessionSpec
 from repro.errors import ServiceError
-from repro.service.wire import result_from_dict
 from repro.streaming.stream import ClaimArrival, arrival_to_dict
 
 
@@ -171,7 +170,8 @@ class ServiceClient:
     def result(self, session_id: str) -> SessionResult:
         """``GET /sessions/{id}/result`` — final when the session has
         completed, a non-mutating snapshot while it is still open."""
-        return result_from_dict(self._request("GET", f"/sessions/{session_id}/result"))
+        payload = self._request("GET", f"/sessions/{session_id}/result")
+        return SessionResult.from_dict(payload)
 
     def result_dict(self, session_id: str) -> dict:
         """Like :meth:`result` but returns the raw JSON payload."""

@@ -365,8 +365,6 @@ class SessionManager:
         def operation() -> dict:
             session = managed.session
             if session.mode == "streaming":
-                from repro.api import checkpoint as ckpt
-
                 if request.run:
                     result = session.run()
                     self._record_events(managed, len(result.stream_updates))
@@ -380,9 +378,7 @@ class SessionManager:
                 self._record_events(managed, len(updates))
                 return {
                     "id": managed.id,
-                    "updates": [
-                        ckpt.stream_update_to_dict(u) for u in updates
-                    ],
+                    "updates": [update.to_dict() for update in updates],
                     "completed": False,
                     "summary": self._summary(managed),
                 }
@@ -434,11 +430,9 @@ class SessionManager:
         def operation() -> dict:
             updates = managed.session.ingest(arrivals)
             self._record_events(managed, len(updates))
-            from repro.api import checkpoint as ckpt
-
             return {
                 "id": managed.id,
-                "updates": [ckpt.stream_update_to_dict(u) for u in updates],
+                "updates": [update.to_dict() for update in updates],
                 "summary": self._summary(managed),
             }
 

@@ -16,20 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional, Union
 
-import numpy as np
-
 from repro.api import SessionResult, SessionSpec
-from repro.api import checkpoint as ckpt
-from repro.crf.weights import CrfWeights
 from repro.errors import ServiceError
 from repro.streaming.stream import ClaimArrival, arrival_from_dict
-from repro.validation.session import ValidationTrace
 
 
 def _require_mapping(payload: Any, what: str) -> Mapping:
     if not isinstance(payload, Mapping):
         raise ServiceError(f"{what} must be a JSON object")
     return payload
+
+
+def _positive_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -74,18 +73,15 @@ class StepRequest:
         if unknown:
             raise ServiceError(f"step body does not accept {sorted(unknown)}")
         count = payload.get("count", 1)
-        if not isinstance(count, int) or count < 1:
+        if not _positive_int(count):
             raise ServiceError("step count must be a positive integer")
         max_iterations = payload.get("max_iterations")
-        if max_iterations is not None and (
-            not isinstance(max_iterations, int) or max_iterations < 1
-        ):
+        if max_iterations is not None and not _positive_int(max_iterations):
             raise ServiceError("max_iterations must be a positive integer")
-        return cls(
-            count=count,
-            run=bool(payload.get("run", False)),
-            max_iterations=max_iterations,
-        )
+        run = payload.get("run", False)
+        if not isinstance(run, bool):
+            raise ServiceError("step 'run' must be a JSON boolean")
+        return cls(count=count, run=run, max_iterations=max_iterations)
 
 
 @dataclass(frozen=True)
@@ -151,43 +147,7 @@ class LabelsRequest:
 
 def result_to_dict(result: SessionResult) -> dict:
     """Full-fidelity rendering of a :class:`SessionResult`."""
-    return {
-        "mode": result.mode,
-        "stop_reason": result.stop_reason,
-        "num_claims": result.num_claims,
-        "num_labelled": result.num_labelled,
-        "final_precision": result.final_precision,
-        "validated_claim_ids": list(result.validated_claim_ids),
-        "trace": None if result.trace is None else result.trace.to_dict(),
-        "stream_updates": [
-            ckpt.stream_update_to_dict(update) for update in result.stream_updates
-        ],
-        "weights": None if result.weights is None else result.weights.values.tolist(),
-    }
-
-
-def result_from_dict(payload: Mapping[str, Any]) -> SessionResult:
-    """Inverse of :func:`result_to_dict` (used by the client and tests)."""
-    trace = payload.get("trace")
-    weights = payload.get("weights")
-    return SessionResult(
-        mode=payload["mode"],
-        stop_reason=payload["stop_reason"],
-        num_claims=int(payload["num_claims"]),
-        num_labelled=int(payload["num_labelled"]),
-        final_precision=payload.get("final_precision"),
-        validated_claim_ids=list(payload.get("validated_claim_ids", [])),
-        trace=None if trace is None else ValidationTrace.from_dict(trace),
-        stream_updates=[
-            ckpt.stream_update_from_dict(entry)
-            for entry in payload.get("stream_updates", [])
-        ],
-        weights=(
-            None
-            if weights is None
-            else CrfWeights(np.asarray(weights, dtype=float))
-        ),
-    )
+    return result.to_dict()
 
 
 def error_to_dict(exc: BaseException, error_type: Optional[str] = None) -> dict:

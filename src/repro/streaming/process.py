@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.codec import JsonRecord
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
 from repro.data.database import DatabaseDelta, FactDatabase
@@ -52,7 +53,7 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class StreamUpdate:
+class StreamUpdate(JsonRecord):
     """Outcome of processing one arrival.
 
     Attributes:
@@ -68,7 +69,8 @@ class StreamUpdate:
             lines 2–6).
         update_seconds: Online-EM phase — the mean-field E-step, the
             stochastic-approximation M-step, and marginal persistence
-            (Alg. 2 lines 8–9).
+            (Alg. 2 lines 8–9).  Checkpoints older than format version 3
+            carry no phase split, so both phases default to zero there.
     """
 
     arrival_index: int

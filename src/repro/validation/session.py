@@ -3,7 +3,7 @@
 Every iteration of Alg. 1 appends an :class:`IterationRecord`;
 :class:`ValidationTrace` aggregates the sequence and exposes the series the
 experiments of §8 plot: precision vs. effort, entropy traces, response
-times, error rates, and the convergence indicators of §6.1.
+times, and the convergence indicators of §6.1.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.codec import JsonRecord
 from repro.data.grounding import Grounding, precision_improvement
 
 
 @dataclass
-class IterationRecord:
+class IterationRecord(JsonRecord):
     """Everything observed during one iteration of Alg. 1.
 
     Attributes:
@@ -67,34 +68,9 @@ class IterationRecord:
         """User interactions consumed (validations plus repairs)."""
         return len(self.claim_indices) + self.repairs
 
-    def to_dict(self) -> dict:
-        """Render the record as a JSON-compatible dictionary."""
-        return {
-            "iteration": self.iteration,
-            "claim_indices": [int(c) for c in self.claim_indices],
-            "user_values": [int(v) for v in self.user_values],
-            "strategy_used": self.strategy_used,
-            "error_rate": float(self.error_rate),
-            "hybrid_score": float(self.hybrid_score),
-            "unreliable_ratio": float(self.unreliable_ratio),
-            "entropy": float(self.entropy),
-            "precision": None if self.precision is None else float(self.precision),
-            "grounding_changes": int(self.grounding_changes),
-            "predictions_matched": [bool(m) for m in self.predictions_matched],
-            "response_seconds": float(self.response_seconds),
-            "skipped": int(self.skipped),
-            "repairs": int(self.repairs),
-            "claim_ids": list(self.claim_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "IterationRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**payload)
-
 
 @dataclass
-class ValidationTrace:
+class ValidationTrace(JsonRecord):
     """Complete record of one validation run.
 
     Attributes:
@@ -113,41 +89,6 @@ class ValidationTrace:
     records: List[IterationRecord] = field(default_factory=list)
     final_grounding: Optional[Grounding] = None
     stop_reason: str = "unfinished"
-
-    def to_dict(self) -> dict:
-        """Render the trace as a JSON-compatible dictionary."""
-        return {
-            "num_claims": int(self.num_claims),
-            "initial_precision": (
-                None
-                if self.initial_precision is None
-                else float(self.initial_precision)
-            ),
-            "initial_entropy": float(self.initial_entropy),
-            "stop_reason": self.stop_reason,
-            "final_grounding": (
-                None
-                if self.final_grounding is None
-                else self.final_grounding.values.tolist()
-            ),
-            "records": [record.to_dict() for record in self.records],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ValidationTrace":
-        """Inverse of :meth:`to_dict`."""
-        grounding = payload.get("final_grounding")
-        return cls(
-            num_claims=payload["num_claims"],
-            initial_precision=payload.get("initial_precision"),
-            initial_entropy=payload["initial_entropy"],
-            records=[
-                IterationRecord.from_dict(entry)
-                for entry in payload.get("records", [])
-            ],
-            final_grounding=None if grounding is None else Grounding(grounding),
-            stop_reason=payload.get("stop_reason", "unfinished"),
-        )
 
     # ------------------------------------------------------------------
     # Series accessors used by the experiment drivers
@@ -206,10 +147,6 @@ class ValidationTrace:
     def grounding_change_counts(self) -> np.ndarray:
         """CNG signal per iteration (§6.1)."""
         return np.asarray([r.grounding_changes for r in self.records])
-
-    def error_rates(self) -> np.ndarray:
-        """ε_i per iteration (Eq. 22)."""
-        return np.asarray([r.error_rate for r in self.records])
 
     def hybrid_scores(self) -> np.ndarray:
         """z_i per iteration (Eq. 23)."""

@@ -113,6 +113,32 @@ def random_databases(draw):
     return FactDatabase(sources, documents, claims)
 
 
+#: Session-spec payloads with a wrong-typed value or an invalid nested
+#: config, each with the dotted ``SpecError.field`` it must be reported at.
+MALFORMED_SPECS = (
+    ({"inference": {"em_iterations": "3"}}, "inference.em_iterations"),
+    ({"mode": "streaming", "seed": "x"}, "seed"),
+    (
+        {"mode": "streaming", "guidance": {"candidate_limit": 2.5}},
+        "guidance.candidate_limit",
+    ),
+    ({"dataset": {"name": "wiki", "scale": "1"}}, "dataset.scale"),
+    ({"effort": {"budget": True}}, "effort.budget"),
+    ({"user": {"error_probability": "0.1"}}, "user.error_probability"),
+    ({"guidance": {"gain": {"damping": 2}}}, "guidance.gain"),
+    ({"inference": {"mstep": {"regularization": -1.0}}}, "inference.mstep"),
+    ({"effort": {"termination": "urr"}}, "effort.termination"),
+    (
+        {"effort": {"termination": [{"kind": "urr"}, {"kind": 3}]}},
+        "effort.termination[1].kind",
+    ),
+    (
+        {"effort": {"termination": [{"kind": "cng", "params": [2]}]}},
+        "effort.termination[0].params",
+    ),
+)
+
+
 #: Ways an arrival can be rejected, keys of :func:`rejected_arrivals`.
 REJECTION_CASES = (
     "evidence-only first arrival",

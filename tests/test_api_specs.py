@@ -24,6 +24,8 @@ from repro.validation.goals import (
     TruePrecisionGoal,
 )
 
+from tests.fixtures import MALFORMED_SPECS
+
 
 class TestRoundTrips:
     def test_default_spec_round_trips_through_json(self):
@@ -209,6 +211,17 @@ class TestFieldPaths:
         with pytest.raises(SpecError) as excinfo:
             SessionSpec(inference={"estep_mode": "variational"})
         assert excinfo.value.field == "inference.estep_mode"
+
+
+class TestTypedDecoding:
+    """Wrong-typed values and invalid nested configs name their path."""
+
+    @pytest.mark.parametrize("payload, field", MALFORMED_SPECS)
+    def test_malformed_value_raises_spec_error_with_path(self, payload, field):
+        with pytest.raises(SpecError) as excinfo:
+            SessionSpec.from_dict(payload)
+        assert excinfo.value.field == field
+        assert str(excinfo.value).startswith(f"{field}: ")
 
 
 class TestBuilders:

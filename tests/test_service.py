@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import FactCheckSession, SessionSpec
+from repro.api import FactCheckSession, SessionResult, SessionSpec
 from repro.errors import ServiceError, SessionNotFoundError, StreamingError
 from repro.service import (
     ReproServiceServer,
@@ -28,12 +28,11 @@ from repro.service import (
 from repro.service.wire import (
     LabelsRequest,
     StepRequest,
-    result_from_dict,
     result_to_dict,
 )
 from repro.streaming import stream_from_database
 
-from tests.fixtures import REJECTION_CASES, rejected_arrivals
+from tests.fixtures import MALFORMED_SPECS, REJECTION_CASES, rejected_arrivals
 
 
 def batch_spec(seed: int = 11, budget: int = 6) -> SessionSpec:
@@ -362,6 +361,15 @@ class TestHTTPService:
         assert excinfo.value.error_type == "SpecError"
         assert excinfo.value.field == "inference.estep_mode"
 
+    @pytest.mark.parametrize("payload, field", MALFORMED_SPECS)
+    def test_malformed_spec_is_400_with_field(self, service, payload, field):
+        with pytest.raises(ServiceRequestError) as excinfo:
+            service.create_session(payload)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "SpecError"
+        assert excinfo.value.field == field
+        assert service.list_sessions() == []
+
     def test_unknown_session_is_404(self, service):
         with pytest.raises(ServiceRequestError) as excinfo:
             service.summary("ghost")
@@ -456,7 +464,7 @@ class TestEndToEndDurability:
 
         assert scrub(restarted) == scrub(result_to_dict(golden))
         # Round-trip through the typed result confirms full fidelity.
-        parsed = result_from_dict(restarted)
+        parsed = SessionResult.from_dict(restarted)
         assert parsed.validated_claim_ids == golden.validated_claim_ids
         assert np.array_equal(parsed.weights.values, golden.weights.values)
 
@@ -516,6 +524,15 @@ class TestWireModel:
             StepRequest.from_payload({"count": 0})
         with pytest.raises(ServiceError):
             StepRequest.from_payload({"bogus": 1})
+        assert StepRequest.from_payload({"run": True}).run is True
+        for body in (
+            {"run": "false"},
+            {"run": 1},
+            {"count": True},
+            {"max_iterations": True},
+        ):
+            with pytest.raises(ServiceError):
+                StepRequest.from_payload(body)
 
     def test_labels_request_validation(self):
         with pytest.raises(ServiceError):
@@ -529,7 +546,7 @@ class TestWireModel:
 
     def test_result_roundtrip(self):
         golden = FactCheckSession(batch_spec()).run()
-        parsed = result_from_dict(result_to_dict(golden))
+        parsed = SessionResult.from_dict(result_to_dict(golden))
         assert parsed.stop_reason == golden.stop_reason
         assert parsed.validated_claim_ids == golden.validated_claim_ids
         assert np.array_equal(parsed.weights.values, golden.weights.values)
