@@ -1,11 +1,13 @@
 """API: spec/wire contract consistency rule.
 
-* API001 — ``SpecError`` field paths must be real.  The HTTP service
-  relays :attr:`SpecError.field` verbatim so clients can highlight the
+* API001 — error field paths must be real.  The HTTP service relays
+  :attr:`SpecError.field` verbatim so clients can highlight the
   offending entry of a spec document; a typo'd path points users at a
-  field that does not exist.  For every ``SpecError(..., field="<literal>")``
-  raised inside a method of a dataclass, the first dotted segment (with
-  any ``[...]`` subscript stripped) must name a field of that dataclass.
+  field that does not exist.  A nested config's own error (e.g.
+  ``GuidanceError(..., field="damping")``) becomes part of that path.
+  For every ``SomeError(..., field="<literal>")`` raised inside a method
+  of a dataclass, the first dotted segment (with any ``[...]`` subscript
+  stripped) must name a field of that dataclass.
   Computed field paths (f-strings, variables, ``with_prefix`` chains)
   are out of static reach and are skipped.
 """
@@ -19,7 +21,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import ModuleContext, checker, rule_spec
 from repro.analysis.rules import decorator_call, iter_functions, literal_str
 
-rule_spec("API001", "SpecError field path does not name a dataclass field")
+rule_spec("API001", "error field path does not name a dataclass field")
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -38,14 +40,18 @@ def _dataclass_fields(cls: ast.ClassDef) -> set[str]:
     return fields
 
 
-def _spec_error_field(call: ast.Call) -> tuple[str, ast.expr] | None:
-    """The literal ``field=`` value of a ``SpecError(...)`` call, if any."""
+def _error_field(call: ast.Call) -> tuple[str, ast.expr] | None:
+    """The literal ``field=`` value of a ``...Error(...)`` call, if any.
+
+    Only :class:`SpecError` takes the field as its second positional
+    argument; other errors take it by keyword.
+    """
     func_name = None
     if isinstance(call.func, ast.Name):
         func_name = call.func.id
     elif isinstance(call.func, ast.Attribute):
         func_name = call.func.attr
-    if func_name != "SpecError":
+    if func_name is None or not func_name.endswith("Error"):
         return None
     for kw in call.keywords:
         if kw.arg == "field":
@@ -53,7 +59,7 @@ def _spec_error_field(call: ast.Call) -> tuple[str, ast.expr] | None:
             if value is not None:
                 return value, kw.value
             return None
-    if len(call.args) >= 2:
+    if func_name == "SpecError" and len(call.args) >= 2:
         value = literal_str(call.args[1])
         if value is not None:
             return value, call.args[1]
@@ -71,7 +77,7 @@ def _check_dataclass(ctx: ModuleContext, cls: ast.ClassDef) -> Iterator[Finding]
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
-            resolved = _spec_error_field(node)
+            resolved = _error_field(node)
             if resolved is None:
                 continue
             field_path, _ = resolved
@@ -80,7 +86,7 @@ def _check_dataclass(ctx: ModuleContext, cls: ast.ClassDef) -> Iterator[Finding]
                 yield ctx.finding(
                     "API001",
                     node,
-                    f"SpecError field path {field_path!r} does not start "
+                    f"error field path {field_path!r} does not start "
                     f"with a field of `{cls.name}` "
                     f"(fields: {', '.join(sorted(fields))})",
                     hint=(

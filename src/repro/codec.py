@@ -226,6 +226,6 @@ def _record_decoder(kind: type) -> _Codec:
         except SpecError:
             raise
         except ReproError as exc:
-            raise SpecError(str(exc)) from exc
+            raise SpecError(str(exc), field=exc.field) from exc
 
     return decode

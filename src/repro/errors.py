@@ -9,7 +9,16 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by the framework."""
+    """Base class for all errors raised by the framework.
+
+    A configuration check may name the key it rejected in :attr:`field`
+    (e.g. ``"damping"``); the spec decoder turns that into the dotted
+    path of the key within the whole spec document.
+    """
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class DataModelError(ReproError):
@@ -50,8 +59,7 @@ class SpecError(ReproError):
     """
 
     def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+        super().__init__(message, field=field)
 
     def __str__(self) -> str:
         message = self.args[0] if self.args else ""

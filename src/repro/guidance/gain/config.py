@@ -44,22 +44,30 @@ class GainConfig:
         if self.inference_mode not in INFERENCE_MODES:
             raise GuidanceError(
                 f"inference_mode must be one of {INFERENCE_MODES}, "
-                f"got {self.inference_mode!r}"
+                f"got {self.inference_mode!r}",
+                field="inference_mode",
             )
         if self.entropy_method not in ENTROPY_METHODS:
             raise GuidanceError(
                 f"entropy_method must be one of {ENTROPY_METHODS}, "
-                f"got {self.entropy_method!r}"
+                f"got {self.entropy_method!r}",
+                field="entropy_method",
             )
         if not 0.0 <= self.damping < 1.0:
-            raise GuidanceError(f"damping must be in [0, 1), got {self.damping}")
+            raise GuidanceError(
+                f"damping must be in [0, 1), got {self.damping}", field="damping"
+            )
         if self.meanfield_steps <= 0:
-            raise GuidanceError("meanfield_steps must be positive")
+            raise GuidanceError(
+                "meanfield_steps must be positive", field="meanfield_steps"
+            )
         if self.gibbs_burn_in <= 0:
             raise GuidanceError(
-                f"gibbs_burn_in must be positive, got {self.gibbs_burn_in}"
+                f"gibbs_burn_in must be positive, got {self.gibbs_burn_in}",
+                field="gibbs_burn_in",
             )
         if self.gibbs_samples <= 0:
             raise GuidanceError(
-                f"gibbs_samples must be positive, got {self.gibbs_samples}"
+                f"gibbs_samples must be positive, got {self.gibbs_samples}",
+                field="gibbs_samples",
             )

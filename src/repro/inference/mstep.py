@@ -57,11 +57,17 @@ class MStepConfig:
 
     def __post_init__(self) -> None:
         if self.regularization <= 0:
-            raise InferenceError("regularization must be positive")
+            raise InferenceError(
+                "regularization must be positive", field="regularization"
+            )
         if self.labelled_weight <= 0:
-            raise InferenceError("labelled_weight must be positive")
+            raise InferenceError(
+                "labelled_weight must be positive", field="labelled_weight"
+            )
         if self.max_iterations <= 0:
-            raise InferenceError("max_iterations must be positive")
+            raise InferenceError(
+                "max_iterations must be positive", field="max_iterations"
+            )
 
 
 def build_design_matrix(model: CrfModel, marginals: np.ndarray) -> np.ndarray:

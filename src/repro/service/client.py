@@ -42,10 +42,9 @@ class ServiceRequestError(ServiceError):
         error_type: Optional[str] = None,
         field: Optional[str] = None,
     ) -> None:
-        super().__init__(message)
+        super().__init__(message, field=field)
         self.status = status
         self.error_type = error_type
-        self.field = field
 
 
 class ServiceClient:

@@ -71,6 +71,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    # Headers and body go out in two sends; without TCP_NODELAY, Nagle
+    # holds the body back until the client's delayed ACK (>= 40 ms on
+    # Linux) on every keep-alive response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 

@@ -27,8 +27,13 @@ def _require_mapping(payload: Any, what: str) -> Mapping:
     return payload
 
 
+def _plain_int(value: Any) -> bool:
+    """A JSON integer: ``true``/``false`` are ints in Python, so exclude them."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _plain_int(value) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -131,12 +136,12 @@ class LabelsRequest:
             if "claim" not in entry or "value" not in entry:
                 raise ServiceError("label entries need 'claim' and 'value'")
             claim = entry["claim"]
-            if not isinstance(claim, (str, int)):
-                raise ServiceError("label claim must be a string id or an index")
+            if not (isinstance(claim, str) or _plain_int(claim)):
+                raise ServiceError("label claim must be a string id or an integer index")
             value = entry["value"]
-            if value not in (0, 1):
-                raise ServiceError("label value must be 0 or 1")
-            labels.append(LabelEntry(claim=claim, value=int(value)))
+            if not (_plain_int(value) and value in (0, 1)):
+                raise ServiceError("label value must be the integer 0 or 1")
+            labels.append(LabelEntry(claim=claim, value=value))
         return cls(labels=labels)
 
 

@@ -125,8 +125,8 @@ MALFORMED_SPECS = (
     ({"dataset": {"name": "wiki", "scale": "1"}}, "dataset.scale"),
     ({"effort": {"budget": True}}, "effort.budget"),
     ({"user": {"error_probability": "0.1"}}, "user.error_probability"),
-    ({"guidance": {"gain": {"damping": 2}}}, "guidance.gain"),
-    ({"inference": {"mstep": {"regularization": -1.0}}}, "inference.mstep"),
+    ({"guidance": {"gain": {"damping": 2}}}, "guidance.gain.damping"),
+    ({"inference": {"mstep": {"regularization": -1.0}}}, "inference.mstep.regularization"),
     ({"effort": {"termination": "urr"}}, "effort.termination"),
     (
         {"effort": {"termination": [{"kind": "urr"}, {"kind": 3}]}},

@@ -374,8 +374,14 @@ class TestApiRules:
 
                 def skipped(self, name):
                     raise SpecError("bad", field=name)
+
+                def nested(self):
+                    raise GuidanceError("bad", field="damping")
+
+                def nested_ok(self):
+                    raise GuidanceError("bad", field="kind")
             """
-        ) == [("API001", 10)]
+        ) == [("API001", 10), ("API001", 22)]
 
     def test_lint001_unparsable_file(self):
         findings, _ = lint_source("def broken(:\n", "bad.py")

@@ -405,6 +405,33 @@ class TestHTTPService:
         service.delete_session("traced")
         assert "traced" not in [e["id"] for e in service.list_sessions()]
 
+    def test_keepalive_responses_are_not_held_back(self, service):
+        # Headers and body leave in two sends; without TCP_NODELAY each
+        # body waits for the client's delayed ACK (~40 ms on Linux).
+        import http.client
+        import json
+        import statistics
+        import time
+        from urllib.parse import urlsplit
+
+        service.create_session(batch_spec(), session_id="loopback")
+        url = urlsplit(service.base_url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            for path in ("/healthz", "/sessions/loopback/result"):
+                elapsed_ms = []
+                for _ in range(10):
+                    start = time.perf_counter()
+                    connection.request("GET", path)
+                    response = connection.getresponse()
+                    body = response.read()
+                    elapsed_ms.append((time.perf_counter() - start) * 1e3)
+                    assert response.status == 200
+                    json.loads(body)
+                assert statistics.median(elapsed_ms) < 20.0, (path, elapsed_ms)
+        finally:
+            connection.close()
+
 
 class TestEndToEndDurability:
     """The acceptance-criterion scenario: checkpoint, kill, restart, equal."""
@@ -537,8 +564,15 @@ class TestWireModel:
     def test_labels_request_validation(self):
         with pytest.raises(ServiceError):
             LabelsRequest.from_payload({"labels": []})
-        with pytest.raises(ServiceError):
-            LabelsRequest.from_payload({"labels": [{"claim": "c1", "value": 2}]})
+        for entry in (
+            {"claim": "c1", "value": 2},
+            {"claim": True, "value": 1},
+            {"claim": "c1", "value": 1.0},
+            {"claim": "c1", "value": True},
+            {"claim": 1.5, "value": 1},
+        ):
+            with pytest.raises(ServiceError):
+                LabelsRequest.from_payload({"labels": [entry]})
         request = LabelsRequest.from_payload(
             {"labels": [{"claim": "c1", "value": 1}, {"claim": 4, "value": 0}]}
         )
