@@ -98,7 +98,7 @@ def main() -> None:
     )
     stream_result = client.result_dict(streaming["id"])
     print(
-        f"streaming finished ({stream_result['stop_reason']}): "
+        f"streaming session so far ({stream_result['stop_reason']}): "
         f"{stream_result['num_claims']} claims, "
         f"{stream_result['num_labelled']} labelled"
     )

@@ -4,8 +4,7 @@ Checkpoint/resume exactness (PR 2) requires ``state_dict`` to capture
 *every* piece of mutable state: a field that drifts after ``__init__``
 but is skipped by the checkpoint diverges silently after resume.  For
 each class defining the checkpoint protocol (``state_dict`` +
-``load_state_dict``, and optionally the streaming-side
-``mutable_state_dict`` / ``load_mutable_state``):
+``load_state_dict``):
 
 * every ``self.<attr>`` bound in ``__init__`` must be mentioned in one
   of the state methods or listed in the class-level ``_STATE_EXCLUDED``
@@ -39,12 +38,7 @@ rule_spec(
 )
 rule_spec("STATE002", "_STATE_EXCLUDED lists an attribute __init__ never assigns")
 
-_STATE_METHODS = (
-    "state_dict",
-    "load_state_dict",
-    "mutable_state_dict",
-    "load_mutable_state",
-)
+_STATE_METHODS = ("state_dict", "load_state_dict")
 _EXCLUSION_LIST = "_STATE_EXCLUDED"
 
 

@@ -1,28 +1,18 @@
 """Checkpoint files: persisting a session so it can resume bit-for-bit.
 
-A checkpoint is a single JSON document containing the session's
-:class:`~repro.api.specs.SessionSpec`, the corpus structure (batch mode) or
-the streamed entities (streaming mode), and the full mutable run state —
-database labels and probabilities, model weights, Gibbs-chain spins, every
-RNG bit-stream position, the trace, and all auxiliary counters.  Restoring
-rebuilds the object graph from the spec and overlays the saved state, so a
-resumed session continues the *same* random stream and reproduces the
-uninterrupted run exactly (asserted by ``tests/test_api_checkpoint.py``).
-
-Python's ``json`` round-trips both ``float`` values (shortest-repr) and the
-arbitrary-precision integers of the PCG64 RNG state losslessly, which is
-what makes a textual checkpoint format viable for bit-for-bit resume.
-
-Two compaction mechanisms keep checkpoints small for large corpora:
-
-* paths ending in ``.gz`` (the service spool uses ``.json.gz``) are
-  gzip-compressed on write and detected transparently on read;
-* version-2 checkpoints of sessions whose corpus came from a
-  :class:`~repro.api.specs.DatasetSpec` store only a structural
-  fingerprint instead of re-embedding the full corpus — loading
-  regenerates the corpus from the spec (generation is deterministic) and
-  verifies the fingerprint.  Version-1 checkpoints (corpus embedded) load
-  unchanged.
+A checkpoint is one JSON document: format headers and the session's
+:class:`~repro.api.specs.SessionSpec`, the *structure origin* — where the
+corpus or the streamed entities come from on load — and the mutable run
+``state`` (labels, probabilities, weights, Gibbs-chain spins, every RNG
+position, the trace, and the counters).  The origin is either embedded or
+generated: a corpus from a :class:`~repro.api.specs.DatasetSpec` is stored
+as a fingerprint (v2) and regenerated, a stream read only from its
+declared source as a fingerprint plus a position (v3) and replayed.
+Restoring rebuilds the object graph from the spec and overlays the state,
+so a resumed session reproduces the uninterrupted run exactly (asserted
+by ``tests/test_api_checkpoint.py``); Python's ``json`` round-trips floats
+and the PCG64 state's big integers losslessly.  Paths ending in ``.gz``
+are gzip-compressed, which reading detects from the contents.
 """
 
 from __future__ import annotations
@@ -64,8 +54,13 @@ def checkpoint_spec(payload: dict) -> dict:
     changed a result, so they are dropped here and those files (service
     spool entries included) still load.  Specs supplied by a user still
     fail on these keys.
+
+    Raises:
+        CheckpointError: When the ``mode`` header disagrees with the spec.
     """
     spec = payload["spec"]
+    if spec.get("mode", "batch") != payload.get("mode"):
+        raise CheckpointError("checkpoint mode does not match its spec")
     inference = spec.get("inference") or {}
     for key in ("engine", "num_shards"):
         inference.pop(key, None)
@@ -100,12 +95,22 @@ def write_checkpoint(
     raw = document.encode("utf-8")
     if compress:
         raw = gzip.compress(raw)
-    # Atomic replace: a crash mid-write must never leave a torn
-    # checkpoint where a good one stood (the service spool rewrites these
-    # files after every mutating request).
+    # Atomic, durable replace: a crash or power loss mid-write must never
+    # leave a torn or empty checkpoint where a good one stood (the service
+    # spool rewrites these files after every mutating request).  The
+    # staging file reaches the disk before the rename, and the rename
+    # before this call returns.
     staging = path.with_name(path.name + ".tmp")
-    staging.write_bytes(raw)
+    with open(staging, "wb") as handle:
+        handle.write(raw)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(staging, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def read_checkpoint(path: Union[str, Path]) -> dict:
@@ -150,28 +155,13 @@ def database_fingerprint(database) -> dict:
     scale — the truth pattern can).
     """
     digest = hashlib.sha256()
-    for claim in database.claims:
-        digest.update(claim.claim_id.encode("utf-8"))
-        digest.update(b"\x1f")
-        digest.update(str(claim.truth).encode("utf-8"))
-        digest.update(b"\x1e")
+    _update(digest, _claim_keys(database.claims))
     return {
         "num_claims": database.num_claims,
         "num_documents": len(database.documents),
         "num_sources": len(database.sources),
         "claims_digest": digest.hexdigest()[:16],
     }
-
-
-def verify_fingerprint(database, fingerprint: dict, path) -> None:
-    """Raise :class:`CheckpointError` when a regenerated corpus mismatches."""
-    actual = database_fingerprint(database)
-    if actual != fingerprint:
-        raise CheckpointError(
-            f"corpus regenerated from the spec does not match the corpus "
-            f"checkpointed at {path}: expected {fingerprint}, got {actual} "
-            f"(was the dataset file or generator changed?)"
-        )
 
 
 def stream_fingerprint(checker) -> dict:
@@ -183,35 +173,38 @@ def stream_fingerprint(checker) -> dict:
     Loading replays the stream from the spec and verifies the fingerprint,
     mirroring the batch-mode :func:`database_fingerprint` compaction.
     """
+    sources, documents, claims = checker.entities
     digest = hashlib.sha256()
-    for source in checker._sources:
-        digest.update(source.source_id.encode("utf-8"))
-        digest.update(b"\x1e")
+    _update(digest, (source.source_id for source in sources))
     digest.update(b"\x1d")
-    for document in checker._documents:
-        digest.update(document.document_id.encode("utf-8"))
-        digest.update(b"\x1e")
+    _update(digest, (document.document_id for document in documents))
     digest.update(b"\x1d")
-    for claim in checker._claims:
-        digest.update(claim.claim_id.encode("utf-8"))
-        digest.update(b"\x1f")
-        digest.update(str(claim.truth).encode("utf-8"))
-        digest.update(b"\x1e")
+    _update(digest, _claim_keys(claims))
     return {
-        "num_claims": len(checker._claims),
-        "num_documents": len(checker._documents),
-        "num_sources": len(checker._sources),
+        "num_claims": len(claims),
+        "num_documents": len(documents),
+        "num_sources": len(sources),
         "entities_digest": digest.hexdigest()[:16],
     }
 
 
-def verify_stream_fingerprint(checker, fingerprint: dict, path) -> None:
-    """Raise :class:`CheckpointError` when a replayed stream mismatches."""
-    actual = stream_fingerprint(checker)
-    if actual != fingerprint:
-        raise CheckpointError(
-            f"stream replayed from the spec does not match the stream "
-            f"checkpointed at {path}: expected {fingerprint}, got {actual} "
-            f"(was the stream source or its dataset changed?)"
-        )
+def _claim_keys(claims):
+    """Each claim's identifier and ground truth, as one digest entry."""
+    return (f"{claim.claim_id}\x1f{claim.truth}" for claim in claims)
 
+
+def _update(digest, entries) -> None:
+    for entry in entries:
+        digest.update(entry.encode("utf-8"))
+        digest.update(b"\x1e")
+
+
+def verify_fingerprint(actual: dict, expected: dict, path, what: str) -> None:
+    """Raise :class:`CheckpointError` when a regenerated ``what`` (the
+    corpus or the stream) does not match the one checkpointed."""
+    if actual != expected:
+        raise CheckpointError(
+            f"{what} regenerated from the spec does not match the {what} "
+            f"checkpointed at {path}: expected {expected}, got {actual} "
+            f"(was the dataset, its generator or the stream source changed?)"
+        )

@@ -19,32 +19,33 @@ streams and reproduces the uninterrupted run bit-for-bit.  Claims are
 addressed by their stable string identifier everywhere on this surface
 (dense indices are accepted too and mapped internally).  :meth:`close`
 returns a :class:`SessionResult` — the single result type shared by both
-modes.
+modes.  What differs between the modes lives in one driver per mode
+(:mod:`repro.api.drivers`), picked once from ``spec.mode``; :meth:`advance`
+drives either mode by a bounded slice of work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count as counter
 from typing import Iterable, List, Optional, Union
-
-import numpy as np
 
 from repro.codec import JsonRecord
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
-from repro.data.grounding import Grounding
-from repro.errors import CheckpointError, SessionError, SpecError
-from repro.inference.icrf import ICrf
-from repro.streaming.process import StreamingFactChecker, StreamUpdate
+from repro.errors import CheckpointError, SessionError
+from repro.streaming.process import StreamUpdate
 from repro.streaming.stream import ClaimArrival
-from repro.utils.rng import derive_rng, ensure_rng, rng_state, set_rng_state
+from repro.utils.rng import derive_rng, ensure_rng
 from repro.validation.oracle import User
-from repro.validation.process import ValidationProcess
 from repro.validation.session import IterationRecord, ValidationTrace
 
 from repro.api import checkpoint as ckpt
+from repro.api.drivers import BatchDriver, StreamDriver
 from repro.api.specs import SessionSpec
+
+#: The driver of each session mode (see :mod:`repro.api.drivers`).
+_DRIVERS = {"batch": BatchDriver, "streaming": StreamDriver}
 
 
 @dataclass
@@ -85,9 +86,10 @@ class FactCheckSession:
     Args:
         spec: Declarative configuration; fully determines the run together
             with the corpus.
-        database: The corpus to check.  Optional when ``spec.dataset`` is
-            set (the session then materialises it); ignored in streaming
-            mode, where claims arrive through :meth:`observe`.
+        database: The corpus to check (batch mode).  Optional when
+            ``spec.dataset`` is set (the session then materialises it).
+            Streaming sessions take none — claims arrive through
+            :meth:`observe` — and raise :class:`SessionError` if given one.
         user: Validating user.  Defaults to the simulated oracle described
             by ``spec.user``; pass a custom :class:`User` to plug in crowd
             consensus or a real frontend (such sessions cannot be
@@ -105,25 +107,10 @@ class FactCheckSession:
             raise SessionError("FactCheckSession needs a SessionSpec")
         self._spec = spec
         self._status = "new"
-        self._explicit_database = database
-        self._database_generated = False
         self._explicit_user = user
         self._user: Optional[User] = None
         self._result: Optional[SessionResult] = None
-        # Batch internals.
-        self._process = None
-        # Streaming internals.
-        self._checker = None
-        self._rng: Optional[np.random.Generator] = None
-        self._updates: List[StreamUpdate] = []
-        self._records: List[IterationRecord] = []
-        self._validated: List[str] = []
-        self._since_validation = 0
-        # Whether any arrival came from outside the declared stream
-        # source; such sessions cannot use compact (replayable)
-        # checkpoints because the source cannot regenerate the entities.
-        self._external_arrivals = False
-        self._replaying_source = False
+        self._driver = _DRIVERS[spec.mode](spec, database)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -148,31 +135,25 @@ class FactCheckSession:
     def database(self) -> FactDatabase:
         """The current corpus (streaming: the snapshot over all arrivals)."""
         self._require_built()
-        if self.mode == "batch":
-            return self._process.database
-        return self._checker.database
+        return self._driver.database
 
     @property
     def trace(self) -> ValidationTrace:
         """The unified validation trace."""
         self._require_built()
-        if self.mode == "batch":
-            return self._process.trace
-        return self._streaming_trace()
+        return self._driver.trace
 
     @property
     def process(self):
         """The underlying :class:`ValidationProcess` (batch mode only)."""
         self._require_built()
-        self._require_mode("batch", "process")
-        return self._process
+        return self._mode_driver(BatchDriver, "process").process
 
     @property
     def checker(self):
         """The underlying :class:`StreamingFactChecker` (streaming only)."""
         self._require_built()
-        self._require_mode("streaming", "checker")
-        return self._checker
+        return self._mode_driver(StreamDriver, "checker").checker
 
     def claim_index(self, claim: Union[str, int]) -> int:
         """Dense index of a claim given by identifier or index."""
@@ -189,9 +170,18 @@ class FactCheckSession:
     def current_precision(self) -> Optional[float]:
         """True precision of the current grounding, when truth is known."""
         self._require_built()
-        if self.mode == "batch":
-            return self._process.current_precision()
-        return self._streaming_precision()
+        return self._driver.current_precision()
+
+    def progress(self) -> dict:
+        """How far the session has come, as counts.
+
+        ``num_claims`` and ``num_labelled`` describe the current corpus
+        (zero before a stream's first arrival), ``iterations`` the
+        validation iterations so far; streaming sessions add
+        ``arrivals``.
+        """
+        self._require_built()
+        return self._driver.progress()
 
     # ------------------------------------------------------------------
     # Lifecycle: open
@@ -203,83 +193,19 @@ class FactCheckSession:
             return self
         if self._status == "closed":
             raise SessionError("session is closed; create or load a new one")
-        self._build(resume=None)
-        self._status = "open"
+        self._open(checkpoint=None, path=None)
         return self
 
-    def _build(self, resume: Optional[dict]) -> None:
-        spec = self._spec
-        root = ensure_rng(spec.seed)
-        if spec.mode == "batch":
-            database = resolve_database(spec, self._explicit_database)
-            self._database_generated = (
-                self._explicit_database is None and spec.dataset is not None
-            )
-            self._user = (
-                self._explicit_user
-                if self._explicit_user is not None
-                else spec.user.build(seed=derive_rng(root, 0))
-            )
-            icrf = ICrf(database, spec.inference, seed=derive_rng(root, 1))
-            self._process = ValidationProcess(
-                database, spec, user=self._user, icrf=icrf, seed=derive_rng(root, 2)
-            )
-            if resume is None:
-                self._process.initialize()
-            else:
-                self._process.load_state_dict(resume["process"])
-                self._validated = list(resume.get("validated", []))
-        else:
-            self._rng = root
-            self._user = (
-                self._explicit_user
-                if self._explicit_user is not None
-                else spec.user.build(seed=derive_rng(root, 0))
-            )
-            self._checker = StreamingFactChecker(spec, seed=derive_rng(root, 1))
-            if resume is not None:
-                if "stream_position" in resume:
-                    # Compact checkpoint: regenerate the entity sets by
-                    # replaying the declared source, then overlay the
-                    # saved mutable state.
-                    source = spec.stream.source
-                    if source is None:
-                        raise CheckpointError(
-                            "checkpoint stores a stream position but the "
-                            "spec declares no stream source; the streamed "
-                            "entities cannot be regenerated"
-                        )
-                    position = int(resume["stream_position"])
-                    replayed = self._checker.replay_structure(
-                        islice(source.arrivals(), position)
-                    )
-                    if replayed != position:
-                        raise CheckpointError(
-                            f"stream source yielded only {replayed} of the "
-                            f"{position} arrivals recorded in the checkpoint "
-                            f"(was the source's dataset changed?)"
-                        )
-                    self._checker.load_mutable_state(resume["checker"])
-                else:
-                    self._checker.load_state_dict(resume["checker"])
-                    if spec.stream.source is not None:
-                        # Entities were embedded despite a declared
-                        # source: arrivals came from outside it, so the
-                        # resumed session must not trust the position.
-                        self._external_arrivals = True
-                set_rng_state(self._rng, resume["session_rng"])
-                if resume.get("user") is not None and hasattr(
-                    self._user, "load_state_dict"
-                ):
-                    self._user.load_state_dict(resume["user"])
-                self._updates = [
-                    StreamUpdate.from_dict(entry) for entry in resume["updates"]
-                ]
-                self._records = [
-                    IterationRecord.from_dict(entry) for entry in resume["records"]
-                ]
-                self._validated = list(resume["validated"])
-                self._since_validation = int(resume["since_validation"])
+    def _open(self, checkpoint: Optional[dict], path) -> None:
+        """Build the user and the driver, fresh or from a checkpoint."""
+        root = ensure_rng(self._spec.seed)
+        self._user = (
+            self._explicit_user
+            if self._explicit_user is not None
+            else self._spec.user.build(seed=derive_rng(root, 0))
+        )
+        self._driver.open(root, self._user, checkpoint, path)
+        self._status = "open"
 
     def __enter__(self) -> "FactCheckSession":
         return self.open()
@@ -289,29 +215,18 @@ class FactCheckSession:
             self.close()
 
     # ------------------------------------------------------------------
-    # Batch stepping
+    # Driving: step (batch); observe, validate, ingest (streaming)
     # ------------------------------------------------------------------
 
     def step(self) -> IterationRecord:
         """Run one validation iteration (Alg. 1 lines 6–19; batch mode)."""
         self._require_open()
-        self._require_mode("batch", "step")
-        return self._process.step()
-
-    # ------------------------------------------------------------------
-    # Streaming: observe and interleaved validation
-    # ------------------------------------------------------------------
+        return self._mode_driver(BatchDriver, "step").process.step()
 
     def observe(self, arrival: ClaimArrival) -> StreamUpdate:
         """Ingest one claim arrival with online EM (Alg. 2; streaming)."""
         self._require_open()
-        self._require_mode("streaming", "observe")
-        update = self._checker.observe(arrival)
-        if not self._replaying_source:
-            self._external_arrivals = True
-        self._updates.append(update)
-        self._since_validation += 1
-        return update
+        return self._mode_driver(StreamDriver, "observe").observe(arrival)
 
     def validate(self, count: int = 1) -> List[IterationRecord]:
         """Run a validation burst on the current snapshot (streaming).
@@ -323,39 +238,10 @@ class FactCheckSession:
         back (Alg. 2 line 10).
         """
         self._require_open()
-        self._require_mode("streaming", "validate")
+        driver = self._mode_driver(StreamDriver, "validate")
         if count < 1:
             raise SessionError("validate count must be at least 1")
-        snapshot = self._checker.database
-        records: List[IterationRecord] = []
-        if snapshot.unlabelled_indices.size == 0:
-            return records
-        icrf = ICrf(snapshot, self._spec.inference, seed=derive_rng(self._rng, 0))
-        weights = self._checker.weights
-        if weights is not None:
-            icrf.set_weights(weights)
-        process = ValidationProcess(
-            snapshot,
-            self._spec,
-            user=self._user,
-            icrf=icrf,
-            seed=derive_rng(self._rng, 1),
-        )
-        process.initialize()
-        for _ in range(count):
-            if snapshot.unlabelled_indices.size == 0:
-                break
-            if process.goal.satisfied(process):
-                break
-            record = process.step()
-            for claim_id, value in zip(record.claim_ids, record.user_values):
-                self._checker.record_label(claim_id, value)
-                self._validated.append(claim_id)
-            self._records.append(record)
-            records.append(record)
-        self._checker.receive_weights(icrf.weights)
-        self._since_validation = 0
-        return records
+        return driver.validate(count)
 
     def ingest(
         self,
@@ -381,15 +267,15 @@ class FactCheckSession:
                 consistent point for periodic checkpoints.
         """
         self._require_open()
-        self._require_mode("streaming", "ingest")
+        driver = self._mode_driver(StreamDriver, "ingest")
         every = self._spec.stream.validation_every
         updates: List[StreamUpdate] = []
         for arrival in arrivals:
-            update = self.observe(arrival)
+            update = driver.observe(arrival)
             updates.append(update)
             if on_update is not None:
                 on_update(update)
-            if every is not None and self._since_validation >= every:
+            if every is not None and driver.since_validation >= every:
                 self.validate(every)
             if after_arrival is not None:
                 after_arrival(update)
@@ -407,9 +293,6 @@ class FactCheckSession:
         by ``spec.stream.source`` (a
         :class:`~repro.api.specs.StreamSourceSpec`) and resumes from
         wherever the previous call — or a restored checkpoint — left off.
-        Sessions driven exclusively through this method checkpoint in the
-        compact form: :meth:`save` stores the stream fingerprint and
-        position instead of embedding every streamed entity.
 
         Args:
             count: How many arrivals to observe; ``None`` consumes the
@@ -424,47 +307,31 @@ class FactCheckSession:
                 position would no longer describe the session's state).
         """
         self._require_open()
-        self._require_mode("streaming", "ingest_from_source")
-        source = self._spec.stream.source
-        if source is None:
-            raise SessionError(
-                "ingest_from_source needs spec.stream.source (a "
-                "StreamSourceSpec declaring the replayable stream)"
-            )
-        if count is not None and count < 1:
-            raise SessionError("ingest_from_source count must be at least 1")
-        if self._external_arrivals:
-            raise SessionError(
-                "this session observed arrivals outside its declared "
-                "stream source; the stream position is meaningless — "
-                "keep driving it with observe()/ingest()"
-            )
-        skip = self._checker.arrivals
-        stop = None if count is None else skip + count
-        arrivals = islice(source.arrivals(), skip, stop)
-        self._replaying_source = True
-        try:
+        driver = self._mode_driver(StreamDriver, "ingest_from_source")
+        with driver.source_arrivals(count) as arrivals:
             return self.ingest(
                 arrivals, on_update=on_update, after_arrival=after_arrival
             )
-        finally:
-            self._replaying_source = False
 
     def record_label(self, claim: Union[str, int], value: int) -> None:
         """Register external user input for a claim (id or index)."""
         self._require_open()
-        if self.mode == "streaming":
-            claim_id = self.claim_id(claim)
-            self._checker.record_label(claim_id, value)
-            self._validated.append(claim_id)
-        else:
-            index = self.claim_index(claim)
-            self._process.database.label(index, value)
-            self._validated.append(self._process.database.claim_id(index))
+        self._driver.label(claim, value)
 
-    # ------------------------------------------------------------------
-    # Full runs
-    # ------------------------------------------------------------------
+    def advance(self, count: int = 1) -> list:
+        """Advance an open session by a bounded slice of work; it stays open.
+
+        Batch sessions run up to ``count`` iterations of the Alg. 1 loop,
+        stopping early exactly where :meth:`run` would (running out of
+        ``count`` leaves the trace unfinished), and return the new
+        :class:`IterationRecord` objects.  Streaming sessions observe the
+        next ``count`` arrivals of ``spec.stream.source`` and return their
+        :class:`StreamUpdate` objects (:meth:`ingest_from_source`).
+        """
+        self._require_open()
+        if count < 1:
+            raise SessionError("advance count must be at least 1")
+        return self._driver.advance(self, count)
 
     def run(
         self,
@@ -506,46 +373,17 @@ class FactCheckSession:
         if self._status == "new":
             self.open()
         self._require_open()
-        if self.mode == "batch":
-            if arrivals is not None:
-                raise SessionError("batch sessions take no arrivals; use mode='streaming'")
-            after_iteration = None
-            if checkpoint_every is not None:
-                completed = [0]
+        after_event = None
+        if checkpoint_every is not None:
+            completed = counter(1)
 
-                def after_iteration(record) -> None:
-                    completed[0] += 1
-                    if completed[0] % checkpoint_every == 0:
-                        self.save(checkpoint_path)
+            def after_event(_event) -> None:
+                # The one point after each iteration or arrival at which
+                # the whole mutable state reflects it.
+                if next(completed) % checkpoint_every == 0:
+                    self.save(checkpoint_path)
 
-            self._process.run(
-                max_iterations=max_iterations,
-                on_iteration=on_iteration,
-                after_iteration=after_iteration,
-            )
-        else:
-            if arrivals is None and self._spec.stream.source is None:
-                raise SessionError(
-                    "streaming sessions need an arrival iterable (or a "
-                    "spec.stream.source to replay)"
-                )
-            after_arrival = None
-            if checkpoint_every is not None:
-                observed = [0]
-
-                def after_arrival(update) -> None:
-                    observed[0] += 1
-                    if observed[0] % checkpoint_every == 0:
-                        self.save(checkpoint_path)
-
-            if arrivals is None:
-                self.ingest_from_source(
-                    on_update=on_iteration, after_arrival=after_arrival
-                )
-            else:
-                self.ingest(
-                    arrivals, on_update=on_iteration, after_arrival=after_arrival
-                )
+        self._driver.run(self, arrivals, max_iterations, on_iteration, after_event)
         if checkpoint_every is not None:
             self.save(checkpoint_path)
         return self.close()
@@ -563,15 +401,14 @@ class FactCheckSession:
             assert self._result is not None
             return self._result
         self._require_open()
-        self._result = self._build_result()
+        self._result = SessionResult(
+            mode=self.mode, **self._driver.result_fields(closing=True)
+        )
         self._status = "closed"
         return self._result
 
     def result(self) -> SessionResult:
         """The session result (closing the session if still open)."""
-        if self._status == "closed":
-            assert self._result is not None
-            return self._result
         return self.close()
 
     def result_snapshot(self) -> SessionResult:
@@ -579,103 +416,16 @@ class FactCheckSession:
 
         Safe to call repeatedly on an open session (the service layer
         serves ``GET .../result`` from it): nothing is mutated, stepping
-        and observing continue afterwards, and an open mid-run batch
-        session honestly reports ``stop_reason="unfinished"``.  On a
-        closed session this is simply the final result.
+        and observing continue afterwards, and an open session that has
+        not reached a stop condition honestly reports
+        ``stop_reason="unfinished"`` in either mode.  On a closed session
+        this is simply the final result.
         """
         self._require_built()
         if self._status == "closed":
-            assert self._result is not None
-            return self._result
-        return self._build_result(closing=False)
-
-    def _build_result(self, closing: bool = True) -> SessionResult:
-        if self.mode == "batch":
-            process = self._process
-            trace = process.trace
-            if closing:
-                if trace.stop_reason == "unfinished":
-                    trace.stop_reason = "closed"
-                if trace.final_grounding is None and process._grounding is not None:
-                    trace.final_grounding = process._grounding
-            else:
-                # Snapshot: same content, but leave the live trace
-                # untouched so the session can keep running.
-                trace = ValidationTrace(
-                    num_claims=trace.num_claims,
-                    initial_precision=trace.initial_precision,
-                    initial_entropy=trace.initial_entropy,
-                    records=list(trace.records),
-                    final_grounding=(
-                        trace.final_grounding
-                        if trace.final_grounding is not None
-                        else process._grounding
-                    ),
-                    stop_reason=trace.stop_reason,
-                )
-            # Iteration-validated claims first, then labels registered
-            # externally through record_label().
-            validated = [
-                claim_id
-                for record in trace.records
-                for claim_id in record.claim_ids
-            ] + list(self._validated)
-            return SessionResult(
-                mode="batch",
-                stop_reason=trace.stop_reason,
-                num_claims=process.database.num_claims,
-                num_labelled=process.database.num_labelled,
-                final_precision=process.current_precision(),
-                validated_claim_ids=validated,
-                trace=trace,
-                stream_updates=[],
-                weights=process.icrf.weights.copy(),
-            )
-        trace = self._streaming_trace()
-        if self._updates:
-            trace.stop_reason = "stream_end"
-        else:
-            trace.stop_reason = "closed" if closing else "unfinished"
-        weights = self._checker.weights
-        num_claims = 0
-        num_labelled = 0
-        if self._updates:
-            database = self._checker.database
-            num_claims = database.num_claims
-            num_labelled = database.num_labelled
-        return SessionResult(
-            mode="streaming",
-            stop_reason=trace.stop_reason,
-            num_claims=num_claims,
-            num_labelled=num_labelled,
-            final_precision=self._streaming_precision(),
-            validated_claim_ids=list(self._validated),
-            trace=trace,
-            stream_updates=list(self._updates),
-            weights=weights,
-        )
-
-    def _streaming_trace(self) -> ValidationTrace:
-        num_claims = 0
-        if self._checker is not None and self._updates:
-            num_claims = self._checker.database.num_claims
-        return ValidationTrace(
-            num_claims=max(num_claims, 1),
-            initial_precision=None,
-            initial_entropy=0.0,
-            records=list(self._records),
-        )
-
-    def _streaming_precision(self) -> Optional[float]:
-        if not self._updates:
-            return None
-        database = self._checker.database
-        try:
-            truth = database.truth_vector()
-        except Exception:
-            return None
-        grounding = Grounding.from_probabilities(database.probabilities)
-        return grounding.precision(truth)
+            return self.close()
+        fields = self._driver.result_fields(closing=False)
+        return SessionResult(mode=self.mode, **fields)
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
@@ -688,14 +438,12 @@ class FactCheckSession:
         finished run restores its final state); loading always yields an
         open session.
 
-        Batch sessions whose corpus was materialised from
-        ``spec.dataset`` store only a structural fingerprint instead of
-        re-embedding the corpus — :meth:`load` regenerates it from the spec
-        (corpus generation is deterministic) and verifies the fingerprint.
-        Streaming sessions driven exclusively from ``spec.stream.source``
-        compact the same way: the checkpoint stores the stream position
-        and a fingerprint, and :meth:`load` replays the source's first
-        ``stream_position`` arrivals instead of embedding every entity.
+        The document holds the format headers, the *structure origin* and
+        the mutable ``state``.  A corpus materialised from ``spec.dataset``
+        is stored as a fingerprint, and :meth:`load` regenerates it; a
+        stream read only from ``spec.stream.source`` is stored as a
+        fingerprint plus its position, and :meth:`load` replays it.  Any
+        other corpus or stream is embedded.
 
         Args:
             path: Destination file; a ``.gz`` suffix (e.g. ``.json.gz``)
@@ -714,53 +462,9 @@ class FactCheckSession:
             "mode": self.mode,
             "user_type": type(self._user).__name__,
             "spec": self._spec.to_dict(),
+            **self._driver.origin(),
+            "state": self._driver.state_dict(),
         }
-        if self.mode == "batch":
-            from repro.datasets.io import database_to_dict
-
-            if self._database_generated:
-                payload["database_fingerprint"] = ckpt.database_fingerprint(
-                    self._process.database
-                )
-            else:
-                payload["database"] = database_to_dict(self._process.database)
-            payload["state"] = {
-                "process": self._process.state_dict(),
-                "validated": list(self._validated),
-            }
-        else:
-            if (
-                self._spec.stream.source is not None
-                and not self._external_arrivals
-            ):
-                # Compact form: every entity came from the declared
-                # replayable source, so store only the checker's mutable
-                # state plus the stream position and a fingerprint — load
-                # replays the first `stream_position` arrivals and
-                # verifies the fingerprint.
-                payload["stream_fingerprint"] = ckpt.stream_fingerprint(
-                    self._checker
-                )
-                checker_state = self._checker.mutable_state_dict()
-                stream_position = self._checker.arrivals
-            else:
-                checker_state = self._checker.state_dict()
-                stream_position = None
-            payload["state"] = {
-                "checker": checker_state,
-                "session_rng": rng_state(self._rng),
-                "user": (
-                    self._user.state_dict()
-                    if hasattr(self._user, "state_dict")
-                    else None
-                ),
-                "updates": [update.to_dict() for update in self._updates],
-                "records": [record.to_dict() for record in self._records],
-                "validated": list(self._validated),
-                "since_validation": self._since_validation,
-            }
-            if stream_position is not None:
-                payload["state"]["stream_position"] = stream_position
         ckpt.write_checkpoint(path, payload, compress=compress)
 
     @classmethod
@@ -780,16 +484,15 @@ class FactCheckSession:
 
         Args:
             path: Checkpoint file written by :meth:`save`.
-            database: Optional replacement corpus (must match the stored
-                structure); by default the corpus embedded in the
-                checkpoint is used.
+            database: Optional replacement corpus for a batch checkpoint
+                (must match the stored structure); by default the corpus
+                embedded in, or regenerated for, the checkpoint is used.
+                Streaming checkpoints take none.
             user: Optional custom user; defaults to rebuilding (and
                 restoring) the spec's simulated user.
         """
         payload = ckpt.read_checkpoint(path)
         spec = SessionSpec.from_dict(ckpt.checkpoint_spec(payload))
-        if spec.mode != payload.get("mode"):
-            raise CheckpointError("checkpoint mode does not match its spec")
         saved_user_type = payload.get("user_type", "SimulatedUser")
         if user is not None:
             if type(user).__name__ != saved_user_type:
@@ -802,39 +505,8 @@ class FactCheckSession:
                 f"checkpoint was saved with a custom {saved_user_type} user; "
                 f"pass user= to load()"
             )
-        if spec.mode == "batch":
-            from repro.datasets.io import database_from_dict
-
-            regenerated = False
-            if database is not None:
-                corpus = database
-            elif "database" in payload:
-                corpus = database_from_dict(payload["database"])
-            else:
-                # Compact checkpoint: the corpus was not embedded because
-                # the spec regenerates it deterministically.
-                if spec.dataset is None:
-                    raise CheckpointError(
-                        f"{path} embeds no corpus and its spec has no "
-                        f"dataset; pass database= to load()"
-                    )
-                corpus = spec.dataset.load()
-                regenerated = True
-            fingerprint = payload.get("database_fingerprint")
-            if fingerprint is not None:
-                ckpt.verify_fingerprint(corpus, fingerprint, path)
-            session = cls(spec, database=corpus, user=user)
-            session._build(resume=payload["state"])
-            session._database_generated = regenerated
-        else:
-            session = cls(spec, user=user)
-            session._build(resume=payload["state"])
-            fingerprint = payload.get("stream_fingerprint")
-            if fingerprint is not None:
-                ckpt.verify_stream_fingerprint(
-                    session._checker, fingerprint, path
-                )
-        session._status = "open"
+        session = cls(spec, database=database, user=user)
+        session._open(checkpoint=payload, path=path)
         return session
 
     # ------------------------------------------------------------------
@@ -853,23 +525,11 @@ class FactCheckSession:
         if self._status == "new":
             raise SessionError("session is new; call open() first")
 
-    def _require_mode(self, mode: str, operation: str) -> None:
-        if self.mode != mode:
+    def _mode_driver(self, driver_type: type, operation: str):
+        """This session's driver, if ``operation`` belongs to its mode."""
+        if not isinstance(self._driver, driver_type):
             raise SessionError(
-                f"{operation}() is only available in {mode} mode "
+                f"{operation}() is only available in {driver_type.MODE} mode "
                 f"(this session is {self.mode!r})"
             )
-
-
-def resolve_database(
-    spec: SessionSpec, database: Optional[FactDatabase]
-) -> FactDatabase:
-    """The corpus a session runs on: explicit object or ``spec.dataset``."""
-    if database is not None:
-        return database
-    if spec.dataset is None:
-        raise SpecError(
-            "no corpus: pass a FactDatabase to the session or set "
-            "SessionSpec.dataset"
-        )
-    return spec.dataset.load()
+        return self._driver

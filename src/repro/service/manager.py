@@ -189,10 +189,6 @@ class SessionManager:
         if session_id is None:
             session_id = uuid.uuid4().hex[:12]
         managed = _ManagedSession(session_id, FactCheckSession(spec))
-        with self._registry_lock:
-            if session_id in self._sessions:
-                raise ServiceError(f"session id {session_id!r} already exists")
-            self._sessions[session_id] = managed
 
         def operation() -> dict:
             managed.session.open()
@@ -201,12 +197,19 @@ class SessionManager:
                 managed.session.save(path)
             return self._summary(managed)
 
-        try:
-            return self._run(managed, operation)
-        except Exception:
+        # Registered under its own lock, so no other request sees the
+        # session before it is open.
+        with managed.lock:
             with self._registry_lock:
-                self._sessions.pop(session_id, None)
-            raise
+                if session_id in self._sessions:
+                    raise ServiceError(f"session id {session_id!r} already exists")
+                self._sessions[session_id] = managed
+            try:
+                return self._run(managed, operation)
+            except Exception:
+                with self._registry_lock:
+                    self._sessions.pop(session_id, None)
+                raise
 
     def restore(self) -> List[str]:
         """Rebuild the registry from the spool directory after a restart.
@@ -272,26 +275,13 @@ class SessionManager:
     def _summary(self, managed: _ManagedSession) -> dict:
         """Status summary of one session (called under its lock)."""
         session = managed.session
-        summary = {
+        return {
             "id": managed.id,
             "mode": session.mode,
             "status": session.status,
             "seed": session.spec.seed,
+            **session.progress(),
         }
-        try:
-            database = session.database
-            summary["num_claims"] = database.num_claims
-            summary["num_labelled"] = database.num_labelled
-        except Exception:
-            # Streaming sessions have no snapshot before the first arrival.
-            summary["num_claims"] = 0
-            summary["num_labelled"] = 0
-        if session.mode == "batch":
-            summary["iterations"] = session.trace.iterations
-        else:
-            summary["arrivals"] = len(session._updates)
-            summary["iterations"] = len(session._records)
-        return summary
 
     def session_count(self) -> int:
         """Number of registered sessions — lock-free beyond the registry,
@@ -329,7 +319,7 @@ class SessionManager:
 
         A pure read: an open session stays open and drivable (a polling
         dashboard cannot accidentally finalise a mid-run session), and an
-        open batch session mid-run reports ``stop_reason="unfinished"``.
+        open session mid-run reports ``stop_reason="unfinished"``.
         Sessions close server-side when a run request completes
         (``step`` with ``run=true``).
         """
@@ -345,68 +335,40 @@ class SessionManager:
     # ------------------------------------------------------------------
 
     def step(self, session_id: str, request: Optional[StepRequest] = None) -> dict:
-        """Advance a session server-side.
+        """Advance a session server-side, in either mode.
 
-        Batch: with ``request.run`` the whole Alg. 1 loop executes (the
-        session finishes and closes); otherwise up to ``request.count``
-        iterations run, stopping early on goal/budget/exhaustion like
-        :meth:`FactCheckSession.run` would.
-
-        Streaming sessions whose spec declares a replayable
-        ``stream.source`` are driven the same way: ``request.run``
-        consumes the source to its end and closes the session, otherwise
-        the next ``request.count`` arrivals are replayed (with the usual
-        interleaved-validation schedule) — no claim payloads cross the
-        wire, and the session keeps checkpointing in the compact form.
+        With ``request.run`` the session runs to completion and closes
+        (:meth:`FactCheckSession.run`); otherwise it advances by
+        ``request.count`` iterations or, for a streaming session with a
+        declared ``stream.source``, arrivals
+        (:meth:`FactCheckSession.advance`).  No claim payloads cross the
+        wire, and source-driven streams keep their compact checkpoints.
         """
         managed = self._get(session_id)
         request = request if request is not None else StepRequest()
 
         def operation() -> dict:
             session = managed.session
-            if session.mode == "streaming":
-                if request.run:
-                    result = session.run()
-                    self._record_events(managed, len(result.stream_updates))
-                    return {
-                        "id": managed.id,
-                        "updates": [],
-                        "completed": True,
-                        "result": result_to_dict(result),
-                    }
-                updates = session.ingest_from_source(count=request.count)
-                self._record_events(managed, len(updates))
-                return {
-                    "id": managed.id,
-                    "updates": [update.to_dict() for update in updates],
-                    "completed": False,
-                    "summary": self._summary(managed),
-                }
+            # Batch sessions report iteration records, streaming sessions
+            # the updates of the arrivals they observed.
+            key = "updates" if session.mode == "streaming" else "records"
             if request.run:
                 result = session.run(max_iterations=request.max_iterations)
-                self._record_events(managed, len(result.trace.records))
+                events = (
+                    result.stream_updates if key == "updates" else result.trace.records
+                )
+                self._record_events(managed, len(events))
                 return {
                     "id": managed.id,
-                    "records": [],
+                    key: [],
                     "completed": True,
                     "result": result_to_dict(result),
                 }
-            # Drive the canonical Alg. 1 loop for a bounded slice: stop
-            # reasons and termination-criterion state behave identically
-            # to an uninterrupted run, but merely running out of `count`
-            # leaves the trace unfinished (cap_stop_reason=None).
-            process = session.process
-            trace = process.trace
-            before = trace.iterations
-            process.run(
-                max_iterations=before + request.count,
-                cap_stop_reason=None,
-            )
-            records = trace.records[before:]
-            self._record_events(managed, len(records))
+            events = session.advance(request.count)
+            self._record_events(managed, len(events))
             return {
                 "id": managed.id,
-                "records": [record.to_dict() for record in records],
+                key: [event.to_dict() for event in events],
                 "completed": False,
                 "summary": self._summary(managed),
             }

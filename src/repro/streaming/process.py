@@ -46,7 +46,7 @@ from repro.errors import DataModelError, StreamingError
 from repro.inference.mstep import run_m_step
 from repro.streaming.schedule import RobbinsMonroSchedule
 from repro.streaming.stream import ClaimArrival
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState, ensure_rng, rng_state, set_rng_state
 
 if TYPE_CHECKING:
     from repro.api.specs import SessionSpec
@@ -96,12 +96,23 @@ class StreamingFactChecker:
         seed: Seed or generator.
     """
 
-    #: Not checkpointed (lint rule STATE001): pure configuration, all of
-    #: it restored from the session spec on resume.  Everything that
-    #: drifts per arrival — corpus, weights, probabilities, labels, RNG,
-    #: step counter, rebuilt model/database — is carried (or explicitly
+    #: Not checkpointed (lint rule STATE001): configuration restored from
+    #: the session spec, and the entity sets, which checkpoints carry as
+    #: their structure origin and restore through :meth:`replay_structure`.
+    #: What drifts per arrival — weights, probabilities, labels, RNG, step
+    #: counter, rebuilt model/database — is carried (or explicitly
     #: reconstructed) by ``state_dict``/``load_state_dict``.
-    _STATE_EXCLUDED = ("_stream", "_inference", "_schedule", "_mstep")
+    _STATE_EXCLUDED = (
+        "_stream",
+        "_inference",
+        "_schedule",
+        "_mstep",
+        "_sources",
+        "_documents",
+        "_known_sources",
+        "_known_documents",
+        "_known_claims",
+    )
 
     def __init__(
         self, spec: Optional["SessionSpec"] = None, seed: RandomState = None
@@ -140,35 +151,12 @@ class StreamingFactChecker:
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Serialise the complete online-EM state (JSON-compatible)."""
-        from repro.datasets.io import (
-            claim_to_dict,
-            document_to_dict,
-            source_to_dict,
-        )
+        """Serialise the online-EM state (JSON-compatible).
 
-        state = self.mutable_state_dict()
-        state.update(
-            {
-                "sources": [source_to_dict(source) for source in self._sources],
-                "documents": [
-                    document_to_dict(doc) for doc in self._documents
-                ],
-                "claims": [claim_to_dict(claim) for claim in self._claims],
-            }
-        )
-        return state
-
-    def mutable_state_dict(self) -> dict:
-        """Serialise the online-EM state *without* the streamed entities.
-
-        The compact streaming checkpoints of :mod:`repro.api` store this
-        together with a stream position and fingerprint; the entities are
-        regenerated by replaying the declared stream source
-        (:meth:`replay_structure`) instead of being embedded.
+        The streamed entities (:attr:`entities`) are not included:
+        checkpoints carry them separately and restore them through
+        :meth:`replay_structure`.
         """
-        from repro.utils.rng import rng_state
-
         self._sync_probabilities()
         return {
             "t": self._t,
@@ -185,53 +173,10 @@ class StreamingFactChecker:
         """Restore a :meth:`state_dict` snapshot bit-for-bit.
 
         The checker must have been constructed with the same configuration
-        (schedule, aggregation, M-step, …) — typically from the
-        same :class:`~repro.api.SessionSpec`.
+        (schedule, aggregation, M-step, …) — typically from the same
+        :class:`~repro.api.SessionSpec` — and its entity sets must already
+        be in place (:meth:`replay_structure`).
         """
-        from repro.datasets.io import (
-            claim_from_dict,
-            document_from_dict,
-            source_from_dict,
-        )
-
-        self._sources = [source_from_dict(entry) for entry in state["sources"]]
-        self._documents = [
-            document_from_dict(entry) for entry in state["documents"]
-        ]
-        self._claims = [claim_from_dict(entry) for entry in state["claims"]]
-        self._known_sources = {source.source_id for source in self._sources}
-        self._known_documents = {doc.document_id for doc in self._documents}
-        self._known_claims = {claim.claim_id for claim in self._claims}
-        self.load_mutable_state(state)
-
-    def replay_structure(self, arrivals) -> int:
-        """Re-ingest arrivals structurally, without any online-EM work.
-
-        Used when resuming from a compact checkpoint: the declared stream
-        source replays the first ``t`` arrivals to regenerate the entity
-        sets, then :meth:`load_mutable_state` overlays the saved
-        probabilities, labels, weights and RNG position.  Returns the
-        number of arrivals replayed.
-        """
-        if self._t or self._sources or self._documents or self._claims:
-            raise StreamingError(
-                "replay_structure requires a freshly constructed checker"
-            )
-        count = 0
-        for arrival in arrivals:
-            self._commit(*self._novel(arrival))
-            count += 1
-        self._t = count
-        return count
-
-    def load_mutable_state(self, state: dict) -> None:
-        """Restore a :meth:`mutable_state_dict` snapshot.
-
-        The entity sets must already be in place (restored directly or
-        replayed via :meth:`replay_structure`).
-        """
-        from repro.utils.rng import set_rng_state
-
         self._probabilities = {
             str(key): float(value)
             for key, value in state["probabilities"].items()
@@ -256,6 +201,26 @@ class StreamingFactChecker:
         if self._claims:
             self._rebuild()
 
+    def replay_structure(self, arrivals) -> int:
+        """Re-ingest arrivals structurally, without any online-EM work.
+
+        Used when resuming from a checkpoint: the declared stream source
+        replays its first ``t`` arrivals (or the embedded entities are
+        replayed) to regenerate the entity sets, then
+        :meth:`load_state_dict` overlays the saved probabilities, labels,
+        weights and RNG position.  Returns the number of arrivals replayed.
+        """
+        if self._t or self._sources or self._documents or self._claims:
+            raise StreamingError(
+                "replay_structure requires a freshly constructed checker"
+            )
+        count = 0
+        for arrival in arrivals:
+            self._commit(*self._novel(arrival))
+            count += 1
+        self._t = count
+        return count
+
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
@@ -264,6 +229,11 @@ class StreamingFactChecker:
     def arrivals(self) -> int:
         """Number of processed arrivals t."""
         return self._t
+
+    @property
+    def entities(self) -> tuple:
+        """``(sources, documents, claims)`` seen so far, in arrival order."""
+        return tuple(self._sources), tuple(self._documents), tuple(self._claims)
 
     @property
     def weights(self) -> Optional[CrfWeights]:
@@ -276,7 +246,7 @@ class StreamingFactChecker:
         if self._model is not None:
             self._model.set_weights(self._weights)
 
-    def record_label(self, claim: Union[str, int], value: int) -> None:
+    def record_label(self, claim: Union[str, int], value: int) -> str:
         """Register user input so it survives future arrivals.
 
         Labels for claims that have not arrived are rejected by default
@@ -287,10 +257,11 @@ class StreamingFactChecker:
 
         Args:
             claim: Claim identifier, or a dense index into the *current*
-                snapshot database (historically the two addressing schemes
-                were inconsistent across the public surface; both are now
-                accepted and mapped to the stable string identifier).
+                snapshot database.
             value: User label, 0 or 1.
+
+        Returns:
+            The stable identifier of the labelled claim.
 
         Raises:
             StreamingError: On an invalid label value, or — unless
@@ -309,11 +280,12 @@ class StreamingFactChecker:
                     "claims)"
                 )
             self._pending_labels[claim_id] = int(value)
-            return
+            return claim_id
         self._labels[claim_id] = value
         self._probabilities[claim_id] = float(value)
         if self._database is not None:
             self._database.label(self._database.claim_position(claim_id), value)
+        return claim_id
 
     @property
     def pending_labels(self) -> Dict[str, int]:

@@ -26,7 +26,7 @@ from repro.crf.entropy import (
 from repro.crf.partition import ComponentIndex
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
-from repro.errors import ValidationProcessError
+from repro.errors import DataModelError, ValidationProcessError
 from repro.guidance.base import SelectionContext
 from repro.guidance.gain import GainEstimator
 from repro.guidance.hybrid_score import error_rate as compute_error_rate
@@ -145,7 +145,7 @@ class ValidationProcess:
         self._truth: Optional[np.ndarray] = None
         try:
             self._truth = database.truth_vector()
-        except Exception:
+        except DataModelError:
             self._truth = None
 
         self._trace: Optional[ValidationTrace] = None

@@ -258,7 +258,7 @@ class TestStateRules:
             """
         ) == []
 
-    def test_mention_in_mutable_state_dict_counts(self):
+    def test_only_the_state_pair_counts_as_a_mention(self):
         assert fired(
             """
             class Proc:
@@ -275,7 +275,7 @@ class TestStateRules:
                 def mutable_state_dict(self):
                     return {"step": self._step}
             """
-        ) == []
+        ) == [("STATE001", 4)]  # `_step` is mentioned only by a helper
 
 
 # ----------------------------------------------------------------------

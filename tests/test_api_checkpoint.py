@@ -125,7 +125,7 @@ class TestStreamingResume:
         every = 4
         for arrival in arrivals[:cut]:
             interrupted.observe(arrival)
-            if interrupted._since_validation >= every:
+            if interrupted._driver.since_validation >= every:
                 interrupted.validate(every)
         path = tmp_path / "stream.json"
         interrupted.save(path)
@@ -200,7 +200,7 @@ class TestAutoCheckpoint:
             )
 
         resumed_session = FactCheckSession.load(path)
-        done = len(resumed_session._updates)  # arrivals checkpointed so far
+        done = resumed_session.progress()["arrivals"]  # checkpointed so far
         assert done == 6
         resumed = resumed_session.run(arrivals=arrivals[done:])
         assert len(golden.stream_updates) == len(resumed.stream_updates)
@@ -263,6 +263,122 @@ class TestCheckpointFormat:
         assert resumed.status == "open"
         record = resumed.step()
         assert record.iteration == 2
+
+
+class TestDurableWrite:
+    def test_checkpoint_and_its_directory_reach_the_disk(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+        import stat
+
+        path = tmp_path / "durable.json"
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            mode = os.fstat(fd).st_mode
+            if stat.S_ISDIR(mode):
+                synced.append(("directory", os.fstat(fd).st_ino))
+            else:
+                # The staging file is synced before it replaces the target.
+                assert not path.exists()
+                synced.append(("file", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        session = FactCheckSession(
+            SessionSpec(seed=1), database=build_micro_database()
+        ).open()
+        session.save(path)
+        assert synced == [
+            ("file", path.stat().st_size),
+            ("directory", tmp_path.stat().st_ino),
+        ]
+        assert not path.with_name(path.name + ".tmp").exists()
+
+
+class TestCheckpointShapes:
+    """The four on-disk layouts: each is headers + structure origin + state.
+
+    The top-level keys name the origin; ``state`` is the mode's mutable
+    state, which embeds a stream's entities unless the stream position
+    replaces them.  A checkpoint reloaded and saved again is the same
+    document.
+    """
+
+    HEADERS = ["format", "version", "mode", "user_type", "spec"]
+    BATCH_STATE = ["process", "validated"]
+    STREAM_STATE = [
+        "checker",
+        "session_rng",
+        "user",
+        "updates",
+        "records",
+        "validated",
+        "since_validation",
+    ]
+    CHECKER_STATE = ["t", "probabilities", "labels", "pending_labels", "weights", "rng"]
+    ENTITIES = ["sources", "documents", "claims"]
+
+    @staticmethod
+    def batch_fingerprint():
+        session = FactCheckSession(batch_spec()).open()
+        session.step()
+        return session
+
+    @staticmethod
+    def batch_embedded():
+        session = FactCheckSession(
+            SessionSpec(seed=1, effort={"goal": {"kind": "none"}}),
+            database=build_micro_database(),
+        ).open()
+        session.step()
+        session.record_label("c3", 1)
+        return session
+
+    @staticmethod
+    def stream_embedded():
+        session = FactCheckSession(streaming_spec()).open()
+        session.ingest(stream_from_database(build_micro_database()))
+        return session
+
+    @staticmethod
+    def stream_compact():
+        session = FactCheckSession(sourced_streaming_spec()).open()
+        session.ingest_from_source(count=5)
+        return session
+
+    SHAPES = {
+        "batch fingerprint": (
+            batch_fingerprint, ["database_fingerprint"], BATCH_STATE
+        ),
+        "batch embedded": (batch_embedded, ["database"], BATCH_STATE),
+        "stream embedded": (stream_embedded, [], STREAM_STATE),
+        "stream compact": (
+            stream_compact,
+            ["stream_fingerprint"],
+            STREAM_STATE + ["stream_position"],
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_keys_and_save_load_save(self, shape, tmp_path):
+        build, origin, state_keys = self.SHAPES[shape]
+        first = tmp_path / "first.json"
+        build().save(first)
+        payload = json.loads(first.read_text())
+        assert list(payload) == self.HEADERS + origin + ["state"]
+        assert list(payload["state"]) == state_keys
+        if payload["mode"] == "streaming":
+            entities = [] if "stream_position" in state_keys else self.ENTITIES
+            assert list(payload["state"]["checker"]) == (
+                self.CHECKER_STATE + entities
+            )
+
+        second = tmp_path / "second.json"
+        FactCheckSession.load(first).save(second)
+        assert second.read_text() == first.read_text()
 
 
 class TestCheckpointCompaction:

@@ -9,6 +9,8 @@ from repro.errors import SessionError
 from repro.streaming import stream_from_database
 from repro.validation.oracle import User
 
+from tests.fixtures import build_micro_database
+
 
 def micro_spec(**overrides) -> SessionSpec:
     base = dict(
@@ -92,6 +94,33 @@ class TestBatchRun:
         assert result.stop_reason == "max_iterations"
         assert result.trace.iterations == 1
 
+    def test_advance_slices_the_run_and_keeps_the_session_open(self, micro_db):
+        spec = micro_spec(effort={"budget": 2, "goal": {"kind": "none"}})
+        golden = FactCheckSession(spec, database=micro_db).run()
+        session = FactCheckSession(spec, database=build_micro_database()).open()
+        first = session.advance(1)
+        assert len(first) == 1
+        assert session.trace.stop_reason == "unfinished"
+        rest = session.advance(5)  # the budget stops it after one more
+        assert session.status == "open"
+        assert session.progress() == {
+            "num_claims": micro_db.num_claims,
+            "num_labelled": 2,
+            "iterations": 2,
+        }
+        assert session.close().stop_reason == golden.stop_reason == "budget"
+        assert [r.claim_ids for r in first + rest] == [
+            r.claim_ids for r in golden.trace.records
+        ]
+
+    def test_advance_needs_a_positive_count_and_a_stream_source(self, micro_db):
+        session = FactCheckSession(micro_spec(), database=micro_db).open()
+        with pytest.raises(SessionError, match="at least 1"):
+            session.advance(0)
+        stream = FactCheckSession(streaming_spec()).open()
+        with pytest.raises(SessionError, match="spec.stream.source"):
+            stream.advance(1)
+
     def test_run_exhausts_database(self, micro_db):
         spec = micro_spec(effort={"goal": {"kind": "none"}})
         result = FactCheckSession(spec, database=micro_db).run()
@@ -160,6 +189,16 @@ class TestStreaming:
         assert len(result.stream_updates) > 0
         assert result.validated_claim_ids
         assert result.trace.records == records
+
+    def test_streaming_session_rejects_a_database(self, micro_db, tmp_path):
+        with pytest.raises(SessionError, match="take no database"):
+            FactCheckSession(streaming_spec(), database=micro_db)
+        session = FactCheckSession(streaming_spec()).open()
+        session.ingest(stream_from_database(micro_db))
+        path = tmp_path / "stream.json"
+        session.save(path)
+        with pytest.raises(SessionError, match="take no database"):
+            FactCheckSession.load(path, database=micro_db)
 
     def test_run_interleaves_validation(self, micro_db):
         spec = streaming_spec(stream={"validation_every": 1})

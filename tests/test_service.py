@@ -187,6 +187,19 @@ class TestSessionManager:
         assert len(response["records"]) == 1
         assert manager.summary("peek")["status"] == "open"
 
+    def test_streaming_result_is_an_unfinished_snapshot(self, manager):
+        manager.create(streaming_spec(), session_id="peek")
+        arrivals = health_arrivals()
+        manager.stream_claims("peek", arrivals[:2])
+        snapshot = manager.result("peek")
+        assert snapshot["stop_reason"] == "unfinished"
+        assert snapshot["trace"]["stop_reason"] == "unfinished"
+        assert len(snapshot["stream_updates"]) == 2
+        # Polling the result must not have closed the session.
+        response = manager.stream_claims("peek", arrivals[2:3])
+        assert response["summary"]["arrivals"] == 3
+        assert manager.summary("peek")["status"] == "open"
+
     def test_inflight_op_on_deleted_session_is_rejected(self, manager):
         manager.create(batch_spec(), session_id="stale")
         managed = manager._get("stale")
@@ -304,14 +317,15 @@ class TestConcurrency:
         every = streaming_spec().stream.validation_every
         for arrival in arrivals[:half]:
             golden_session.observe(arrival)
-            if golden_session._since_validation >= every:
+            if golden_session._driver.since_validation >= every:
                 golden_session.validate(every)
         golden_session.record_label(label_claim, 1)
         for arrival in arrivals[half:]:
             golden_session.observe(arrival)
-            if golden_session._since_validation >= every:
+            if golden_session._driver.since_validation >= every:
                 golden_session.validate(every)
-        golden = golden_session.close()
+        # The service result is a snapshot of an open session.
+        golden = golden_session.result_snapshot()
         assert scrub(manager.result("stream")) == scrub(result_to_dict(golden))
 
 
@@ -332,7 +346,8 @@ class TestRejectedArrivals:
 
         golden = FactCheckSession(streaming_spec()).open()
         golden.ingest(arrivals)
-        assert scrub(manager.result("s")) == scrub(result_to_dict(golden.result()))
+        snapshot = golden.result_snapshot()
+        assert scrub(manager.result("s")) == scrub(result_to_dict(snapshot))
         # The spool entry written after the rejection restores the live
         # session exactly.
         restarted = SessionManager(
@@ -480,14 +495,15 @@ class TestEndToEndDurability:
         every = streaming_spec().stream.validation_every
         for arrival in arrivals[:half]:
             session.observe(arrival)
-            if session._since_validation >= every:
+            if session._driver.since_validation >= every:
                 session.validate(every)
         session.record_label(label_claim, 1)
         for arrival in arrivals[half:]:
             session.observe(arrival)
-            if session._since_validation >= every:
+            if session._driver.since_validation >= every:
                 session.validate(every)
-        golden = session.close()
+        # The service result is a snapshot of an open session.
+        golden = session.result_snapshot()
 
         assert scrub(restarted) == scrub(result_to_dict(golden))
         # Round-trip through the typed result confirms full fidelity.
