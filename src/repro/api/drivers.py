@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import islice
 from typing import List, Optional, Union
 
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
+from repro.datasets import Corpus
 from repro.datasets import io as dataset_io
 from repro.errors import CheckpointError, DataModelError, SessionError, SpecError
 from repro.inference.icrf import ICrf
@@ -39,16 +39,17 @@ class BatchDriver:
     MODE = "batch"
 
     #: Not checkpointed (lint rule STATE001): the spec and the explicit
-    #: corpus are construction inputs, and ``_generated`` is the structure
-    #: origin, which the checkpoint carries outside ``state``.
-    _STATE_EXCLUDED = ("_spec", "_database", "_generated")
+    #: corpus are construction inputs, and ``_dataset_corpus`` is the
+    #: structure origin, which the checkpoint carries outside ``state``.
+    _STATE_EXCLUDED = ("_spec", "_database", "_dataset_corpus")
 
     def __init__(self, spec: SessionSpec, database: Optional[FactDatabase]) -> None:
         self._spec = spec
         self._database = database
-        # Whether the corpus was materialised from spec.dataset, so that
-        # checkpoints store its fingerprint instead of embedding it.
-        self._generated = False
+        # The corpus materialised from spec.dataset, if any: checkpoints
+        # then store its fingerprint instead of embedding it, and holding
+        # it keeps it shared with other sessions on the same spec.
+        self._dataset_corpus: Optional[Corpus] = None
         self.process: Optional[ValidationProcess] = None
         # Claims labelled through label(), in order (iteration-validated
         # claims live on the trace).
@@ -72,8 +73,8 @@ class BatchDriver:
         elif checkpoint is not None and "database" in checkpoint:
             corpus = dataset_io.database_from_dict(checkpoint["database"])
         elif self._spec.dataset is not None:
-            corpus = self._spec.dataset.load()
-            self._generated = True
+            self._dataset_corpus = self._spec.dataset.corpus()
+            corpus = self._dataset_corpus.database()
         elif checkpoint is None:
             raise SpecError(
                 "no corpus: pass a FactDatabase to the session or set "
@@ -140,7 +141,7 @@ class BatchDriver:
     # -- checkpoint and result -----------------------------------------
 
     def origin(self) -> dict:
-        if self._generated:
+        if self._dataset_corpus is not None:
             return {
                 "database_fingerprint": ckpt.database_fingerprint(self.process.database)
             }
@@ -196,9 +197,9 @@ class StreamDriver:
     MODE = "streaming"
 
     #: Not checkpointed (lint rule STATE001): the spec is configuration,
-    #: and ``replaying_source`` is only ever set inside one
-    #: ``source_arrivals`` block.
-    _STATE_EXCLUDED = ("_spec", "replaying_source")
+    #: ``_source_corpus`` is regenerated from it, and ``replaying_source``
+    #: is only ever set inside one ``source_arrivals`` block.
+    _STATE_EXCLUDED = ("_spec", "_source_corpus", "replaying_source")
 
     def __init__(self, spec: SessionSpec, database: Optional[FactDatabase]) -> None:
         if database is not None:
@@ -219,6 +220,11 @@ class StreamDriver:
         # checkpoints because the source cannot regenerate the entities.
         self.external_arrivals = False
         self.replaying_source = False
+        # The corpus of spec.stream.source, held from its first use so
+        # every request slices one arrival sequence.
+        self._source_corpus: Optional[Corpus] = None
+        # Why the session finished, once it has closed; None while open.
+        self._stop_reason: Optional[str] = None
 
     def open(self, root, user: User, checkpoint: Optional[dict], path) -> None:
         self._rng = root
@@ -277,6 +283,7 @@ class StreamDriver:
         if not self.replaying_source:
             self.external_arrivals = True
         self._updates.append(update)
+        self._stop_reason = None
         self.since_validation += 1
         return update
 
@@ -335,11 +342,18 @@ class StreamDriver:
             )
         skip = self.checker.arrivals
         stop = None if count is None else skip + count
+        arrivals = self._source_sequence()[skip:stop]
         self.replaying_source = True
         try:
-            yield islice(source.arrivals(), skip, stop)
+            yield arrivals
         finally:
             self.replaying_source = False
+
+    def _source_sequence(self) -> tuple:
+        """Every arrival of ``spec.stream.source``, in order."""
+        if self._source_corpus is None:
+            self._source_corpus = self._spec.stream.source.dataset.corpus()
+        return self._source_corpus.arrivals()
 
     # Arrivals go through the session's public ingest methods, so a run,
     # a service step and a direct call all take the same path.
@@ -387,6 +401,8 @@ class StreamDriver:
         }
         if self._compact:
             state["stream_position"] = self.checker.arrivals
+        if self._stop_reason is not None:
+            state["stop_reason"] = self._stop_reason
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -402,7 +418,7 @@ class StreamDriver:
                 )
             position = int(state["stream_position"])
             replayed = self.checker.replay_structure(
-                islice(source.arrivals(), position)
+                self._source_sequence()[:position]
             )
             if replayed != position:
                 raise CheckpointError(
@@ -435,14 +451,14 @@ class StreamDriver:
         self._records = [IterationRecord.from_dict(entry) for entry in state["records"]]
         self._validated = list(state["validated"])
         self.since_validation = int(state["since_validation"])
+        self._stop_reason = state.get("stop_reason")
 
     def result_fields(self, closing: bool) -> dict:
         snapshot = self._snapshot()
         trace = self.trace
-        if not closing:
-            trace.stop_reason = "unfinished"
-        else:
-            trace.stop_reason = "stream_end" if self._updates else "closed"
+        if closing and self._stop_reason is None:
+            self._stop_reason = "stream_end" if self._updates else "closed"
+        trace.stop_reason = self._stop_reason or "unfinished"
         return dict(
             stop_reason=trace.stop_reason,
             num_claims=snapshot.num_claims if snapshot else 0,

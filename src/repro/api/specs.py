@@ -77,13 +77,38 @@ class DatasetSpec(JsonRecord):
         if self.scale <= 0:
             raise SpecError(f"scale must be positive, got {self.scale}", field="scale")
 
-    def load(self):
-        """Materialise the corpus this spec describes."""
-        from repro.datasets import load_database, load_dataset
+    def corpus(self):
+        """The :class:`~repro.datasets.corpus.Corpus` this spec describes.
+
+        A name-based spec returns the corpus every holder of an equal spec
+        shares: it is generated on first use and freed with its last
+        holder.  A path-based spec reads its file anew on every call,
+        since the file may change on disk.
+        """
+        from repro.datasets import (
+            Corpus,
+            generator,
+            get_profile,
+            load_database,
+            shared_corpus,
+        )
 
         if self.path is not None:
-            return load_database(self.path)
-        return load_dataset(self.name, seed=self.seed, scale=self.scale)
+            return Corpus.of_database(load_database(self.path))
+        profile = get_profile(self.name)
+        # "scale": 1 and "scale": 1.0 describe one corpus.
+        key = dict(self.to_dict(), scale=float(self.scale))
+        return shared_corpus(
+            json.dumps(key, sort_keys=True),
+            lambda: generator.generate_entities(
+                profile, seed=self.seed, scale=self.scale
+            ),
+        )
+
+    def load(self):
+        """A new database over the corpus this spec describes; its entities
+        are shared with every other database built from the spec."""
+        return self.corpus().database()
 
 
 @dataclass(frozen=True)
@@ -380,10 +405,9 @@ class StreamSourceSpec(JsonRecord):
             )
 
     def arrivals(self):
-        """Replay the declared corpus as a fresh arrival iterator."""
-        from repro.streaming.stream import stream_from_database
-
-        return stream_from_database(self.dataset.load())
+        """The declared corpus replayed in posting order, as a sequence
+        shared with every other holder of the corpus (``dataset.corpus()``)."""
+        return self.dataset.corpus().arrivals()
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,10 @@ def arrival_from_dict(payload: dict) -> ClaimArrival:
 def stream_from_database(database: FactDatabase) -> Iterator[ClaimArrival]:
     """Replay a corpus as a claim-arrival stream in posting order.
 
+    ``database`` is a :class:`FactDatabase` or anything else with its
+    ``sources``, ``documents`` and ``claims`` sequences, such as a
+    :class:`~repro.datasets.corpus.Corpus`.
+
     Iterates documents in index order; when a document references a claim
     that has not arrived yet, a :class:`ClaimArrival` is emitted carrying
     the claim, all pending documents (including this one), and all sources

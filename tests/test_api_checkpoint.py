@@ -718,6 +718,41 @@ class TestCompactStreamingCheckpoint:
             FactCheckSession.load(path)
 
 
+class TestFinishedStreamRestore:
+    def test_finished_stream_keeps_its_stop_reason(self, tmp_path):
+        session = FactCheckSession(sourced_streaming_spec())
+        finished = session.run()
+        assert finished.stop_reason == "stream_end"
+        path = tmp_path / "finished.json"
+        session.save(path)
+
+        restored = FactCheckSession.load(path)
+        assert restored.result_snapshot().stop_reason == "stream_end"
+        assert restored.close().stop_reason == "stream_end"
+
+    def test_open_stream_checkpoint_records_no_stop_reason(self, tmp_path):
+        session = FactCheckSession(sourced_streaming_spec()).open()
+        session.ingest_from_source(count=3)
+        path = tmp_path / "open.json"
+        session.save(path)
+        assert "stop_reason" not in json.loads(path.read_text())["state"]
+        restored = FactCheckSession.load(path)
+        assert restored.result_snapshot().stop_reason == "unfinished"
+        assert restored.close().stop_reason == "stream_end"
+
+    def test_restored_stream_that_observes_again_is_unfinished(self, tmp_path):
+        source = sourced_streaming_spec().stream.source
+        session = FactCheckSession(streaming_spec())
+        session.run(arrivals=source.arrivals()[:3])
+        path = tmp_path / "closed.json"
+        session.save(path)
+
+        restored = FactCheckSession.load(path)
+        assert restored.result_snapshot().stop_reason == "stream_end"
+        restored.observe(source.arrivals()[3])
+        assert restored.result_snapshot().stop_reason == "unfinished"
+
+
 class TestExternalArrivalsFallback:
     def test_out_of_band_arrival_forces_embedded_checkpoint(self, tmp_path):
         from itertools import islice
