@@ -34,7 +34,8 @@ matrix, so the coupling weight γ is *learned*, not hand-tuned.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +44,65 @@ from repro.crf.potentials import CliqueFeaturizer, sigmoid
 from repro.crf.weights import CrfWeights
 from repro.data.database import ClaimSourceGraph, FactDatabase
 from repro.errors import InferenceError
+from repro.utils.ckernel import kernel_addresses, load_kernel, run_trust_signals
+
+
+@dataclass(frozen=True)
+class CouplingPairs:
+    """Pair rows the coupling sums read, in the layout the kernel takes.
+
+    Rows keep pair-table order (claim, then source), so each source's
+    ``A_s`` and each claim's signal add their terms in the order of the
+    whole table.  Sources are renumbered ``0..num_sources-1`` over the
+    rows' sources, so the per-row scratch spans only those.  All arrays
+    are read-only, C-contiguous int64/float64, checked once here; the
+    kernel reads them through ``addresses``.
+
+    Attributes:
+        claim: Claim index per row (int64).
+        source: Compact source id per row (int64).
+        stance: ``B_{s,c}`` per row.
+        denom: ``max(n_s, 1)`` per row.
+        num_sources: Distinct sources of the rows.
+        addresses: Data addresses of the four arrays, in that order.
+    """
+
+    claim: np.ndarray
+    source: np.ndarray
+    stance: np.ndarray
+    denom: np.ndarray
+    num_sources: int
+    addresses: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arrays = (self.claim, self.source, self.stance, self.denom)
+        object.__setattr__(self, "addresses", kernel_addresses(
+            arrays, (np.int64, np.int64, np.float64, np.float64)
+        ))
+        for array in arrays:
+            array.flags.writeable = False
+
+    @classmethod
+    def gather(
+        cls, graph: ClaimSourceGraph, rows: Optional[np.ndarray] = None
+    ) -> "CouplingPairs":
+        """The given pair-table rows (ascending; default all) of ``graph``."""
+        if rows is None:
+            claim, source, stance = graph.claim, graph.source, graph.stance
+            compact, num_sources = source, graph.source_cliques.size
+        else:
+            claim, source, stance = (
+                graph.claim[rows], graph.source[rows], graph.stance[rows]
+            )
+            touched, compact = np.unique(source, return_inverse=True)
+            num_sources = touched.size
+        return cls(
+            claim=np.ascontiguousarray(claim, dtype=np.int64),
+            source=np.ascontiguousarray(compact, dtype=np.int64),
+            stance=np.ascontiguousarray(stance, dtype=np.float64),
+            denom=np.maximum(graph.source_cliques[source], 1.0),
+            num_sources=int(num_sources),
+        )
 
 
 class CrfModel:
@@ -89,9 +149,11 @@ class CrfModel:
         ``B_{s,c}`` (``graph.stance``) sums the stance signs of all
         cliques shared by the pair; ``n_s`` (``graph.source_cliques``)
         counts the cliques of each source (with multiplicity), normalising
-        its consistency statistic.
+        its consistency statistic.  The table is also gathered once into
+        the coupling kernel's layout.
         """
         self._graph = self._database.claim_source_graph()
+        self._pairs = CouplingPairs.gather(self._graph)
         self._refresh_engines()
 
     def _refresh_engines(self) -> None:
@@ -190,26 +252,49 @@ class CrfModel:
             minlength=self._database.num_sources,
         )
 
-    def trust_signals(self, probabilities: np.ndarray) -> np.ndarray:
+    def trust_signals(
+        self,
+        probabilities: np.ndarray,
+        pairs: Optional[CouplingPairs] = None,
+    ) -> np.ndarray:
         """Indirect-relation signal per claim at the given marginals.
 
         ``T_c = 2 Σ_{s} B_{s,c} A_s^{-c} / n_s`` with ``A_s`` evaluated at
         expected spins.  This is the coupling column of the M-step design
         matrix and, multiplied by γ, the coupling part of a claim's
         conditional logit.
+
+        Args:
+            probabilities: Marginals, one vector of ``n`` or a K×n block
+                (one signal row per marginal row).
+            pairs: Pair rows to sum over (default: the whole table).  A
+                claim's signal is exact when ``pairs`` holds every row of
+                every source it touches — e.g. a
+                :class:`~repro.crf.partition.ScopePlan`'s ``pairs`` for the
+                claims of its scope; other claims' signals are partial.
         """
-        graph = self._graph
-        spins = 2.0 * np.asarray(probabilities, dtype=float) - 1.0
-        stats = self.source_statistics(spins)
-        own = graph.stance * spins[graph.claim]
-        excluded = stats[graph.source] - own
-        denom = np.maximum(graph.source_cliques[graph.source], 1.0)
-        contributions = 2.0 * graph.stance * excluded / denom
-        signals = np.zeros(self._database.num_claims)
-        np.add.at(signals, graph.claim, contributions)
-        if not self._coupling_enabled:
-            signals[:] = 0.0
-        return signals
+        marginals = np.asarray(probabilities, dtype=float)
+        if marginals.shape[-1:] != (self._database.num_claims,):
+            raise InferenceError(
+                f"marginals must end in {self._database.num_claims} claims, "
+                f"got shape {marginals.shape}"
+            )
+        if not self._coupling_enabled or marginals.size == 0:
+            return np.zeros(marginals.shape)
+        block = np.ascontiguousarray(marginals.reshape(-1, marginals.shape[-1]))
+        return self._coupling_sums(block, pairs).reshape(marginals.shape)
+
+    def _coupling_sums(
+        self, block: np.ndarray, pairs: Optional[CouplingPairs]
+    ) -> np.ndarray:
+        """:meth:`trust_signals` of a C-contiguous float64 K×n block."""
+        pairs = self._pairs if pairs is None else pairs
+        kernel = load_kernel()
+        if kernel is None:
+            return _block_trust_signals(pairs, block)
+        return run_trust_signals(
+            kernel, pairs.addresses, pairs.claim.size, pairs.num_sources, block
+        )
 
     def conditional_logit(
         self, claim_index: int, spins: np.ndarray, source_stats: np.ndarray
@@ -238,15 +323,6 @@ class CrfModel:
         logit += 2.0 * gamma * float(np.sum(stances * excluded / denom))
         return logit
 
-    def marginal_logits(self, probabilities: np.ndarray) -> np.ndarray:
-        """Mean-field logits: local field plus γ times the trust signal."""
-        logits = self._local_fields.copy()
-        if self._coupling_enabled:
-            logits = logits + self._weights.coupling * self.trust_signals(
-                probabilities
-            )
-        return logits
-
     def mean_field(
         self,
         probabilities: np.ndarray,
@@ -255,38 +331,67 @@ class CrfModel:
         damping: float,
         scope: Optional[np.ndarray] = None,
         fixed: Optional[np.ndarray] = None,
+        pairs: Optional[CouplingPairs] = None,
     ) -> np.ndarray:
         """Damped mean-field fixed point — the one light-inference operator.
 
         Iterates ``P[f] ← d·P[f] + (1 − d)·σ(logits(P)[f])`` over the free
-        claims ``f`` on a copy of ``probabilities``; every other claim keeps
-        its starting value.  Hypothetical gain evaluation, the mean-field
-        E-steps (batch and streaming), the confirmation check and
-        cross-validated precision all run this operator.
+        claims ``f`` on a copy of ``probabilities``, where ``logits`` is
+        the local field plus γ times :meth:`trust_signals`; every other
+        claim keeps its starting value.  Hypothetical gain evaluation
+        (one K×n block per component), the mean-field E-steps (batch and
+        streaming), the confirmation check and cross-validated precision
+        all run this operator; a 1-D call is the K = 1 case.
 
         Args:
-            probabilities: Starting marginals (not modified).
+            probabilities: Starting marginals (not modified): a vector of
+                ``n``, or a K×n block whose rows iterate independently.
             steps: Fixed-point iterations.
             damping: Weight ``d`` of the previous value, in ``[0, 1)``.
             scope: Claims allowed to move (default: every claim).
             fixed: Claims held at their starting value even inside the
-                scope — the labels, plus any hypothetical pins.
+                scope — the labels, plus any hypothetical pins: indices
+                held in every row, or a boolean mask shaped like
+                ``probabilities`` that holds per row.
+            pairs: Pair rows the coupling sums read (see
+                :meth:`trust_signals`); must hold every row of every
+                source the scope touches.
         """
-        marginals = np.asarray(probabilities, dtype=float).copy()
-        free = (
-            np.arange(marginals.size, dtype=np.intp)
-            if scope is None
-            else np.asarray(scope, dtype=np.intp)
-        )
-        if fixed is not None and len(fixed):
-            held = np.zeros(marginals.size, dtype=bool)
-            held[np.asarray(fixed, dtype=np.intp)] = True
-            free = free[~held[free]]
+        marginals = np.array(probabilities, dtype=float)
+        if marginals.size == 0:
+            return marginals
+        block = marginals.reshape(-1, marginals.shape[-1])
+        n = block.shape[1]
+        if n != self._database.num_claims:
+            raise InferenceError(
+                f"marginals must end in {self._database.num_claims} claims, "
+                f"got shape {marginals.shape}"
+            )
+        movable = np.zeros(n, dtype=bool)
+        if scope is None:
+            movable[:] = True
+        else:
+            movable[np.asarray(scope, dtype=np.intp)] = True
+        fixed = np.asarray(() if fixed is None else fixed)
+        if fixed.dtype == bool:
+            free = np.flatnonzero(movable & ~fixed.reshape(block.shape))
+        else:
+            if fixed.size:
+                movable[fixed.astype(np.intp)] = False
+            free = np.flatnonzero(movable)
+            if block.shape[0] > 1:
+                free = (np.arange(block.shape[0])[:, None] * n + free).ravel()
         if free.size == 0:
             return marginals
+        flat = block.reshape(-1)
+        local = self._local_fields[free % n]
         for _ in range(steps):
-            updated = sigmoid(self.marginal_logits(marginals)[free])
-            marginals[free] = damping * marginals[free] + (1.0 - damping) * updated
+            logits = local
+            if self._coupling_enabled:
+                signals = self._coupling_sums(block, pairs).reshape(-1)
+                logits = local + self._weights.coupling * signals[free]
+            updated = sigmoid(logits)
+            flat[free] = damping * flat[free] + (1.0 - damping) * updated
         return marginals
 
     # ------------------------------------------------------------------
@@ -309,3 +414,29 @@ class CrfModel:
                 np.sum(stats * stats / denom)
             )
         return value
+
+
+def _block_trust_signals(pairs: CouplingPairs, block: np.ndarray) -> np.ndarray:
+    """NumPy twin of the compiled ``trust_signals`` kernel on a K×n block.
+
+    Row ``k``'s bins are offset by ``k`` times the bin count, so one flat
+    ``bincount`` sums every row and each bin still adds its terms in
+    pair-row order — the order of the per-row ``bincount``/``np.add.at``
+    the kernel reproduces.
+    """
+    num_rows, n = block.shape
+    rows = np.arange(num_rows)[:, None]
+    own = pairs.stance * (2.0 * block[:, pairs.claim] - 1.0)
+    stats = np.bincount(
+        (rows * pairs.num_sources + pairs.source).ravel(),
+        weights=own.ravel(),
+        minlength=num_rows * pairs.num_sources,
+    ).reshape(num_rows, pairs.num_sources)
+    excluded = stats[:, pairs.source] - own
+    contributions = 2.0 * pairs.stance * excluded / pairs.denom
+    # An empty weighted bincount comes back as int64.
+    return np.bincount(
+        (rows * n + pairs.claim).ravel(),
+        weights=contributions.ravel(),
+        minlength=num_rows * n,
+    ).astype(float, copy=False).reshape(num_rows, n)

@@ -16,26 +16,30 @@ entropy ``H_C`` (information-driven guidance) and the source-trust entropy
   affect claims in ``c``'s connected component, so inference and entropy
   differences are restricted to it.
 * **Independent candidates** (§5.1) — every batched-gains call captures
-  one :class:`~repro.guidance.gain.StateSnapshot`; each hypothesis reads
-  a read-only :class:`~repro.guidance.gain.HypotheticalView` of it, so
-  the shared database is never mutated and no candidate sees another's
-  hypothesis.  (On a 2-core host, spreading candidates over 2 or 4
-  threads measured slower than one thread in both inference modes, so
-  they run in sequence.)
+  one :class:`~repro.guidance.gain.StateSnapshot` and never mutates the
+  shared database.  The candidates of one component form one block of
+  hypotheses — the baseline plus a ``Q+`` and a ``Q-`` row per candidate
+  — whose rows never see each other's hypothesis, over the component's
+  :class:`~repro.crf.partition.ScopePlan` (its touched pair rows and
+  source claim lists, derived once per component).  (On a 2-core host,
+  spreading candidates over 2 or 4 threads measured slower than one
+  thread in both inference modes, so blocks run in sequence.)
 
 Hypothetical inference comes in two flavours: ``"meanfield"`` (default) —
 a few steps of the model's damped mean-field operator
-(:meth:`~repro.crf.model.CrfModel.mean_field`), deterministic and
-vector-fast; ``"gibbs"`` — a short throwaway Gibbs chain, closer to the
-paper's sampling-based estimate but noisier and slower (the ``origin``
-configuration of Fig. 2).  Gibbs-mode candidate streams are pure
-functions of one root entropy draw per batched-gains call, keyed by
-``(candidate, hypothesis)`` — evaluation order cannot change any result.
+(:meth:`~repro.crf.model.CrfModel.mean_field`), deterministic, one
+operator call per block; ``"gibbs"`` — a short throwaway Gibbs chain per
+row on a read-only :class:`~repro.guidance.gain.HypotheticalView`,
+closer to the paper's sampling-based estimate but noisier and slower
+(the ``origin`` configuration of Fig. 2).  Gibbs-mode candidate streams
+are pure functions of one root entropy draw per batched-gains call,
+keyed by ``(candidate, hypothesis)`` — evaluation order cannot change
+any result.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,11 +50,10 @@ from repro.crf.entropy import (
 )
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
-from repro.crf.partition import ComponentIndex
+from repro.crf.partition import ComponentIndex, ScopePlan
 from repro.data.database import FactDatabase
 from repro.guidance.gain.config import GainConfig
 from repro.guidance.gain.snapshot import HypotheticalView, StateSnapshot
-from repro.utils.arrays import concat_ranges
 from repro.utils.rng import RandomState, draw_entropy, ensure_rng, stream_rng
 
 #: Stream-key prefixes of the per-call Gibbs generator tree: baseline
@@ -59,23 +62,13 @@ from repro.utils.rng import RandomState, draw_entropy, ensure_rng, stream_rng
 _STREAM_BASELINE = 1
 _STREAM_HYPOTHESIS = 2
 
-
-class _CallContext:
-    """Shared state of one batched-gains call.
-
-    Carries the snapshot every hypothesis overlays, the root entropy of
-    the call's Gibbs stream tree, and the per-component baselines.
-    """
-
-    #: Call-scoped scratch structure, never checkpointed.
-    _STATE_EXCLUDED = ("snapshot", "entropy", "baselines")
-
-    def __init__(
-        self, snapshot: StateSnapshot, entropy: Optional[int]
-    ) -> None:
-        self.snapshot = snapshot
-        self.entropy = entropy
-        self.baselines: Dict[int, np.ndarray] = {}
+#: Elements of a block's widest row-shaped array (claims or touched
+#: sources per row) evaluated at once: 128 KiB of float64, which keeps
+#: the peak resident memory within about a megabyte of one-candidate
+#: evaluation.  Rows are independent, so splitting a component's block
+#: only bounds its transient memory; larger blocks measured at most
+#: ~10% faster at wiki ×1.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class GainEstimator:
@@ -164,10 +157,23 @@ class GainEstimator:
             if self._config.inference_mode == "gibbs"
             else None
         )
-        context = _CallContext(StateSnapshot.capture(self._database), entropy)
-        return np.asarray(
-            [self._gain(int(c), source_driven, context) for c in claim_indices]
-        )
+        snapshot = StateSnapshot.capture(self._database)
+        claims = [int(c) for c in claim_indices]
+        # Labelled candidates gain nothing; the rest are grouped by the
+        # component their hypotheses can move.
+        gains = np.zeros(len(claims))
+        groups: Dict[int, List[int]] = {}
+        for position, claim in enumerate(claims):
+            if claim not in snapshot.labels:
+                groups.setdefault(self._component_key(claim), []).append(
+                    position
+                )
+        for key, positions in groups.items():
+            candidates = np.asarray([claims[p] for p in positions], dtype=np.intp)
+            gains[positions] = self._component_gains(
+                key, candidates, source_driven, snapshot, entropy
+            )
+        return gains
 
     # ------------------------------------------------------------------
     # Core computation
@@ -179,93 +185,106 @@ class GainEstimator:
             return int(self._components.component_of(claim_index))
         return -1
 
+    def _plan(self, key: int) -> ScopePlan:
+        """Structure plan of a component key's scope."""
+        return self._components.plan(key if key >= 0 else None)
+
     def _scope(self, claim_index: int) -> np.ndarray:
         """Claims whose probabilities hypothetical input on ``c`` may move."""
-        if self._config.localize:
-            return self._components.component_of_claim(claim_index)
-        return np.arange(self._database.num_claims, dtype=np.intp)
+        return self._plan(self._component_key(claim_index)).claims
 
-    def _gain(
-        self, claim_index: int, source_driven: bool, context: _CallContext
-    ) -> float:
-        if claim_index in context.snapshot.labels:
-            return 0.0
-        scope = self._scope(claim_index)
-        # The baseline H(Q) must be measured after the *same* light
-        # inference operator as H(Q+)/H(Q-), only without the hypothetical
-        # label — otherwise the inference's smoothing of the marginals
-        # masquerades as (negative) information gain for every candidate.
-        base = self._baseline_marginals(claim_index, scope, context)
-        p = float(base[claim_index])
-
-        positive = self._hypothetical_marginals(claim_index, 1, scope, context)
-        negative = self._hypothetical_marginals(claim_index, 0, scope, context)
-
-        entropy = self._source_entropy if source_driven else self._claim_entropy
-        current = entropy(base, scope, context.snapshot)
-        plus = entropy(positive, scope, context.snapshot)
-        minus = entropy(negative, scope, context.snapshot)
-        conditional = p * plus + (1.0 - p) * minus
-        return float(current - conditional)
-
-    def _baseline_marginals(
-        self, claim_index: int, scope: np.ndarray, context: _CallContext
+    def _component_gains(
+        self,
+        key: int,
+        candidates: np.ndarray,
+        source_driven: bool,
+        snapshot: StateSnapshot,
+        entropy: Optional[int],
     ) -> np.ndarray:
-        """Label-free light inference over the candidate's scope.
+        """Gains of the unlabelled candidates of one component.
 
-        Computed at most once per component per batched-gains call: the
-        result is identical for all candidates of a component.
+        Evaluates one block of hypotheses: row 0 is the label-free
+        baseline, rows ``2i + 1`` / ``2i + 2`` pin candidate ``i`` to 1 / 0.
+        The baseline must come from the *same* light inference as
+        ``Q+``/``Q-``, only without the hypothetical label — otherwise the
+        inference's smoothing of the marginals masquerades as (negative)
+        information gain for every candidate.
         """
-        key = self._component_key(claim_index)
-        if key not in context.baselines:
-            # Offset the key into non-negative spawn-key space: the
-            # non-localised global key −1 maps to stream 0.
-            context.baselines[key] = self._infer(
-                scope,
-                HypotheticalView(context.snapshot),
-                context,
-                (_STREAM_BASELINE, key + 1),
+        plan = self._plan(key)
+        pinned = np.concatenate(([-1], np.repeat(candidates, 2)))
+        values = np.concatenate(([0.0], np.tile([1.0, 0.0], candidates.size)))
+        width = max(snapshot.num_claims, plan.source_counts.size, 1)
+        step = max(1, _BLOCK_ELEMENTS // width)
+        entropies = np.empty(pinned.size)
+        for start in range(0, pinned.size, step):
+            rows = slice(start, start + step)
+            block = self._infer_block(
+                plan, key, pinned[rows], values[rows], snapshot, entropy
             )
-        return context.baselines[key]
+            if start == 0:
+                p = block[0, candidates]
+            entropies[rows] = (
+                self._source_entropy(block, plan, snapshot)
+                if source_driven
+                else self._claim_entropy(block, pinned[rows], plan, snapshot)
+            )
+        current, plus, minus = entropies[0], entropies[1::2], entropies[2::2]
+        return current - (p * plus + (1.0 - p) * minus)
 
-    def _hypothetical_marginals(
+    def _infer_block(
         self,
-        claim_index: int,
-        value: int,
-        scope: np.ndarray,
-        context: _CallContext,
+        plan: ScopePlan,
+        key: int,
+        pinned: np.ndarray,
+        values: np.ndarray,
+        snapshot: StateSnapshot,
+        entropy: Optional[int],
     ) -> np.ndarray:
-        """Marginals of ``Q+`` / ``Q-`` under light inference."""
-        return self._infer(
-            scope,
-            HypotheticalView(context.snapshot, {claim_index: value}),
-            context,
-            (_STREAM_HYPOTHESIS, claim_index, value),
-        )
+        """Light inference over the plan's scope, one row per hypothesis.
 
-    def _infer(
-        self,
-        scope: np.ndarray,
-        view: HypotheticalView,
-        context: _CallContext,
-        stream_key: Tuple[int, ...],
-    ) -> np.ndarray:
-        """Light inference over ``scope`` on ``view``.
-
-        A Gibbs chain draws from the call's stream ``stream_key``.
+        Row ``k`` starts from the snapshot with claim ``pinned[k]`` (none
+        when negative) labelled ``values[k]``.  Mean field runs the whole
+        block through one operator call; a Gibbs chain per row draws from
+        the call's stream for that hypothesis.
         """
         if self._config.inference_mode == "meanfield":
-            return self.mean_field(scope, view)
-        sampler = GibbsSampler(
-            self._model,
-            burn_in=self._config.gibbs_burn_in,
-            num_samples=self._config.gibbs_samples,
-            seed=stream_rng(context.entropy, *stream_key),
-        )
-        return sampler.sample(claim_subset=scope, overlay=view).marginals
+            rows = np.flatnonzero(pinned >= 0)
+            start = np.repeat(snapshot.probabilities[None, :], pinned.size, axis=0)
+            start[rows, pinned[rows]] = values[rows]
+            held = np.zeros(start.shape, dtype=bool)
+            held[:, snapshot.label_indices] = True
+            held[rows, pinned[rows]] = True
+            return self._model.mean_field(
+                start,
+                steps=self._config.meanfield_steps,
+                damping=self._config.damping,
+                scope=plan.claims,
+                fixed=held,
+                pairs=plan.pairs,
+            )
+        chains = []
+        for claim, value in zip(pinned.tolist(), values.tolist()):
+            if claim < 0:
+                # Offset the key into non-negative spawn-key space: the
+                # non-localised global key −1 maps to stream 0.
+                view = HypotheticalView(snapshot)
+                stream = (_STREAM_BASELINE, key + 1)
+            else:
+                view = HypotheticalView(snapshot, {claim: int(value)})
+                stream = (_STREAM_HYPOTHESIS, claim, int(value))
+            sampler = GibbsSampler(
+                self._model,
+                burn_in=self._config.gibbs_burn_in,
+                num_samples=self._config.gibbs_samples,
+                seed=stream_rng(entropy, *stream),
+            )
+            chains.append(
+                sampler.sample(claim_subset=plan.claims, overlay=view).marginals
+            )
+        return np.stack(chains)
 
     # ------------------------------------------------------------------
-    # Entropy restricted to a scope
+    # Entropy restricted to a scope, one value per block row
     # ------------------------------------------------------------------
 
     #: Enumeration cap of the exact-entropy path.  Tighter than the global
@@ -275,55 +294,64 @@ class GainEstimator:
     _EXACT_ENTROPY_CAP = 12
 
     def _claim_entropy(
-        self, marginals: np.ndarray, scope: np.ndarray, snapshot: StateSnapshot
-    ) -> float:
-        """H_C over the scope (entropy outside cancels in differences)."""
+        self,
+        block: np.ndarray,
+        pinned: np.ndarray,
+        plan: ScopePlan,
+        snapshot: StateSnapshot,
+    ) -> np.ndarray:
+        """H_C over the scope (entropy outside cancels in differences).
+
+        The exact method enumerates each row's free claims: the scope
+        minus the labels and minus the row's pinned claim, which the
+        hypothesis holds like a label.
+        """
+        entropies = _row_sums(binary_entropy(np.take(block, plan.claims, axis=1)))
         if self._config.entropy_method == "exact":
-            free = scope[~np.isin(scope, snapshot.label_indices)]
-            if 0 < free.size <= min(self._EXACT_ENTROPY_CAP, MAX_EXACT_COMPONENT):
-                # component_entropy thresholds the supplied marginals
-                # directly — the database is never touched, so exact
-                # entropies of different candidates run concurrently.
-                return component_entropy(
-                    self._model, free, probabilities=marginals
-                )
-        return float(binary_entropy(marginals[scope]).sum())
+            free = plan.claims[~np.isin(plan.claims, snapshot.label_indices)]
+            cap = min(self._EXACT_ENTROPY_CAP, MAX_EXACT_COMPONENT)
+            for row, claim in enumerate(pinned.tolist()):
+                row_free = free[free != claim]
+                if 0 < row_free.size <= cap:
+                    # component_entropy thresholds the supplied marginals
+                    # directly — the database is never touched.
+                    entropies[row] = component_entropy(
+                        self._model, row_free, probabilities=block[row]
+                    )
+        return entropies
 
     def _source_entropy(
-        self, marginals: np.ndarray, scope: np.ndarray, snapshot: StateSnapshot
-    ) -> float:
+        self, block: np.ndarray, plan: ScopePlan, snapshot: StateSnapshot
+    ) -> np.ndarray:
         """H_S over sources touching the scope (Eq. 18, Eq. 17).
 
         Source trust is estimated from the thresholded marginals — the
-        light-inference surrogate of the grounding of Eq. 17.  Fully
-        vectorised over the cached claim–source graph: one gather of the
-        scope's source lists, one gather of those sources' claim lists,
-        one segmented mean.
+        light-inference surrogate of the grounding of Eq. 17: one gather
+        of the plan's source claim lists and one segmented sum per block.
+        The sums count 0/1 groundings, so they are exact in any order.
         """
-        grounding = (marginals >= 0.5).astype(np.int8)
+        if plan.source_counts.size == 0:
+            return np.zeros(block.shape[0])
+        grounding = (block >= 0.5).astype(np.int8)
         label_indices, label_values = snapshot.label_arrays()
         if label_indices.size:
-            grounding[label_indices] = label_values.astype(np.int8)
-        graph = self._database.claim_source_graph()
-        scope = np.asarray(scope, dtype=np.intp)
-        starts = graph.claim_ptr[scope]
-        counts = graph.claim_ptr[scope + 1] - starts
-        touched = np.unique(graph.source[concat_ranges(starts, counts)])
-        if touched.size == 0:
-            return 0.0
-        src_starts = graph.source_ptr[touched]
-        src_counts = graph.source_ptr[touched + 1] - src_starts
-        gathered = graph.claim[
-            graph.source_rows[concat_ranges(src_starts, src_counts)]
-        ]
-        segment = np.repeat(np.arange(touched.size), src_counts)
-        sums = np.bincount(
-            segment,
-            weights=grounding[gathered].astype(float),
-            minlength=touched.size,
+            grounding[:, label_indices] = label_values.astype(np.int8)
+        sums = np.add.reduceat(
+            np.take(grounding, plan.source_claims, axis=1),
+            plan.source_starts,
+            axis=1,
+            dtype=np.int64,
         )
-        trust = sums / src_counts
-        return float(binary_entropy(trust).sum())
+        return _row_sums(binary_entropy(sums / plan.source_counts))
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Per-row sums of a 2-D array, each bit-identical to ``row.sum()``.
+
+    A C-contiguous row is summed pairwise like a 1-D array; another
+    layout would be reduced in a different order.
+    """
+    return np.ascontiguousarray(values).sum(axis=1)
 
 
 def marginal_entropy_ranking(

@@ -29,7 +29,7 @@ assert exact chain equality).
 The walk state is three flat CSR arrays per free-claim set (row
 pointers, compact local source ids, ``stance/n_s`` coefficients) — a
 vectorised gather over the cached pair CSR, built once per free set.  The
-walk runs in a small compiled kernel (:mod:`.ckernel`), built on the
+walk runs in a small compiled kernel (:mod:`repro.utils.ckernel`), built on the
 first sweep that needs it; when the host has no C compiler the same walk
 runs in Python, with identical results.
 
@@ -53,7 +53,7 @@ from repro.analysis.contracts import derived_cache, mutates
 from repro.crf.model import CrfModel
 from repro.crf.potentials import sigmoid
 from repro.inference.engine.base import InferenceEngine, MStepData
-from repro.inference.engine.ckernel import load_kernel, run_scan_merge
+from repro.utils.ckernel import load_kernel, run_scan_merge
 from repro.utils.arrays import concat_ranges
 
 

@@ -7,7 +7,7 @@ routing a small REST surface onto a
 ====== =============================== ==========================================
 Method Path                            Meaning
 ====== =============================== ==========================================
-GET    ``/healthz``                    liveness + session count
+GET    ``/healthz``                    liveness, session count, kernel loaded
 GET    ``/sessions``                   list session summaries
 POST   ``/sessions``                   create from a SessionSpec JSON body
 GET    ``/sessions/{id}``              one session summary
@@ -47,6 +47,7 @@ from repro.errors import (
 )
 from repro.service.manager import SessionManager
 from repro.service.wire import LabelsRequest, StepRequest, error_to_dict
+from repro.utils.ckernel import kernel_loaded
 
 #: Largest accepted request body (16 MiB) — claim-arrival batches for big
 #: corpora are chunked by the client well below this.
@@ -153,9 +154,14 @@ class _Handler(BaseHTTPRequestHandler):
             raise SessionNotFoundError(f"unknown path {self.path!r}")
         # session_count touches only the registry lock — the probe stays
         # responsive while long-running session operations hold their locks.
+        # The kernel flag reads the loader's state and never builds it.
         self._send_json(
             200,
-            {"status": "ok", "sessions": self.manager.session_count()},
+            {
+                "status": "ok",
+                "sessions": self.manager.session_count(),
+                "kernel": kernel_loaded(),
+            },
         )
 
     def _get_sessions(self, session_id, action) -> None:

@@ -1,14 +1,17 @@
 """Mutate-and-restore oracle for information-gain evaluation.
 
 The production :class:`~repro.guidance.gain.GainEstimator` answers "what
-would inference say if claim ``c`` were labelled ``v``?" on read-only
-views of one state snapshot, with Gibbs chains on the model's engine
-(merge walk in the compiled kernel).  This oracle answers it the direct
-way: label ``c`` in the live database, run the light inference against
-the database with the merge walk in Python, restore.  It consumes the
-estimator's generator and derives its chain streams exactly like the
-estimator does, so the two must agree bit for bit — across the two
-walks.
+would inference say if claim ``c`` were labelled ``v``?" for all
+candidates of a component at once: one K×n block of hypotheses on one
+state snapshot, mean field with its coupling sums in the compiled kernel,
+Gibbs chains on the model's engine (merge walk in the compiled kernel).
+This oracle answers it the direct way, one candidate and hypothesis at a
+time: label ``c`` in the live database, run the light inference against
+the database — the per-row NumPy mean field of
+``tests/meanfield_oracle.py``, or a chain with the merge walk in Python —
+measure the entropy, restore.  It consumes the estimator's generator and
+derives its chain streams exactly like the estimator does, so the two
+must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +20,55 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.crf.entropy import MAX_EXACT_COMPONENT, binary_entropy, component_entropy
 from repro.crf.gibbs import GibbsSampler
-from repro.guidance.gain import GainEstimator, StateSnapshot
+from repro.guidance.gain import GainEstimator
 from repro.guidance.gain.estimator import _STREAM_BASELINE, _STREAM_HYPOTHESIS
+from repro.utils.arrays import concat_ranges
 from repro.utils.rng import draw_entropy, stream_rng
 
+from tests import meanfield_oracle
 from tests.reference_engine import PythonWalkEngine
+
+
+def claim_entropy(estimator, marginals, scope) -> float:
+    """H_C over ``scope`` with the live database's labels held."""
+    database = estimator._model.database
+    if estimator.config.entropy_method == "exact":
+        free = scope[~np.isin(scope, database.labelled_indices)]
+        cap = min(estimator._EXACT_ENTROPY_CAP, MAX_EXACT_COMPONENT)
+        if 0 < free.size <= cap:
+            return component_entropy(
+                estimator._model, free, probabilities=marginals
+            )
+    return float(binary_entropy(marginals[scope]).sum())
+
+
+def source_entropy(estimator, marginals, scope) -> float:
+    """H_S over the sources touching ``scope`` (Eq. 17–18), one row."""
+    database = estimator._model.database
+    grounding = (marginals >= 0.5).astype(np.int8)
+    label_indices, label_values = database.label_arrays()
+    if label_indices.size:
+        grounding[label_indices] = label_values.astype(np.int8)
+    graph = database.claim_source_graph()
+    starts = graph.claim_ptr[scope]
+    counts = graph.claim_ptr[scope + 1] - starts
+    touched = np.unique(graph.source[concat_ranges(starts, counts)])
+    if touched.size == 0:
+        return 0.0
+    src_starts = graph.source_ptr[touched]
+    src_counts = graph.source_ptr[touched + 1] - src_starts
+    gathered = graph.claim[
+        graph.source_rows[concat_ranges(src_starts, src_counts)]
+    ]
+    segment = np.repeat(np.arange(touched.size), src_counts)
+    sums = np.bincount(
+        segment,
+        weights=grounding[gathered].astype(float),
+        minlength=touched.size,
+    )
+    return float(binary_entropy(sums / src_counts).sum())
 
 
 def oracle_gains(
@@ -36,14 +82,12 @@ def oracle_gains(
     database = model.database
     gibbs = config.inference_mode == "gibbs"
     entropy = draw_entropy(estimator._rng) if gibbs else None
-    snapshot = StateSnapshot.capture(database)
-    entropy_of = (
-        estimator._source_entropy if source_driven else estimator._claim_entropy
-    )
+    entropy_of = source_entropy if source_driven else claim_entropy
 
     def infer(scope, *stream_key):
         if not gibbs:
-            return model.mean_field(
+            return meanfield_oracle.mean_field(
+                model,
                 database.probabilities,
                 steps=config.meanfield_steps,
                 damping=config.damping,
@@ -60,10 +104,12 @@ def oracle_gains(
         return sampler.sample(claim_subset=scope).marginals
 
     def hypothetical(claim, value, scope):
+        """H of the scope with ``claim`` labelled ``value``."""
         state = database.clone_state()
         try:
             database.label(claim, value)
-            return infer(scope, _STREAM_HYPOTHESIS, claim, value)
+            marginals = infer(scope, _STREAM_HYPOTHESIS, claim, value)
+            return entropy_of(estimator, marginals, scope)
         finally:
             database.restore_state(state)
 
@@ -79,8 +125,8 @@ def oracle_gains(
             baselines[key] = infer(scope, _STREAM_BASELINE, key + 1)
         base = baselines[key]
         p = float(base[claim])
-        plus = entropy_of(hypothetical(claim, 1, scope), scope, snapshot)
-        minus = entropy_of(hypothetical(claim, 0, scope), scope, snapshot)
-        current = entropy_of(base, scope, snapshot)
+        plus = hypothetical(claim, 1, scope)
+        minus = hypothetical(claim, 0, scope)
+        current = entropy_of(estimator, base, scope)
         gains.append(float(current - (p * plus + (1.0 - p) * minus)))
     return np.asarray(gains)

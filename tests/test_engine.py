@@ -27,7 +27,7 @@ from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
 from repro.errors import InferenceError
 from repro.inference.engine import SpeculativeEngine, create_engine
-from repro.inference.engine.ckernel import load_kernel
+from repro.utils.ckernel import load_kernel
 from repro.inference.icrf import ICrf
 from repro.inference.mstep import MStepConfig
 from tests.fixtures import build_micro_database, random_databases

@@ -32,6 +32,7 @@ from repro.service.wire import (
 )
 from repro.streaming import stream_from_database
 
+from repro.utils.ckernel import load_kernel
 from tests.fixtures import MALFORMED_SPECS, REJECTION_CASES, rejected_arrivals
 
 
@@ -368,6 +369,17 @@ class TestHTTPService:
         result = service.result("http-batch")
         assert result.stop_reason == golden.stop_reason
         assert np.array_equal(result.weights.values, golden.weights.values)
+
+    def test_healthz_reports_whether_the_kernel_loaded(self, service, monkeypatch):
+        # A failed build caches None: the probe must say so rather than
+        # let the uncompiled fallbacks run unnoticed.
+        monkeypatch.setattr("repro.utils.ckernel._KERNEL", None)
+        health = service.health()
+        assert health["kernel"] is False
+        assert health["status"] == "ok"
+        monkeypatch.undo()
+        if load_kernel() is not None:
+            assert service.health()["kernel"] is True
 
     def test_spec_validation_error_carries_field_path(self, service):
         with pytest.raises(ServiceRequestError) as excinfo:
