@@ -10,7 +10,10 @@ Two properties requested by the paper are built in:
   during sampling, and the opposing-variable non-equality constraint
   (Eq. 3) is enforced structurally through stance signs (a refuting
   document contributes inverted evidence), so no sampled configuration can
-  violate it.
+  violate it.  What is held is an argument of :meth:`GibbsSampler.sample`
+  (a start vector and a held mask, defaulting to the database's
+  probabilities and labels), so a hypothetical chain of gain evaluation
+  pins its claim without labelling the shared database.
 * **View maintenance / warm starts** — the sampler keeps its chain state
   across invocations, so iteration ``z`` of the validation process resumes
   from iteration ``z-1``'s state instead of re-mixing from scratch; this is
@@ -140,22 +143,11 @@ class GibbsSampler:
         )
         set_rng_state(self._rng, state["rng"])
 
-    def _initial_spins(self, state) -> np.ndarray:
-        """Draw an initial configuration from the current marginals."""
-        probabilities = state.probabilities
-        draws = self._rng.random(probabilities.size) < probabilities
-        return np.where(draws, 1.0, -1.0)
-
-    def _pin_labels(self, spins: np.ndarray, state) -> None:
-        """Force labelled claims to their user-provided value."""
-        indices, values = state.label_arrays()
-        if indices.size:
-            spins[indices] = np.where(values > 0, 1.0, -1.0)
-
     def sample(
         self,
         claim_subset: Optional[np.ndarray] = None,
-        overlay=None,
+        probabilities: Optional[np.ndarray] = None,
+        fixed: Optional[np.ndarray] = None,
     ) -> GibbsResult:
         """Run the chain and collect samples.
 
@@ -163,41 +155,42 @@ class GibbsSampler:
             claim_subset: When given, only these claims are resampled and
                 all others stay fixed — the localisation used for
                 component-restricted inference (§5.1).  Defaults to all
-                unlabelled claims.
-            overlay: Optional read-only state view (probabilities, label
-                arrays) substituted for the model's database — e.g. a
-                :class:`~repro.guidance.gain.HypotheticalView` pinning a
-                hypothetical label without mutating the shared database.
-                The chain consumes the generator exactly as it would with
-                the database mutated to the same state, so overlay-based
-                and mutate-and-restore evaluation are bit-for-bit
-                interchangeable.
+                claims that are not held.
+            probabilities: Starting marginals (not modified); defaults to
+                the database's.  A fresh chain draws its first
+                configuration from them.
+            fixed: Claims held at their starting value (indices or a
+                boolean mask); defaults to the database's labels.  A held
+                claim's spin is its starting value thresholded at 0.5, so
+                a hypothesis is a start vector with its pins set to 0/1
+                plus a held mask — the chain then consumes the generator
+                exactly as it would on the database labelled to that
+                state.
 
         Returns:
-            A :class:`GibbsResult`; marginals of claims outside the subset
-            are taken from the database (or overlay) unchanged.
+            A :class:`GibbsResult`; marginals of claims that are held or
+            outside the subset are their starting values.
         """
-        database = overlay if overlay is not None else self._model.database
+        database = self._model.database
+        if probabilities is None:
+            probabilities = database.probabilities
+        held = np.zeros(probabilities.size, dtype=bool)
+        held[database.labelled_indices if fixed is None else fixed] = True
+
         warm = self._spins is not None
-        if self._spins is None or self._spins.size != database.num_claims:
-            self._spins = self._initial_spins(database)
+        if self._spins is None or self._spins.size != probabilities.size:
+            draws = self._rng.random(probabilities.size) < probabilities
+            self._spins = np.where(draws, 1.0, -1.0)
         spins = self._spins
-        self._pin_labels(spins, database)
+        spins[held] = np.where(probabilities[held] >= 0.5, 1.0, -1.0)
 
         if claim_subset is None:
-            free_claims = database.unlabelled_indices
+            free_claims = np.flatnonzero(~held)
         else:
             claim_subset = np.asarray(claim_subset, dtype=np.intp)
-            labelled = set(int(i) for i in database.labelled_indices)
-            free_claims = np.asarray(
-                [int(c) for c in claim_subset if int(c) not in labelled],
-                dtype=np.intp,
-            )
+            free_claims = claim_subset[~held[claim_subset]]
 
-        marginals = np.asarray(database.probabilities, dtype=float).copy()
-        label_indices, label_values = database.label_arrays()
-        if label_indices.size:
-            marginals[label_indices] = label_values
+        marginals = np.array(probabilities, dtype=float)
 
         if free_claims.size == 0:
             configuration = (spins > 0).astype(np.int8)

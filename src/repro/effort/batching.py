@@ -15,8 +15,9 @@ incrementally as in the paper:
 ``Δ_{i+1}(c) = Δ_i(c) - 2 IG(c*_i) M(c, c*_i) IG(c)``.
 
 :func:`exact_batch_gain` evaluates the *exact* expected benefit of Eq. 24
-by enumeration — exponential in |B|, provided for validating the greedy
-approximation on small instances.
+by enumeration — one hypothesis row of light inference per configuration
+of B, so exponential in |B| — for validating the greedy approximation on
+small instances.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ import numpy as np
 from repro.crf.entropy import binary_entropy
 from repro.data.database import FactDatabase
 from repro.errors import GuidanceError
-from repro.guidance.gain import (
-    GainEstimator,
-    HypotheticalView,
-    StateSnapshot,
-    marginal_entropy_ranking,
-)
+from repro.guidance.gain import GainEstimator, marginal_entropy_ranking
 
 
 @dataclass
@@ -220,11 +216,14 @@ def exact_batch_gain(
     light hypothetical inference for each, and averages the resulting
     entropies.  Exponential in ``len(claims)``.
 
-    Every configuration is evaluated as a multi-pin overlay on one state
-    snapshot — the database is never mutated, and the numbers match the
-    historical label/restore enumeration exactly (a pinned claim starts
-    the fixed point at its pinned value and is excluded from the free
-    set, which is precisely what labelling it produced).
+    The nonzero-weight configurations run as rows of one mean-field
+    block (:meth:`GainEstimator.pinned_entropies`); the database is never
+    mutated.  A row starts each batch claim at its configured value and
+    holds it, which is exactly what labelling the claim did — also for
+    a claim that is already labelled.
+
+    Raises:
+        GuidanceError: With |B| > 12 or a claim index outside the database.
     """
     claims = [int(c) for c in claims]
     if not claims:
@@ -234,24 +233,31 @@ def exact_batch_gain(
             "exact batch gain enumerates 2^|B| configurations; |B| > 12 "
             "is not supported"
         )
+    outside = [c for c in claims if not 0 <= c < database.num_claims]
+    if outside:
+        raise GuidanceError(
+            f"claim indices {outside} outside [0, {database.num_claims})"
+        )
     probabilities = np.asarray(database.probabilities, dtype=float)
-    scope: set = set()
-    for claim in claims:
-        scope.update(int(c) for c in gains.components.component_of_claim(claim))
-    scope_array = np.asarray(sorted(scope), dtype=np.intp)
+    scope = np.unique(
+        np.concatenate([gains.components.component_of_claim(c) for c in claims])
+    ).astype(np.intp)
 
-    current_entropy = float(binary_entropy(probabilities[scope_array]).sum())
-    conditional = 0.0
-    snapshot = StateSnapshot.capture(database)
+    current_entropy = float(binary_entropy(probabilities[scope]).sum())
+    weights = []
+    configurations = []
     for values in itertools.product((0, 1), repeat=len(claims)):
         weight = 1.0
         for claim, value in zip(claims, values):
             p = float(probabilities[claim])
             weight *= p if value == 1 else (1.0 - p)
-        if weight == 0.0:
-            continue
-        view = HypotheticalView(snapshot, dict(zip(claims, values)))
-        marginals = gains.mean_field(scope_array, view)
-        entropy = float(binary_entropy(marginals[scope_array]).sum())
+        if weight != 0.0:
+            weights.append(weight)
+            configurations.append(values)
+    entropies = gains.pinned_entropies(
+        scope, claims, np.reshape(configurations, (-1, len(claims)))
+    )
+    conditional = 0.0
+    for weight, entropy in zip(weights, entropies.tolist()):
         conditional += weight * entropy
     return current_entropy - conditional

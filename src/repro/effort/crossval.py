@@ -10,12 +10,10 @@ estimate ``A_i`` at step i.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.crf.model import CrfModel
-from repro.crf.partition import ComponentIndex
 from repro.errors import ValidationProcessError
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -31,9 +29,14 @@ def estimate_precision(
 ) -> float:
     """Estimate grounding precision by k-fold cross validation.
 
+    Each fold is one row of a mean-field block: its held-out claims start
+    at the database prior and are free, together with the unlabelled
+    claims of their components; every other claim is held.  The database
+    is read, never mutated.
+
     Args:
-        process: The running validation process (its database and model
-            are used; all mutations are rolled back).
+        process: The running validation process (its database, model and
+            component index are used).
         folds: Number of partitions k.
         meanfield_steps: Light-inference iterations per fold.
         seed: Seed for the fold shuffle (fixed by default so successive
@@ -43,8 +46,11 @@ def estimate_precision(
         ``A_i`` — the mean held-out agreement, in [0, 1].
 
     Raises:
-        ValidationProcessError: With fewer labelled claims than folds.
+        ValidationProcessError: With fewer than one fold or fewer labelled
+            claims than folds.
     """
+    if folds < 1:
+        raise ValidationProcessError(f"folds must be positive, got {folds}")
     database = process.database
     labelled = [int(c) for c in database.labelled_indices]
     if len(labelled) < folds:
@@ -55,49 +61,29 @@ def estimate_precision(
     rng = ensure_rng(seed)
     shuffled = list(labelled)
     rng.shuffle(shuffled)
-    partitions: List[List[int]] = [shuffled[j::folds] for j in range(folds)]
+    partitions = [
+        np.asarray(shuffled[j::folds], dtype=np.intp) for j in range(folds)
+    ]
 
-    model = process.icrf.model
-    components = process.components
-    agreements = []
-    for partition in partitions:
-        if not partition:
-            continue
-        agreements.append(
-            _fold_agreement(model, components, partition, meanfield_steps)
+    # A labelled claim's probability is its label value.
+    probabilities = database.probabilities
+    is_labelled = np.zeros(probabilities.size, dtype=bool)
+    is_labelled[labelled] = True
+    start = np.repeat(probabilities[None, :], folds, axis=0)
+    held = np.ones(start.shape, dtype=bool)
+    for row, fold in enumerate(partitions):
+        scope = np.concatenate(
+            [process.components.component_of_claim(c) for c in fold]
         )
-    return float(np.mean(agreements)) if agreements else 0.0
-
-
-def _fold_agreement(
-    model: CrfModel,
-    components: ComponentIndex,
-    held_out: List[int],
-    meanfield_steps: int,
-) -> float:
-    """Agreement of re-inferred values with held-out labels for one fold."""
-    database = model.database
-    snapshot = database.clone_state()
-    stored = {c: database.label_of(c) for c in held_out}
-    try:
-        scope: set = set()
-        for claim_index in held_out:
-            database.unlabel(claim_index)
-            scope.update(
-                int(c) for c in components.component_of_claim(claim_index)
-            )
-        marginals = model.mean_field(
-            database.probabilities,
-            steps=meanfield_steps,
-            damping=0.2,
-            scope=np.asarray(sorted(scope), dtype=np.intp),
-            fixed=database.labelled_indices,
-        )
-        hits = sum(
-            1
-            for claim_index in held_out
-            if int(marginals[claim_index] >= 0.5) == stored[claim_index]
-        )
-        return hits / len(held_out)
-    finally:
-        database.restore_state(snapshot)
+        held[row, scope] = is_labelled[scope]
+        held[row, fold] = False
+        start[row, fold] = database.prior
+    marginals = process.icrf.model.mean_field(
+        start, steps=meanfield_steps, damping=0.2, fixed=held
+    )
+    agreements = [
+        np.count_nonzero((marginals[row, fold] >= 0.5) == (probabilities[fold] >= 0.5))
+        / fold.size
+        for row, fold in enumerate(partitions)
+    ]
+    return float(np.mean(agreements))

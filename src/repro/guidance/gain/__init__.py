@@ -3,11 +3,10 @@
 The package splits the gain machinery into focused modules:
 
 * :mod:`.config` — :class:`GainConfig` and the mode/method registries.
-* :mod:`.snapshot` — :class:`StateSnapshot` / :class:`HypotheticalView`,
-  the read-only state captures that let hypothetical labels be evaluated
-  without mutating the shared database.
 * :mod:`.estimator` — :class:`GainEstimator` itself and the
-  marginal-entropy candidate ranking.
+  marginal-entropy candidate ranking.  A hypothetical label is a row of
+  starting marginals plus a held mask, never a change to the shared
+  database.
 """
 
 from repro.guidance.gain.config import (
@@ -16,14 +15,11 @@ from repro.guidance.gain.config import (
     GainConfig,
 )
 from repro.guidance.gain.estimator import GainEstimator, marginal_entropy_ranking
-from repro.guidance.gain.snapshot import HypotheticalView, StateSnapshot
 
 __all__ = [
     "ENTROPY_METHODS",
     "GainConfig",
     "GainEstimator",
-    "HypotheticalView",
     "INFERENCE_MODES",
-    "StateSnapshot",
     "marginal_entropy_ranking",
 ]

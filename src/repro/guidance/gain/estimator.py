@@ -15,11 +15,13 @@ entropy ``H_C`` (information-driven guidance) and the source-trust entropy
 * **Graph partitioning** (§5.1) — hypothetical input on ``c`` can only
   affect claims in ``c``'s connected component, so inference and entropy
   differences are restricted to it.
-* **Independent candidates** (§5.1) — every batched-gains call captures
-  one :class:`~repro.guidance.gain.StateSnapshot` and never mutates the
-  shared database.  The candidates of one component form one block of
-  hypotheses — the baseline plus a ``Q+`` and a ``Q-`` row per candidate
-  — whose rows never see each other's hypothesis, over the component's
+* **Independent candidates** (§5.1) — every batched-gains call reads the
+  database's probabilities and labels once and never mutates it.  A
+  hypothesis is a row: starting marginals with its pins set, plus a
+  held mask (the labels and the pins).  The candidates of one component
+  form one block of such rows — the baseline plus a ``Q+`` and a ``Q-``
+  row per candidate — that never see each other's hypothesis, over the
+  component's
   :class:`~repro.crf.partition.ScopePlan` (its touched pair rows and
   source claim lists, derived once per component).  (On a 2-core host,
   spreading candidates over 2 or 4 threads measured slower than one
@@ -29,9 +31,10 @@ Hypothetical inference comes in two flavours: ``"meanfield"`` (default) —
 a few steps of the model's damped mean-field operator
 (:meth:`~repro.crf.model.CrfModel.mean_field`), deterministic, one
 operator call per block; ``"gibbs"`` — a short throwaway Gibbs chain per
-row on a read-only :class:`~repro.guidance.gain.HypotheticalView`,
-closer to the paper's sampling-based estimate but noisier and slower
-(the ``origin`` configuration of Fig. 2).  Gibbs-mode candidate streams
+row, started from the row and holding its mask
+(:meth:`~repro.crf.gibbs.GibbsSampler.sample`), closer to the paper's
+sampling-based estimate but noisier and slower (the ``origin``
+configuration of Fig. 2).  Gibbs-mode candidate streams
 are pure functions of one root entropy draw per batched-gains call,
 keyed by ``(candidate, hypothesis)`` — evaluation order cannot change
 any result.
@@ -39,7 +42,7 @@ any result.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,11 +52,10 @@ from repro.crf.entropy import (
     MAX_EXACT_COMPONENT,
 )
 from repro.crf.gibbs import GibbsSampler
-from repro.crf.model import CrfModel
+from repro.crf.model import CouplingPairs, CrfModel
 from repro.crf.partition import ComponentIndex, ScopePlan
 from repro.data.database import FactDatabase
 from repro.guidance.gain.config import GainConfig
-from repro.guidance.gain.snapshot import HypotheticalView, StateSnapshot
 from repro.utils.rng import RandomState, draw_entropy, ensure_rng, stream_rng
 
 #: Stream-key prefixes of the per-call Gibbs generator tree: baseline
@@ -131,19 +133,40 @@ class GainEstimator:
         """Vector of IG_S over candidates."""
         return self._gains(claim_indices, source_driven=True)
 
-    def mean_field(self, scope: np.ndarray, view: HypotheticalView) -> np.ndarray:
-        """Mean-field light inference over ``scope`` on a view's state.
+    def pinned_entropies(
+        self, scope: np.ndarray, claims: Sequence[int], configurations: np.ndarray
+    ) -> np.ndarray:
+        """H_C over ``scope`` after light inference under each configuration.
 
-        The view's labels and pins stay fixed; the iteration count and
-        damping come from the configuration.
+        Row ``k`` labels ``claims`` with ``configurations[k]`` — a pin
+        overrides a label, as :meth:`FactDatabase.label` does — and runs
+        mean field over ``scope`` (iteration count and damping from the
+        configuration).  The exact batch benefit of §6.2 enumerates its
+        configurations this way.
         """
-        return self._model.mean_field(
-            view.probabilities,
-            steps=self._config.meanfield_steps,
-            damping=self._config.damping,
-            scope=scope,
-            fixed=view.labelled_indices,
+        probabilities, labelled = self._state()
+        configurations = np.asarray(configurations, dtype=float)
+        pinned = np.broadcast_to(
+            np.asarray(claims, dtype=np.intp), configurations.shape
         )
+        entropies = np.empty(len(configurations))
+        for rows, start, held in _hypothesis_blocks(
+            probabilities, labelled, pinned, configurations, probabilities.size
+        ):
+            block = self._mean_field(start, held, scope)
+            entropies[rows] = _row_sums(binary_entropy(np.take(block, scope, axis=1)))
+        return entropies
+
+    def _state(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The database's probabilities and label mask, read once per call.
+
+        A labelled claim's probability is its label value (``label`` and
+        ``set_probabilities`` keep it so), so the pair is the whole state.
+        """
+        probabilities = self._database.probabilities
+        labelled = np.zeros(probabilities.size, dtype=bool)
+        labelled[self._database.labelled_indices] = True
+        return probabilities, labelled
 
     def _gains(
         self, claim_indices: Sequence[int], source_driven: bool
@@ -157,21 +180,21 @@ class GainEstimator:
             if self._config.inference_mode == "gibbs"
             else None
         )
-        snapshot = StateSnapshot.capture(self._database)
+        probabilities, labelled = self._state()
         claims = [int(c) for c in claim_indices]
         # Labelled candidates gain nothing; the rest are grouped by the
         # component their hypotheses can move.
         gains = np.zeros(len(claims))
         groups: Dict[int, List[int]] = {}
         for position, claim in enumerate(claims):
-            if claim not in snapshot.labels:
+            if not labelled[claim]:
                 groups.setdefault(self._component_key(claim), []).append(
                     position
                 )
         for key, positions in groups.items():
             candidates = np.asarray([claims[p] for p in positions], dtype=np.intp)
             gains[positions] = self._component_gains(
-                key, candidates, source_driven, snapshot, entropy
+                key, candidates, source_driven, probabilities, labelled, entropy
             )
         return gains
 
@@ -198,7 +221,8 @@ class GainEstimator:
         key: int,
         candidates: np.ndarray,
         source_driven: bool,
-        snapshot: StateSnapshot,
+        probabilities: np.ndarray,
+        labelled: np.ndarray,
         entropy: Optional[int],
     ) -> np.ndarray:
         """Gains of the unlabelled candidates of one component.
@@ -213,20 +237,20 @@ class GainEstimator:
         plan = self._plan(key)
         pinned = np.concatenate(([-1], np.repeat(candidates, 2)))
         values = np.concatenate(([0.0], np.tile([1.0, 0.0], candidates.size)))
-        width = max(snapshot.num_claims, plan.source_counts.size, 1)
-        step = max(1, _BLOCK_ELEMENTS // width)
         entropies = np.empty(pinned.size)
-        for start in range(0, pinned.size, step):
-            rows = slice(start, start + step)
+        width = max(probabilities.size, plan.source_counts.size)
+        for rows, start, held in _hypothesis_blocks(
+            probabilities, labelled, pinned[:, None], values[:, None], width
+        ):
             block = self._infer_block(
-                plan, key, pinned[rows], values[rows], snapshot, entropy
+                plan, key, start, held, pinned[rows], values[rows], entropy
             )
-            if start == 0:
+            if rows.start == 0:
                 p = block[0, candidates]
             entropies[rows] = (
-                self._source_entropy(block, plan, snapshot)
+                self._source_entropy(block, plan)
                 if source_driven
-                else self._claim_entropy(block, pinned[rows], plan, snapshot)
+                else self._claim_entropy(block, held, plan)
             )
         current, plus, minus = entropies[0], entropies[1::2], entropies[2::2]
         return current - (p * plus + (1.0 - p) * minus)
@@ -235,53 +259,58 @@ class GainEstimator:
         self,
         plan: ScopePlan,
         key: int,
+        start: np.ndarray,
+        held: np.ndarray,
         pinned: np.ndarray,
         values: np.ndarray,
-        snapshot: StateSnapshot,
         entropy: Optional[int],
     ) -> np.ndarray:
         """Light inference over the plan's scope, one row per hypothesis.
 
-        Row ``k`` starts from the snapshot with claim ``pinned[k]`` (none
-        when negative) labelled ``values[k]``.  Mean field runs the whole
-        block through one operator call; a Gibbs chain per row draws from
-        the call's stream for that hypothesis.
+        Row ``k`` starts from ``start[k]`` and holds ``held[k]``; it pins
+        claim ``pinned[k]`` (none when negative) to ``values[k]``.  Mean
+        field runs the whole block through one operator call; a Gibbs
+        chain per row draws from the call's stream for that hypothesis.
         """
         if self._config.inference_mode == "meanfield":
-            rows = np.flatnonzero(pinned >= 0)
-            start = np.repeat(snapshot.probabilities[None, :], pinned.size, axis=0)
-            start[rows, pinned[rows]] = values[rows]
-            held = np.zeros(start.shape, dtype=bool)
-            held[:, snapshot.label_indices] = True
-            held[rows, pinned[rows]] = True
-            return self._model.mean_field(
-                start,
-                steps=self._config.meanfield_steps,
-                damping=self._config.damping,
-                scope=plan.claims,
-                fixed=held,
-                pairs=plan.pairs,
-            )
+            return self._mean_field(start, held, plan.claims, plan.pairs)
         chains = []
-        for claim, value in zip(pinned.tolist(), values.tolist()):
-            if claim < 0:
-                # Offset the key into non-negative spawn-key space: the
-                # non-localised global key −1 maps to stream 0.
-                view = HypotheticalView(snapshot)
-                stream = (_STREAM_BASELINE, key + 1)
-            else:
-                view = HypotheticalView(snapshot, {claim: int(value)})
-                stream = (_STREAM_HYPOTHESIS, claim, int(value))
+        for row, (claim, value) in enumerate(zip(pinned.tolist(), values.tolist())):
+            # Offset the key into non-negative spawn-key space: the
+            # non-localised global key −1 maps to stream 0.
+            stream = (
+                (_STREAM_BASELINE, key + 1)
+                if claim < 0
+                else (_STREAM_HYPOTHESIS, claim, int(value))
+            )
             sampler = GibbsSampler(
                 self._model,
                 burn_in=self._config.gibbs_burn_in,
                 num_samples=self._config.gibbs_samples,
                 seed=stream_rng(entropy, *stream),
             )
-            chains.append(
-                sampler.sample(claim_subset=plan.claims, overlay=view).marginals
+            result = sampler.sample(
+                claim_subset=plan.claims, probabilities=start[row], fixed=held[row]
             )
+            chains.append(result.marginals)
         return np.stack(chains)
+
+    def _mean_field(
+        self,
+        start: np.ndarray,
+        held: np.ndarray,
+        scope: np.ndarray,
+        pairs: Optional[CouplingPairs] = None,
+    ) -> np.ndarray:
+        """The configured mean-field steps over ``scope`` on a block."""
+        return self._model.mean_field(
+            start,
+            steps=self._config.meanfield_steps,
+            damping=self._config.damping,
+            scope=scope,
+            fixed=held,
+            pairs=pairs,
+        )
 
     # ------------------------------------------------------------------
     # Entropy restricted to a scope, one value per block row
@@ -294,48 +323,39 @@ class GainEstimator:
     _EXACT_ENTROPY_CAP = 12
 
     def _claim_entropy(
-        self,
-        block: np.ndarray,
-        pinned: np.ndarray,
-        plan: ScopePlan,
-        snapshot: StateSnapshot,
+        self, block: np.ndarray, held: np.ndarray, plan: ScopePlan
     ) -> np.ndarray:
         """H_C over the scope (entropy outside cancels in differences).
 
         The exact method enumerates each row's free claims: the scope
-        minus the labels and minus the row's pinned claim, which the
-        hypothesis holds like a label.
+        minus the row's held claims (the labels and its pin).
         """
         entropies = _row_sums(binary_entropy(np.take(block, plan.claims, axis=1)))
         if self._config.entropy_method == "exact":
-            free = plan.claims[~np.isin(plan.claims, snapshot.label_indices)]
             cap = min(self._EXACT_ENTROPY_CAP, MAX_EXACT_COMPONENT)
-            for row, claim in enumerate(pinned.tolist()):
-                row_free = free[free != claim]
-                if 0 < row_free.size <= cap:
+            for row in range(block.shape[0]):
+                free = plan.claims[~held[row, plan.claims]]
+                if 0 < free.size <= cap:
                     # component_entropy thresholds the supplied marginals
                     # directly — the database is never touched.
                     entropies[row] = component_entropy(
-                        self._model, row_free, probabilities=block[row]
+                        self._model, free, probabilities=block[row]
                     )
         return entropies
 
-    def _source_entropy(
-        self, block: np.ndarray, plan: ScopePlan, snapshot: StateSnapshot
-    ) -> np.ndarray:
+    def _source_entropy(self, block: np.ndarray, plan: ScopePlan) -> np.ndarray:
         """H_S over sources touching the scope (Eq. 18, Eq. 17).
 
         Source trust is estimated from the thresholded marginals — the
         light-inference surrogate of the grounding of Eq. 17: one gather
         of the plan's source claim lists and one segmented sum per block.
-        The sums count 0/1 groundings, so they are exact in any order.
+        Held claims keep their 0/1 starting values, so labels and pins
+        ground as themselves.  The sums count 0/1 groundings, so they are
+        exact in any order.
         """
         if plan.source_counts.size == 0:
             return np.zeros(block.shape[0])
         grounding = (block >= 0.5).astype(np.int8)
-        label_indices, label_values = snapshot.label_arrays()
-        if label_indices.size:
-            grounding[:, label_indices] = label_values.astype(np.int8)
         sums = np.add.reduceat(
             np.take(grounding, plan.source_claims, axis=1),
             plan.source_starts,
@@ -343,6 +363,35 @@ class GainEstimator:
             dtype=np.int64,
         )
         return _row_sums(binary_entropy(sums / plan.source_counts))
+
+
+def _hypothesis_blocks(
+    probabilities: np.ndarray,
+    labelled: np.ndarray,
+    pinned: np.ndarray,
+    values: np.ndarray,
+    width: int,
+) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
+    """Starting marginals and held masks of hypothesis rows, block by block.
+
+    Row ``k`` is the state ``(probabilities, labelled)`` with each claim
+    ``pinned[k, j] >= 0`` labelled ``values[k, j]``: it starts at that
+    value and is held, like the labels.  A block takes as many rows as
+    keep ``width`` elements per row (its widest row-shaped array) within
+    the block cap; rows are independent, so the split only bounds
+    transient memory.
+    """
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    for first in range(0, len(pinned), step):
+        rows = slice(first, first + step)
+        pins = pinned[rows]
+        hit, column = np.nonzero(pins >= 0)
+        claims = pins[hit, column]
+        start = np.repeat(probabilities[None, :], len(pins), axis=0)
+        start[hit, claims] = values[rows][hit, column]
+        held = np.repeat(labelled[None, :], len(start), axis=0)
+        held[hit, claims] = True
+        yield rows, start, held
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:

@@ -2,20 +2,23 @@
 
 The production :class:`~repro.guidance.gain.GainEstimator` answers "what
 would inference say if claim ``c`` were labelled ``v``?" for all
-candidates of a component at once: one K×n block of hypotheses on one
-state snapshot, mean field with its coupling sums in the compiled kernel,
-Gibbs chains on the model's engine (merge walk in the compiled kernel).
-This oracle answers it the direct way, one candidate and hypothesis at a
-time: label ``c`` in the live database, run the light inference against
-the database — the per-row NumPy mean field of
-``tests/meanfield_oracle.py``, or a chain with the merge walk in Python —
-measure the entropy, restore.  It consumes the estimator's generator and
-derives its chain streams exactly like the estimator does, so the two
-must agree bit for bit.
+candidates of a component at once: one K×n block of hypothesis rows
+(starting marginals plus a held mask), mean field with its coupling sums
+in the compiled kernel, Gibbs chains on the model's engine (merge walk in
+the compiled kernel).  This oracle answers it the direct way, one
+candidate and hypothesis at a time: label ``c`` in the live database, run
+the light inference against the database — the per-row NumPy mean field
+of ``tests/meanfield_oracle.py``, or a chain with the merge walk in
+Python — measure the entropy, restore.  It consumes the estimator's
+generator and derives its chain streams exactly like the estimator does,
+so the two must agree bit for bit.  :func:`oracle_exact_batch_gain` does
+the same for the exact batch benefit of §6.2, one configuration at a
+time.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -130,3 +133,41 @@ def oracle_gains(
         current = entropy_of(estimator, base, scope)
         gains.append(float(current - (p * plus + (1.0 - p) * minus)))
     return np.asarray(gains)
+
+
+def oracle_exact_batch_gain(
+    database, estimator: GainEstimator, claims: Sequence[int]
+) -> float:
+    """Eq. 24–25 by labelling each configuration of ``claims`` in turn."""
+    config = estimator.config
+    claims = [int(c) for c in claims]
+    probabilities = np.asarray(database.probabilities, dtype=float).copy()
+    scope: set = set()
+    for claim in claims:
+        scope.update(int(c) for c in estimator.components.component_of_claim(claim))
+    scope_array = np.asarray(sorted(scope), dtype=np.intp)
+    current = float(binary_entropy(probabilities[scope_array]).sum())
+    conditional = 0.0
+    for values in itertools.product((0, 1), repeat=len(claims)):
+        weight = 1.0
+        for claim, value in zip(claims, values):
+            p = float(probabilities[claim])
+            weight *= p if value == 1 else (1.0 - p)
+        if weight == 0.0:
+            continue
+        state = database.clone_state()
+        try:
+            for claim, value in zip(claims, values):
+                database.label(claim, value)
+            marginals = meanfield_oracle.mean_field(
+                estimator._model,
+                database.probabilities,
+                steps=config.meanfield_steps,
+                damping=config.damping,
+                scope=scope_array,
+                fixed=database.labelled_indices,
+            )
+        finally:
+            database.restore_state(state)
+        conditional += weight * float(binary_entropy(marginals[scope_array]).sum())
+    return current - conditional

@@ -118,6 +118,46 @@ class TestSampling:
         assert np.allclose(result_a.marginals, result_b.marginals)
 
 
+class TestStartAndHeld:
+    """A start vector and held mask stand for a labelled database."""
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_equals_database_labelled_to_that_state(self, wiki_db, subset):
+        model = CrfModel(wiki_db)
+        n = wiki_db.num_claims
+        wiki_db.set_probabilities(np.linspace(0.05, 0.95, n))
+        wiki_db.label(0, 1)
+        wiki_db.label(3, 0)
+        # The pin on claim 0 overrides its label.
+        pins = {0: 0, 5: 1, 7: 0}
+        start = np.array(wiki_db.probabilities)
+        held = np.zeros(n, dtype=bool)
+        held[wiki_db.labelled_indices] = True
+        for claim, value in pins.items():
+            start[claim] = value
+            held[claim] = True
+        claim_subset = np.arange(n)[::-2] if subset else None
+
+        pinned = GibbsSampler(model, seed=11, num_samples=6)
+        # A warm second call must match too.
+        rows = [
+            pinned.sample(claim_subset, probabilities=start, fixed=held)
+            for _ in range(2)
+        ]
+        for claim, value in pins.items():
+            wiki_db.label(claim, value)
+        labelled = GibbsSampler(model, seed=11, num_samples=6)
+        for row in rows:
+            expected = labelled.sample(claim_subset)
+            assert np.array_equal(row.marginals, expected.marginals)
+            assert np.array_equal(
+                row.mode_configuration, expected.mode_configuration
+            )
+            assert row.configuration_counts == expected.configuration_counts
+        assert np.array_equal(pinned.state, labelled.state)
+        assert rows[0].marginals[0] == 0.0 and rows[0].marginals[5] == 1.0
+
+
 class TestDistributionalCorrectness:
     def test_strong_positive_field_pushes_marginal_up(self):
         """A claim with strong supporting evidence should sample credible."""

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.api import SessionSpec
+from repro.data.database import FactDatabase
 from repro.crf.partition import ComponentIndex
 from repro.effort.batching import (
     batch_utility,
@@ -28,10 +31,14 @@ from repro.effort.termination import (
 )
 from repro.errors import GuidanceError, ValidationProcessError
 from repro.guidance.gain import GainConfig, GainEstimator
+from repro.guidance.gain.estimator import _BLOCK_ELEMENTS
 from repro.inference.icrf import ICrf
 from repro.validation.oracle import SimulatedUser
 from repro.validation.process import ValidationProcess
 from repro.validation.session import IterationRecord, ValidationTrace
+
+from tests.crossval_oracle import oracle_precision
+from tests.gain_oracle import oracle_exact_batch_gain
 
 
 def make_record(**overrides) -> IterationRecord:
@@ -217,12 +224,48 @@ class TestCrossValidation:
         assert a == b
 
     def test_estimate_restores_state(self):
+        # Hypotheses are rows, never database state: gains in both
+        # inference modes and entropy methods, the exact batch gain and
+        # cross-validation all run with every state mutator disabled, and
+        # the label-array cache survives them.
         process = self.make_labelled_process()
-        labels_before = dict(process.database.labels)
-        probs_before = np.asarray(process.database.probabilities).copy()
-        estimate_precision(process, folds=3)
-        assert process.database.labels == labels_before
-        assert np.allclose(process.database.probabilities, probs_before)
+        database = process.database
+        cached = database.label_arrays()
+        probabilities = np.array(database.probabilities)
+        labelled = int(database.labelled_indices[0])
+        candidates = [int(c) for c in database.unlabelled_indices[:6]]
+        mutators = ("label", "unlabel", "set_probabilities", "restore_state")
+        with mock.patch.multiple(
+            FactDatabase,
+            **{name: mock.Mock(side_effect=AssertionError(name)) for name in mutators},
+        ):
+            for mode in ("meanfield", "gibbs"):
+                for method in ("approx", "exact"):
+                    gains = GainEstimator(
+                        process.icrf.model,
+                        process.components,
+                        config=GainConfig(inference_mode=mode, entropy_method=method),
+                        seed=3,
+                    )
+                    gains.information_gains(candidates)
+                    gains.source_gains(candidates)
+            exact_batch_gain(database, gains, [labelled] + candidates[:2])
+            estimate_precision(process, folds=3)
+        assert database.label_arrays() is cached
+        assert np.array_equal(database.probabilities, probabilities)
+
+    @pytest.mark.parametrize("folds", [3, 5])
+    def test_estimate_matches_mutate_and_restore_oracle(self, folds):
+        process = self.make_labelled_process()
+        for seed in (0, 5, 17, 23):
+            assert estimate_precision(process, folds=folds, seed=seed) == (
+                oracle_precision(process, folds=folds, seed=seed)
+            )
+
+    def test_non_positive_folds_raise(self):
+        process = self.make_labelled_process(labels=3)
+        with pytest.raises(ValidationProcessError):
+            estimate_precision(process, folds=0)
 
     def test_too_few_labels_raises(self):
         process = self.make_labelled_process(labels=2)
@@ -371,6 +414,12 @@ class TestBatching:
         )
         assert exact_batch_gain(micro_db, gains, []) == 0.0
 
+    def test_exact_batch_gain_rejects_claims_outside_database(self, micro_db):
+        gains = GainEstimator(ICrf(micro_db, seed=0).model, seed=1)
+        for claims in ([-1], [micro_db.num_claims], [0, micro_db.num_claims + 4]):
+            with pytest.raises(GuidanceError):
+                exact_batch_gain(micro_db, gains, claims)
+
     def test_batched_process_labels_k_per_iteration(self):
         from repro.datasets import load_dataset
 
@@ -385,3 +434,44 @@ class TestBatching:
         record = process.step()
         assert len(record.claim_indices) == 3
         assert db.num_labelled == 3
+
+
+class TestExactBatchGainOracle:
+    """``exact_batch_gain`` equals labelling each configuration in turn."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        from repro.datasets import load_dataset
+
+        database = load_dataset("wiki", seed=7, scale=1.0)
+        icrf = ICrf(database, seed=0)
+        icrf.infer()
+        components = ComponentIndex(database)
+        by_size = sorted(components.components, key=len, reverse=True)
+        big, singleton = by_size[0], by_size[-1]
+        assert big.size > 7 and singleton.size == 1
+        database.label(int(big[3]), 1)
+        icrf.infer()
+        gains = GainEstimator(icrf.model, components, config=GainConfig(), seed=1)
+        return database, gains, [int(c) for c in big], int(singleton[0])
+
+    @pytest.mark.parametrize(
+        "case", ["one", "two", "three", "two_components", "labelled", "split"]
+    )
+    def test_matches_label_restore_enumeration(self, setting, case):
+        database, gains, big, singleton = setting
+        claims = {
+            "one": big[:1],
+            "two": big[:2],
+            "three": big[:3],
+            "two_components": [big[0], singleton],
+            # big[3] is labelled: its pin overrides the label.
+            "labelled": [big[3], big[0]],
+            "split": big[:7],
+        }[case]
+        if case == "split":
+            assert 2 ** len(claims) > _BLOCK_ELEMENTS // database.num_claims
+        labels = dict(database.labels)
+        value = exact_batch_gain(database, gains, claims)
+        assert value == oracle_exact_batch_gain(database, gains, claims)
+        assert database.labels == labels

@@ -1,8 +1,8 @@
-"""Snapshot-isolated gain evaluation (§5.1) against its oracle.
+"""Read-only gain evaluation (§5.1) against its oracle.
 
-The estimator evaluates every hypothesis on a read-only view of one
-state snapshot and never mutates the shared database; in Gibbs mode its
-chains run on the model's engine (merge walk in the compiled kernel).
+The estimator evaluates every hypothesis as a row — starting marginals
+plus a held mask — and never mutates the shared database; in Gibbs mode
+its chains run on the model's engine (merge walk in the compiled kernel).
 It must return exactly the gains of the mutate-and-restore oracle in
 ``tests/gain_oracle.py`` — label the candidate, run inference with the
 merge walk in Python, restore — in

@@ -115,9 +115,9 @@ class TestGainEstimator:
     def test_parallel_matches_serial(self):
         # Estimator equals the mutate-and-restore oracle; the name is kept
         # so the test id stays stable.
-        snapshot_path, _, _ = make_estimator()
+        estimator, _, _ = make_estimator()
         serial_oracle, _, _ = make_estimator()
-        a = snapshot_path.information_gains([0, 1, 2])
+        a = estimator.information_gains([0, 1, 2])
         b = oracle_gains(serial_oracle, [0, 1, 2])
         assert np.array_equal(a, b)
 
