@@ -44,6 +44,7 @@ import pytest
 from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
 from repro.crf.weights import CrfWeights
+from repro.data.state import ClaimState
 from repro.datasets import load_dataset
 from repro.guidance.gain import GainConfig, GainEstimator
 
@@ -97,13 +98,14 @@ def _gain_round(mode: str, oracle: bool):
         config=GainConfig(inference_mode=mode),
         seed=GAIN_SEED,
     )
-    candidates = database.unlabelled_indices
+    state = ClaimState.of(database)
+    candidates = state.unlabelled_indices
     if oracle:
         def evaluate():
-            return oracle_gains(estimator, candidates)
+            return oracle_gains(estimator, state, candidates)
     else:
         def evaluate():
-            return estimator.information_gains(candidates)
+            return estimator.information_gains(candidates, state)
     evaluate()  # warm-up: caches + engines
     elapsed = _best_of(evaluate)
     return elapsed, evaluate()

@@ -89,7 +89,7 @@ def _replay(arrivals, incremental: bool):
         "ingest": ingest,
         "update": update,
         "weights": weight_trail,
-        "probabilities": np.asarray(checker.database.probabilities).copy(),
+        "probabilities": np.asarray(checker.state.probabilities).copy(),
     }
 
 

@@ -103,12 +103,14 @@ def main() -> None:
             },
         )
         with FactCheckSession(spec) as session:
-            database = session.database
+            # Structure and claim state are separate: the corpus is
+            # shared, P and the labels belong to this session.
+            database, state = session.database, session.state
             print("\nautomated credibility estimates (no user input yet):")
             for index, claim in enumerate(database.claims):
                 print(
                     f"  {claim.claim_id:>12}: "
-                    f"P={database.probability(index):.2f} "
+                    f"P={state.probability(index):.2f} "
                     f"(truth: "
                     f"{'credible' if claim.truth else 'non-credible'})"
                 )
@@ -119,7 +121,7 @@ def main() -> None:
     print("trusted set of facts (the grounding):")
     for index, claim in enumerate(database.claims):
         verdict = "credible" if grounding[index] else "non-credible"
-        marker = "*" if database.is_labelled(index) else " "
+        marker = "*" if state.is_labelled(index) else " "
         print(f"  {marker} {claim.claim_id:>12}: {verdict}")
     print("(* = validated by the user)")
     print(f"final precision: {result.final_precision:.2f}")

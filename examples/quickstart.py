@@ -33,8 +33,9 @@ def main() -> None:
     )
 
     with FactCheckSession(spec) as session:
-        database = session.database
-        print(f"corpus: {database!r}")
+        # The corpus structure is shared by every session on this spec;
+        # probabilities and labels are this session's own state.
+        print(f"corpus: {session.database!r}, {session.state!r}")
         trace = session.trace
         print(
             f"before any user input: precision={trace.initial_precision:.3f} "

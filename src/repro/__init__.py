@@ -56,7 +56,16 @@ from repro.api import (
     TerminationSpec,
     UserSpec,
 )
-from repro.data import Claim, ClaimLink, Document, FactDatabase, Grounding, Source, Stance
+from repro.data import (
+    Claim,
+    ClaimLink,
+    ClaimState,
+    Document,
+    FactDatabase,
+    Grounding,
+    Source,
+    Stance,
+)
 from repro.datasets import load_database, load_dataset, save_database
 from repro.errors import ReproError, SessionError, SpecError
 from repro.guidance import make_strategy

@@ -18,6 +18,7 @@ from typing import List, Optional, Union
 
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
+from repro.data.state import ClaimState
 from repro.datasets import Corpus
 from repro.datasets import io as dataset_io
 from repro.errors import CheckpointError, DataModelError, SessionError, SpecError
@@ -104,11 +105,14 @@ class BatchDriver:
     def current_precision(self) -> Optional[float]:
         return self.process.current_precision()
 
+    @property
+    def state(self) -> ClaimState:
+        return self.process.state
+
     def progress(self) -> dict:
-        database = self.process.database
         return {
-            "num_claims": database.num_claims,
-            "num_labelled": database.num_labelled,
+            "num_claims": self.process.database.num_claims,
+            "num_labelled": self.process.state.num_labelled,
             "iterations": self.process.trace.iterations,
         }
 
@@ -135,7 +139,7 @@ class BatchDriver:
     def label(self, claim: Union[str, int], value: int) -> None:
         database = self.process.database
         index = database.claim_position(claim) if isinstance(claim, str) else int(claim)
-        database.label(index, value)
+        self.process.state.label(index, value)
         self._validated.append(database.claim_id(index))
 
     # -- checkpoint and result -----------------------------------------
@@ -178,7 +182,7 @@ class BatchDriver:
         return dict(
             stop_reason=trace.stop_reason,
             num_claims=process.database.num_claims,
-            num_labelled=process.database.num_labelled,
+            num_labelled=process.state.num_labelled,
             final_precision=process.current_precision(),
             # Iteration-validated claims first, then external labels.
             validated_claim_ids=[
@@ -248,6 +252,10 @@ class StreamDriver:
         return self.checker.database
 
     @property
+    def state(self) -> ClaimState:
+        return self.checker.state
+
+    @property
     def trace(self) -> ValidationTrace:
         snapshot = self._snapshot()
         return ValidationTrace(
@@ -265,13 +273,17 @@ class StreamDriver:
             truth = snapshot.truth_vector()
         except DataModelError:
             return None
-        return Grounding.from_probabilities(snapshot.probabilities).precision(truth)
+        probabilities = self.checker.state.probabilities
+        return Grounding.from_probabilities(probabilities).precision(truth)
+
+    def _num_labelled(self) -> int:
+        return self.checker.state.num_labelled if self._updates else 0
 
     def progress(self) -> dict:
         snapshot = self._snapshot()
         return {
             "num_claims": snapshot.num_claims if snapshot else 0,
-            "num_labelled": snapshot.num_labelled if snapshot else 0,
+            "num_labelled": self._num_labelled(),
             "arrivals": len(self._updates),
             "iterations": len(self._records),
         }
@@ -289,11 +301,14 @@ class StreamDriver:
 
     def validate(self, count: int) -> List[IterationRecord]:
         """One validation burst on the snapshot, weights exchanged (§7)."""
-        snapshot = self.checker.database
+        snapshot, state = self.checker.database, self.checker.state
         records: List[IterationRecord] = []
-        if snapshot.unlabelled_indices.size == 0:
+        if state.unlabelled_indices.size == 0:
             return records
-        icrf = ICrf(snapshot, self._spec.inference, seed=derive_rng(self._rng, 0))
+        icrf = ICrf(
+            snapshot, self._spec.inference, seed=derive_rng(self._rng, 0),
+            state=state,
+        )
         weights = self.checker.weights
         if weights is not None:
             icrf.set_weights(weights)
@@ -306,7 +321,7 @@ class StreamDriver:
         )
         process.initialize()
         for _ in range(count):
-            if snapshot.unlabelled_indices.size == 0:
+            if state.unlabelled_indices.size == 0:
                 break
             if process.goal.satisfied(process):
                 break
@@ -462,7 +477,7 @@ class StreamDriver:
         return dict(
             stop_reason=trace.stop_reason,
             num_claims=snapshot.num_claims if snapshot else 0,
-            num_labelled=snapshot.num_labelled if snapshot else 0,
+            num_labelled=self._num_labelled(),
             final_precision=self.current_precision(),
             validated_claim_ids=list(self._validated),
             trace=trace,

@@ -33,6 +33,7 @@ from typing import Iterable, List, Optional, Union
 from repro.codec import JsonRecord
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
+from repro.data.state import ClaimState
 from repro.errors import CheckpointError, SessionError
 from repro.streaming.process import StreamUpdate
 from repro.streaming.stream import ClaimArrival
@@ -133,9 +134,17 @@ class FactCheckSession:
 
     @property
     def database(self) -> FactDatabase:
-        """The current corpus (streaming: the snapshot over all arrivals)."""
+        """The read-only structure of the corpus (streaming: the snapshot
+        over all arrivals), shared with every session on an equal spec."""
         self._require_built()
         return self._driver.database
+
+    @property
+    def state(self) -> ClaimState:
+        """This session's probabilities and labels over :attr:`database`,
+        e.g. ``state.probability(session.claim_index(claim_id))``."""
+        self._require_built()
+        return self._driver.state
 
     @property
     def trace(self) -> ValidationTrace:

@@ -106,8 +106,9 @@ class DatasetSpec(JsonRecord):
         )
 
     def load(self):
-        """A new database over the corpus this spec describes; its entities
-        are shared with every other database built from the spec."""
+        """The read-only :class:`~repro.data.database.FactDatabase` this spec
+        describes, shared with every other holder of the corpus; a session
+        over it keeps its own :class:`~repro.data.state.ClaimState`."""
         return self.corpus().database()
 
 

@@ -19,13 +19,12 @@ grounding deems credible.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.crf.model import CrfModel
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
+from repro.data.state import ClaimState
 from repro.errors import InferenceError
 from repro.utils.arrays import concat_ranges
 
@@ -50,8 +49,8 @@ def approximate_entropy(probabilities: np.ndarray) -> float:
 
 def exact_entropy(
     model: CrfModel,
+    state: ClaimState,
     max_component: int = MAX_EXACT_COMPONENT,
-    probabilities: Optional[np.ndarray] = None,
 ) -> float:
     """``H_C(Q)`` with exact per-component enumeration (Eq. 11–12).
 
@@ -61,9 +60,9 @@ def exact_entropy(
 
     Args:
         model: The CRF model whose energy defines the distribution.
+        state: The marginals (for the fallback and the held claims) and
+            the labels.
         max_component: Enumeration size cap.
-        probabilities: Marginals used for the fallback; defaults to the
-            database's current ``P``.
 
     Returns:
         Entropy in nats.
@@ -73,13 +72,11 @@ def exact_entropy(
             f"max_component must be positive, got {max_component}"
         )
     max_component = min(max_component, MAX_EXACT_COMPONENT)
-    database = model.database
-    if probabilities is None:
-        probabilities = np.asarray(database.probabilities, dtype=float)
-    labelled = set(int(i) for i in database.labelled_indices)
+    probabilities = np.asarray(state.probabilities, dtype=float)
+    labelled = set(int(i) for i in state.labelled_indices)
 
     total = 0.0
-    for component in database.connected_components():
+    for component in model.database.component_index().components:
         free = np.asarray(
             [int(c) for c in component if int(c) not in labelled], dtype=np.intp
         )
@@ -88,14 +85,12 @@ def exact_entropy(
         if free.size > max_component:
             total += approximate_entropy(probabilities[free])
             continue
-        total += component_entropy(model, free)
+        total += component_entropy(model, free, probabilities)
     return total
 
 
 def component_entropy(
-    model: CrfModel,
-    free_claims: np.ndarray,
-    probabilities: Optional[np.ndarray] = None,
+    model: CrfModel, free_claims: np.ndarray, probabilities: np.ndarray
 ) -> float:
     """Exact joint entropy of the free claims of one component (nats).
 
@@ -108,12 +103,11 @@ def component_entropy(
     a handful of matrix operations instead of ``2^k`` joint evaluations.
 
     Args:
-        model: The CRF model supplying fields, couplings, and labels.
+        model: The CRF model supplying fields and couplings.
         free_claims: Claims enumerated over (all others held fixed).
-        probabilities: Marginals the fixed claims are thresholded from;
-            defaults to the database's current probabilities.  Gain
-            evaluation passes its hypothetical marginals here so the
-            database never has to be mutated to measure an entropy.
+        probabilities: Marginals the fixed claims are thresholded from,
+            labelled claims at their label value — a state's
+            probabilities, or a hypothesis row of gain evaluation.
     """
     free_claims = np.asarray(free_claims, dtype=np.intp)
     k = free_claims.size
@@ -124,14 +118,7 @@ def component_entropy(
             f"component of {k} claims exceeds the enumeration cap "
             f"{MAX_EXACT_COMPONENT}"
         )
-    database = model.database
-    if probabilities is None:
-        probabilities = database.probabilities
     base = (np.asarray(probabilities) >= 0.5).astype(float)
-    label_indices, label_values = database.label_arrays()
-    if label_indices.size:
-        base[label_indices] = label_values
-
     local_fields = model.local_fields
     base_free = base[free_claims]
     lf_free = local_fields[free_claims]

@@ -11,9 +11,9 @@ Two properties requested by the paper are built in:
   (Eq. 3) is enforced structurally through stance signs (a refuting
   document contributes inverted evidence), so no sampled configuration can
   violate it.  What is held is an argument of :meth:`GibbsSampler.sample`
-  (a start vector and a held mask, defaulting to the database's
-  probabilities and labels), so a hypothetical chain of gain evaluation
-  pins its claim without labelling the shared database.
+  (a start vector and the held claims — a session's probabilities and
+  labels, or a hypothesis row), so the sampler never reads claim state
+  of its own.
 * **View maintenance / warm starts** — the sampler keeps its chain state
   across invocations, so iteration ``z`` of the validation process resumes
   from iteration ``z-1``'s state instead of re-mixing from scratch; this is
@@ -145,37 +145,34 @@ class GibbsSampler:
 
     def sample(
         self,
+        probabilities: np.ndarray,
+        fixed: np.ndarray,
         claim_subset: Optional[np.ndarray] = None,
-        probabilities: Optional[np.ndarray] = None,
-        fixed: Optional[np.ndarray] = None,
     ) -> GibbsResult:
         """Run the chain and collect samples.
 
         Args:
+            probabilities: Starting marginals (not modified), such as a
+                :class:`~repro.data.state.ClaimState`'s.  A fresh chain
+                draws its first configuration from them.
+            fixed: Claims held at their starting value (indices or a
+                boolean mask), such as the state's labelled indices.  A
+                held claim's spin is its starting value thresholded at
+                0.5, so a hypothesis is a start vector with its pins set
+                to 0/1 plus a held mask — the chain then consumes the
+                generator exactly as it would on a state labelled that
+                way.
             claim_subset: When given, only these claims are resampled and
                 all others stay fixed — the localisation used for
                 component-restricted inference (§5.1).  Defaults to all
                 claims that are not held.
-            probabilities: Starting marginals (not modified); defaults to
-                the database's.  A fresh chain draws its first
-                configuration from them.
-            fixed: Claims held at their starting value (indices or a
-                boolean mask); defaults to the database's labels.  A held
-                claim's spin is its starting value thresholded at 0.5, so
-                a hypothesis is a start vector with its pins set to 0/1
-                plus a held mask — the chain then consumes the generator
-                exactly as it would on the database labelled to that
-                state.
 
         Returns:
             A :class:`GibbsResult`; marginals of claims that are held or
             outside the subset are their starting values.
         """
-        database = self._model.database
-        if probabilities is None:
-            probabilities = database.probabilities
         held = np.zeros(probabilities.size, dtype=bool)
-        held[database.labelled_indices if fixed is None else fixed] = True
+        held[fixed] = True
 
         warm = self._spins is not None
         if self._spins is None or self._spins.size != probabilities.size:

@@ -9,6 +9,8 @@ the component of the claim under consideration.
 claim-to-component queries in O(1).  It also holds one
 :class:`ScopePlan` per component: the structure hypothetical inference
 and the source entropy re-read for every candidate of that component.
+All of it is structure, so :meth:`FactDatabase.component_index` keeps one
+index per database for every session reading it.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""The probabilistic fact database ``Q = <S, D, C, P>`` (§2.1).
+"""The structure of the probabilistic fact database ``Q = <S, D, C, P>`` (§2.1).
 
-:class:`FactDatabase` holds the *structure* of the fact-checking setting —
+:class:`FactDatabase` holds the fixed part of the fact-checking setting —
 sources, documents, claims, and the (source, document, claim) cliques of the
-CRF (§3.1) — together with the mutable *state*: the credibility probability
-``P(c)`` of every claim and the user labels received so far.  User labels
-partition the claims into the labelled set ``C^L`` and the unlabelled set
-``C^U`` (§3.2).
+CRF (§3.1) — and what is derived from it alone: the claim–source graph and
+the component index.  The part that changes
+while a session runs, ``P`` and the labels ``C^L``/``C^U`` (§3.2), is a
+:class:`~repro.data.state.ClaimState`, so every session on one corpus can
+read one database.
 
 Structure is index-based internally (claims, documents and sources are dense
 integer indices) for numerical efficiency, while the public API accepts and
@@ -14,7 +15,7 @@ returns string identifiers.
 Two construction modes exist:
 
 * strict (default): every claim link must reference a known claim, and the
-  structure is fixed after construction;
+  structure is fixed after construction (its arrays are read-only);
 * ``allow_pending_links=True``: links to not-yet-known claims are *parked*
   instead of rejected, and :meth:`FactDatabase.extend` grows the database
   in place as new entities arrive — the incremental backbone of the
@@ -26,8 +27,9 @@ Two construction modes exist:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +37,17 @@ from repro.analysis.contracts import derived_cache, mutates
 from repro.data.entities import Claim, Document, Source
 from repro.errors import DataModelError
 
+if TYPE_CHECKING:
+    from repro.crf.partition import ComponentIndex
+
 #: Cliques are kept sorted by ``document_index * _KEY_BASE + link_position``,
 #: the enumeration order of a from-scratch build.  2**32 bounds the number of
 #: claim links per document, far beyond anything a real corpus produces.
 _KEY_BASE = 2**32
+
+#: The clique columns, in the order of a clique row
+#: ``(claim, document, source, stance sign, sort key)``.
+_COLUMNS = ("claim", "document", "source", "sign", "key")
 
 
 @dataclass(frozen=True)
@@ -102,15 +111,16 @@ class DatabaseDelta:
 
 
 class FactDatabase:
-    """Structure and probabilistic state of a fact-checking instance.
+    """Structure of a fact-checking instance.
 
     Args:
         sources: All sources; feature vectors must share one dimensionality.
         documents: All documents; each must reference a known source.
         claims: All claims.
-        prior: Initial credibility probability assigned to every claim.
-            The paper initialises with 0.5 following the maximum-entropy
-            principle (§8.1).
+        prior: Credibility probability every claim of a fresh
+            :class:`~repro.data.state.ClaimState` starts at.  The paper
+            initialises with 0.5 following the maximum-entropy principle
+            (§8.1).
         allow_pending_links: When true, claim links referencing unknown
             claims are parked instead of rejected, and the database may be
             grown with :meth:`extend`.  A document with parked links is
@@ -160,27 +170,22 @@ class FactDatabase:
         # document_index -> untruncated original / number of parked links
         self._full_documents: Dict[int, Document] = {}
         self._doc_pending_count: Dict[int, int] = {}
-        # Derived structure, built on demand and dropped on extend().
+        # Derived structure, built on demand under the lock and dropped on
+        # extend().
+        self._lock = threading.RLock()
         self._graph_cache: Optional[ClaimSourceGraph] = None
+        self._component_cache: Optional["ComponentIndex"] = None
         self._build_cliques()
-
         self._prior = float(prior)
-        self._probabilities = np.full(len(self._claims), self._prior, dtype=float)
-        self._labels: Dict[int, int] = {}
-        self._label_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
 
-    @mutates("graph")
+    @mutates("graph", "components")
     def _build_cliques(self) -> None:
-        claim_arr: List[int] = []
-        document_arr: List[int] = []
-        source_arr: List[int] = []
-        sign_arr: List[int] = []
-        key_arr: List[int] = []
-        exposed: Optional[List[Document]] = None
+        rows: List[Tuple[int, int, int, int, int]] = []
+        exposed: List[Document] = []
         for doc_idx, document in enumerate(self._documents):
             source_idx = self._source_index.get(document.source_id)
             if source_idx is None:
@@ -188,50 +193,59 @@ class FactDatabase:
                     f"document {document.document_id!r} references unknown "
                     f"source {document.source_id!r}"
                 )
-            pending = 0
-            for link_pos, link in enumerate(document.claim_links):
-                claim_idx = self._claim_index.get(link.claim_id)
-                if claim_idx is None:
-                    if not self._allow_pending_links:
-                        raise DataModelError(
-                            f"document {document.document_id!r} references "
-                            f"unknown claim {link.claim_id!r}"
-                        )
-                    self._pending_links.setdefault(link.claim_id, []).append(
-                        (doc_idx, link_pos, link.stance.sign)
-                    )
-                    pending += 1
-                    continue
-                claim_arr.append(claim_idx)
-                document_arr.append(doc_idx)
-                source_arr.append(source_idx)
-                sign_arr.append(link.stance.sign)
-                key_arr.append(doc_idx * _KEY_BASE + link_pos)
-            if pending:
-                self._full_documents[doc_idx] = document
-                self._doc_pending_count[doc_idx] = pending
-                if exposed is None:
-                    exposed = list(self._documents)
-                exposed[doc_idx] = self._truncate_document(document)
-        if exposed is not None:
-            self._documents = tuple(exposed)
-        self._clique_claim_arr = np.asarray(claim_arr, dtype=np.intp)
-        self._clique_document_arr = np.asarray(document_arr, dtype=np.intp)
-        self._clique_source_arr = np.asarray(source_arr, dtype=np.intp)
-        self._clique_sign_arr = np.asarray(sign_arr, dtype=float)
-        self._clique_key_arr = np.asarray(key_arr, dtype=np.int64)
+            exposed.append(self._link_document(doc_idx, document, source_idx, rows))
+        self._documents = tuple(exposed)
+        columns = _clique_columns(rows)
+        (
+            self._clique_claim_arr,
+            self._clique_document_arr,
+            self._clique_source_arr,
+            self._clique_sign_arr,
+            self._clique_key_arr,
+        ) = columns
+        if not self._allow_pending_links:
+            for array in (self._source_features, self._document_features, *columns):
+                array.flags.writeable = False
         # Capacity buffers behind the exposed arrays: append-only growth
         # (the common streaming case) writes into spare tail capacity
         # instead of copying every column per arrival.  The exposed
         # ``_clique_*_arr`` attributes are always exact-length views.
-        self._clique_buffers = {
-            "claim": self._clique_claim_arr,
-            "document": self._clique_document_arr,
-            "source": self._clique_source_arr,
-            "sign": self._clique_sign_arr,
-            "key": self._clique_key_arr,
-        }
+        self._clique_buffers = dict(zip(_COLUMNS, columns))
         self._invalidate_structure_caches()
+
+    def _link_document(
+        self,
+        doc_idx: int,
+        document: Document,
+        source_idx: int,
+        rows: List[Tuple[int, int, int, int, int]],
+    ) -> Document:
+        """Append a document's links to known claims to ``rows`` and park
+        the others; return the document as exposed (truncated while it has
+        parked links)."""
+        pending = 0
+        for link_pos, link in enumerate(document.claim_links):
+            claim_idx = self._claim_index.get(link.claim_id)
+            if claim_idx is not None:
+                rows.append(
+                    (claim_idx, doc_idx, source_idx, link.stance.sign,
+                     doc_idx * _KEY_BASE + link_pos)
+                )
+                continue
+            if not self._allow_pending_links:
+                raise DataModelError(
+                    f"document {document.document_id!r} references "
+                    f"unknown claim {link.claim_id!r}"
+                )
+            self._pending_links.setdefault(link.claim_id, []).append(
+                (doc_idx, link_pos, link.stance.sign)
+            )
+            pending += 1
+        if not pending:
+            return document
+        self._full_documents[doc_idx] = document
+        self._doc_pending_count[doc_idx] = pending
+        return self._truncate_document(document)
 
     def _truncate_document(self, document: Document) -> Document:
         known = tuple(
@@ -251,15 +265,13 @@ class FactDatabase:
 
     def _invalidate_structure_caches(self) -> None:
         self._graph_cache = None
-
-    def _invalidate_label_arrays(self) -> None:
-        self._label_arrays = None
+        self._component_cache = None
 
     # ------------------------------------------------------------------
     # Incremental growth (§7)
     # ------------------------------------------------------------------
 
-    @mutates("graph")
+    @mutates("graph", "components")
     def extend(
         self,
         sources: Sequence[Source] = (),
@@ -272,17 +284,25 @@ class FactDatabase:
         unlocked by the new claims — are merged into the columnar clique
         arrays at the positions a from-scratch build would give them, so
         the arrays stay bit-for-bit identical to a rebuild over the grown
-        corpus.  New claims start at the database prior and unlabelled.
+        corpus.  Only a database built with ``allow_pending_links=True``
+        grows; the states over it grow with
+        :meth:`~repro.data.state.ClaimState.grow`.
 
         Returns:
             A :class:`DatabaseDelta` describing the growth, for patching
             downstream caches.
 
         Raises:
-            DataModelError: On identifier collisions, dangling references,
-                or inconsistent feature dimensionalities.  Validation
-                happens before any mutation.
+            DataModelError: On a strict database, whose structure is fixed
+                (and may be shared by many sessions); on identifier
+                collisions, dangling references, or inconsistent feature
+                dimensionalities.  Validation happens before any mutation.
         """
+        if not self._allow_pending_links:
+            raise DataModelError(
+                "a strict fact database is fixed after construction; build "
+                "it with allow_pending_links=True to grow it"
+            )
         sources = list(sources)
         documents = list(documents)
         claims = list(claims)
@@ -319,17 +339,8 @@ class FactDatabase:
         for offset, claim in enumerate(claims):
             self._claim_index[claim.claim_id] = num_claims_before + offset
         self._claims = self._claims + tuple(claims)
-        if claims:
-            self._probabilities = np.concatenate(
-                [self._probabilities, np.full(len(claims), self._prior)]
-            )
 
-        new_claim: List[int] = []
-        new_document: List[int] = []
-        new_source: List[int] = []
-        new_sign: List[int] = []
-        new_key: List[int] = []
-
+        rows: List[Tuple[int, int, int, int, int]] = []
         # Parked links unlocked by the new claims.
         retruncate: List[int] = []
         for claim in claims:
@@ -338,13 +349,9 @@ class FactDatabase:
                 continue
             claim_idx = self._claim_index[claim.claim_id]
             for doc_idx, link_pos, sign in entries:
-                new_claim.append(claim_idx)
-                new_document.append(doc_idx)
-                new_source.append(
-                    self._source_index[self._documents[doc_idx].source_id]
-                )
-                new_sign.append(sign)
-                new_key.append(doc_idx * _KEY_BASE + link_pos)
+                source_idx = self._source_index[self._documents[doc_idx].source_id]
+                key = doc_idx * _KEY_BASE + link_pos
+                rows.append((claim_idx, doc_idx, source_idx, sign, key))
                 self._doc_pending_count[doc_idx] -= 1
                 retruncate.append(doc_idx)
 
@@ -366,46 +373,16 @@ class FactDatabase:
             doc_idx = num_documents_before + offset
             self._document_index[document.document_id] = doc_idx
             source_idx = self._source_index[document.source_id]
-            pending = 0
-            for link_pos, link in enumerate(document.claim_links):
-                claim_idx = self._claim_index.get(link.claim_id)
-                if claim_idx is None:
-                    self._pending_links.setdefault(link.claim_id, []).append(
-                        (doc_idx, link_pos, link.stance.sign)
-                    )
-                    pending += 1
-                    continue
-                new_claim.append(claim_idx)
-                new_document.append(doc_idx)
-                new_source.append(source_idx)
-                new_sign.append(link.stance.sign)
-                new_key.append(doc_idx * _KEY_BASE + link_pos)
-            if pending:
-                self._full_documents[doc_idx] = document
-                self._doc_pending_count[doc_idx] = pending
-                exposed_new.append(self._truncate_document(document))
-            else:
-                exposed_new.append(document)
+            exposed_new.append(self._link_document(doc_idx, document, source_idx, rows))
         self._documents = self._documents + tuple(exposed_new)
         self._document_features = document_features
 
-        keys = np.asarray(new_key, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        claim_sorted = np.asarray(new_claim, dtype=np.intp)[order]
-        document_sorted = np.asarray(new_document, dtype=np.intp)[order]
-        source_sorted = np.asarray(new_source, dtype=np.intp)[order]
-        sign_sorted = np.asarray(new_sign, dtype=float)[order]
-
+        columns = _clique_columns(rows)
+        order = np.argsort(columns[-1], kind="stable")
+        new_columns = {name: column[order] for name, column in zip(_COLUMNS, columns)}
+        keys = new_columns["key"]
         insert_at = np.searchsorted(self._clique_key_arr, keys)
         if keys.size:
-            new_columns = {
-                "claim": claim_sorted,
-                "document": document_sorted,
-                "source": source_sorted,
-                "sign": sign_sorted,
-                "key": keys,
-            }
             n_new = num_cliques_before + keys.size
             if np.all(insert_at == num_cliques_before):
                 # Append-only growth: new documents carry the largest
@@ -422,17 +399,9 @@ class FactDatabase:
             else:
                 # Mid-array insertion (a parked forward link
                 # materialised): pay the full copy, it is rare.
-                current = {
-                    "claim": self._clique_claim_arr,
-                    "document": self._clique_document_arr,
-                    "source": self._clique_source_arr,
-                    "sign": self._clique_sign_arr,
-                    "key": self._clique_key_arr,
-                }
                 for name, column in new_columns.items():
-                    self._clique_buffers[name] = np.insert(
-                        current[name], insert_at, column
-                    )
+                    current = self._clique_buffers[name][:num_cliques_before]
+                    self._clique_buffers[name] = np.insert(current, insert_at, column)
             self._clique_claim_arr = self._clique_buffers["claim"][:n_new]
             self._clique_document_arr = self._clique_buffers["document"][:n_new]
             self._clique_source_arr = self._clique_buffers["source"][:n_new]
@@ -450,11 +419,11 @@ class FactDatabase:
             num_cliques_before=num_cliques_before,
             insert_at=insert_at,
             new_positions=new_positions,
-            new_clique_claim=claim_sorted,
-            new_clique_document=document_sorted,
-            new_clique_source=source_sorted,
-            new_clique_sign=sign_sorted,
-            touched_claims=np.unique(claim_sorted),
+            new_clique_claim=new_columns["claim"],
+            new_clique_document=new_columns["document"],
+            new_clique_source=new_columns["source"],
+            new_clique_sign=new_columns["sign"],
+            touched_claims=np.unique(new_columns["claim"]),
         )
 
     def _validate_extension(
@@ -464,51 +433,18 @@ class FactDatabase:
         claims: Sequence[Claim],
     ) -> None:
         """Reject invalid growth before mutating anything."""
-        seen_sources = set()
-        for source in sources:
-            if (
-                source.source_id in self._source_index
-                or source.source_id in seen_sources
-            ):
-                raise DataModelError(
-                    f"duplicate source identifier {source.source_id!r}"
-                )
-            seen_sources.add(source.source_id)
-        seen_claims = set()
-        for claim in claims:
-            if claim.claim_id in self._claim_index or claim.claim_id in seen_claims:
-                raise DataModelError(
-                    f"duplicate claim identifier {claim.claim_id!r}"
-                )
-            seen_claims.add(claim.claim_id)
-        seen_documents = set()
+        new_sources = _new_ids(sources, "source_id", self._source_index, "source")
+        _new_ids(claims, "claim_id", self._claim_index, "claim")
+        _new_ids(documents, "document_id", self._document_index, "document")
         for document in documents:
             if (
-                document.document_id in self._document_index
-                or document.document_id in seen_documents
-            ):
-                raise DataModelError(
-                    f"duplicate document identifier {document.document_id!r}"
-                )
-            seen_documents.add(document.document_id)
-            if (
                 document.source_id not in self._source_index
-                and document.source_id not in seen_sources
+                and document.source_id not in new_sources
             ):
                 raise DataModelError(
                     f"document {document.document_id!r} references unknown "
                     f"source {document.source_id!r}"
                 )
-            if not self._allow_pending_links:
-                for link in document.claim_links:
-                    if (
-                        link.claim_id not in self._claim_index
-                        and link.claim_id not in seen_claims
-                    ):
-                        raise DataModelError(
-                            f"document {document.document_id!r} references "
-                            f"unknown claim {link.claim_id!r}"
-                        )
 
     # ------------------------------------------------------------------
     # Sizes and entity access
@@ -570,7 +506,7 @@ class FactDatabase:
 
     @property
     def prior(self) -> float:
-        """Initial credibility probability of unlabelled claims."""
+        """Credibility probability a fresh claim state starts at."""
         return self._prior
 
     @property
@@ -609,7 +545,7 @@ class FactDatabase:
             raise DataModelError(f"unknown document {document_id!r}") from None
 
     # ------------------------------------------------------------------
-    # Claim–source graph (derived lazily from the columnar arrays)
+    # Derived structure (built lazily, shared by every reader)
     # ------------------------------------------------------------------
 
     @derived_cache(
@@ -624,46 +560,74 @@ class FactDatabase:
         storage="_graph_cache",
     )
     def claim_source_graph(self) -> ClaimSourceGraph:
-        """The claim–source bipartite graph, built once per structure."""
+        """The claim–source bipartite graph, built once per structure
+        (under the lock, so every reader gets the same object)."""
         if self._graph_cache is None:
-            num_sources = max(self.num_sources, 1)
-            # Composite (claim, source) key; np.unique sorts it exactly
-            # like lexicographic ordering of the pairs.
-            keys = self._clique_claim_arr * num_sources + self._clique_source_arr
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            claim = (unique_keys // num_sources).astype(np.intp)
-            source = (unique_keys % num_sources).astype(np.intp)
-            # An empty weighted bincount comes back as int64.
-            stance = np.bincount(
-                inverse, weights=self._clique_sign_arr, minlength=unique_keys.size
-            ).astype(float, copy=False)
-            claim_ptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(claim, minlength=self.num_claims)))
-            ).astype(np.intp)
-            # The (source, claim) keys are distinct, so any sort of them
-            # yields the one source-then-claim order.
-            source_rows = np.argsort(source * self.num_claims + claim).astype(
-                np.intp
-            )
-            source_ptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(source, minlength=self.num_sources)))
-            ).astype(np.intp)
-            source_cliques = np.bincount(
-                self._clique_source_arr, minlength=self.num_sources
-            ).astype(float)
-            graph = ClaimSourceGraph(
-                claim=claim,
-                source=source,
-                stance=stance,
-                claim_ptr=claim_ptr,
-                source_rows=source_rows,
-                source_ptr=source_ptr,
-                source_cliques=source_cliques,
-            )
-            for array in vars(graph).values():
-                array.flags.writeable = False
-            self._graph_cache = graph
+            with self._lock:
+                if self._graph_cache is None:
+                    self._graph_cache = self._build_claim_source_graph()
         return self._graph_cache
+
+    @derived_cache(
+        "components",
+        backing=(
+            "_clique_claim_arr",
+            "_clique_source_arr",
+            "_clique_sign_arr",
+            "_clique_buffers",
+        ),
+        hook="_invalidate_structure_caches",
+        storage="_component_cache",
+    )
+    def component_index(self) -> "ComponentIndex":
+        """The :class:`~repro.crf.partition.ComponentIndex` of this
+        structure, built once like :meth:`claim_source_graph`."""
+        from repro.crf.partition import ComponentIndex
+
+        if self._component_cache is None:
+            with self._lock:
+                if self._component_cache is None:
+                    self._component_cache = ComponentIndex(self)
+        return self._component_cache
+
+    def _build_claim_source_graph(self) -> ClaimSourceGraph:
+        num_sources = max(self.num_sources, 1)
+        # Composite (claim, source) key; np.unique sorts it exactly
+        # like lexicographic ordering of the pairs.
+        keys = self._clique_claim_arr * num_sources + self._clique_source_arr
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        claim = (unique_keys // num_sources).astype(np.intp)
+        source = (unique_keys % num_sources).astype(np.intp)
+        # An empty weighted bincount comes back as int64.
+        stance = np.bincount(
+            inverse, weights=self._clique_sign_arr, minlength=unique_keys.size
+        ).astype(float, copy=False)
+        claim_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(claim, minlength=self.num_claims)))
+        ).astype(np.intp)
+        # The (source, claim) keys are distinct, so any sort of them
+        # yields the one source-then-claim order.
+        source_rows = np.argsort(source * self.num_claims + claim).astype(
+            np.intp
+        )
+        source_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(source, minlength=self.num_sources)))
+        ).astype(np.intp)
+        source_cliques = np.bincount(
+            self._clique_source_arr, minlength=self.num_sources
+        ).astype(float)
+        graph = ClaimSourceGraph(
+            claim=claim,
+            source=source,
+            stance=stance,
+            claim_ptr=claim_ptr,
+            source_rows=source_rows,
+            source_ptr=source_ptr,
+            source_cliques=source_cliques,
+        )
+        for array in vars(graph).values():
+            array.flags.writeable = False
+        return graph
 
     def connected_components(self) -> List[np.ndarray]:
         """Partition claims into CRF connected components (§5.1).
@@ -700,141 +664,6 @@ class FactDatabase:
         return [np.asarray(members, dtype=np.intp) for members in groups.values()]
 
     # ------------------------------------------------------------------
-    # Probabilistic state: P, C^L, C^U
-    # ------------------------------------------------------------------
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Read-only view of ``P(c)`` for every claim, in index order."""
-        view = self._probabilities.view()
-        view.flags.writeable = False
-        return view
-
-    def probability(self, claim_index: int) -> float:
-        """``P(c)`` for the claim at ``claim_index``."""
-        return float(self._probabilities[claim_index])
-
-    def set_probabilities(self, values: np.ndarray) -> None:
-        """Replace ``P`` for all claims; labelled claims keep their labels.
-
-        Inference writes its marginal estimates here (Eq. 7); labels are
-        re-imposed so user input always dominates (§3.2).
-        """
-        values = np.asarray(values, dtype=float)
-        if values.shape != self._probabilities.shape:
-            raise DataModelError(
-                f"expected {self._probabilities.shape[0]} probabilities, "
-                f"got shape {values.shape}"
-            )
-        if np.any((values < 0) | (values > 1)) or not np.all(np.isfinite(values)):
-            raise DataModelError("probabilities must lie in [0, 1]")
-        self._probabilities = values.copy()
-        for claim_idx, label in self._labels.items():
-            self._probabilities[claim_idx] = float(label)
-
-    @mutates("label_arrays")
-    def label(self, claim_index: int, value: int) -> None:
-        """Record user input for a claim: credible (1) or non-credible (0).
-
-        Sets ``P(c)`` to the label value and moves the claim from C^U to
-        C^L.  Re-labelling an already labelled claim is permitted — the
-        robustness check of §5.2 repairs suspected mistakes this way.
-        """
-        if value not in (0, 1):
-            raise DataModelError(f"label must be 0 or 1, got {value!r}")
-        if not 0 <= claim_index < self.num_claims:
-            raise DataModelError(f"claim index {claim_index} out of range")
-        self._labels[claim_index] = int(value)
-        self._probabilities[claim_index] = float(value)
-        self._invalidate_label_arrays()
-
-    @mutates("label_arrays")
-    def unlabel(self, claim_index: int) -> None:
-        """Remove the user label for a claim, returning it to C^U.
-
-        Used by cross-validation (§6.1) and the robustness check (§5.2),
-        which re-infer while holding out some labels.  The probability is
-        reset to the database prior.
-        """
-        if claim_index in self._labels:
-            del self._labels[claim_index]
-            self._probabilities[claim_index] = self._prior
-            self._invalidate_label_arrays()
-
-    def label_of(self, claim_index: int) -> Optional[int]:
-        """User label for the claim, or ``None`` when unlabelled."""
-        return self._labels.get(claim_index)
-
-    @property
-    def labels(self) -> Mapping[int, int]:
-        """All user labels, keyed by claim index."""
-        return dict(self._labels)
-
-    @derived_cache(
-        "label_arrays",
-        backing=("_labels",),
-        hook="_invalidate_label_arrays",
-        storage="_label_arrays",
-    )
-    def label_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """C^L as parallel ``(indices, values)`` arrays, sorted by index.
-
-        Cached until the label set changes; the inference hot paths use
-        this to pin labels with one vectorised assignment instead of
-        iterating the label mapping claim by claim.
-        """
-        if self._label_arrays is None:
-            indices = np.asarray(sorted(self._labels), dtype=np.intp)
-            values = np.asarray(
-                [self._labels[int(i)] for i in indices], dtype=float
-            )
-            indices.flags.writeable = False
-            values.flags.writeable = False
-            self._label_arrays = (indices, values)
-        return self._label_arrays
-
-    @property
-    def labelled_indices(self) -> np.ndarray:
-        """C^L as a sorted array of claim indices."""
-        return self.label_arrays()[0]
-
-    @property
-    def unlabelled_indices(self) -> np.ndarray:
-        """C^U as a sorted array of claim indices."""
-        mask = np.ones(self.num_claims, dtype=bool)
-        if self._labels:
-            mask[list(self._labels)] = False
-        return np.flatnonzero(mask)
-
-    @property
-    def num_labelled(self) -> int:
-        """|C^L|, the number of user-validated claims."""
-        return len(self._labels)
-
-    def is_labelled(self, claim_index: int) -> bool:
-        """Whether the claim has received user input."""
-        return claim_index in self._labels
-
-    # ------------------------------------------------------------------
-    # Copying
-    # ------------------------------------------------------------------
-
-    def clone_state(self) -> "FactDatabaseState":
-        """Snapshot the mutable state (probabilities and labels)."""
-        return FactDatabaseState(
-            probabilities=self._probabilities.copy(), labels=dict(self._labels)
-        )
-
-    @mutates("label_arrays")
-    def restore_state(self, state: "FactDatabaseState") -> None:
-        """Restore a snapshot taken with :meth:`clone_state`."""
-        if state.probabilities.shape != self._probabilities.shape:
-            raise DataModelError("state snapshot does not match this database")
-        self._probabilities = state.probabilities.copy()
-        self._labels = dict(state.labels)
-        self._invalidate_label_arrays()
-
-    # ------------------------------------------------------------------
     # Ground truth (simulation only)
     # ------------------------------------------------------------------
 
@@ -858,16 +687,8 @@ class FactDatabase:
         return (
             f"FactDatabase(sources={self.num_sources}, "
             f"documents={self.num_documents}, claims={self.num_claims}, "
-            f"cliques={self.num_cliques}, labelled={self.num_labelled})"
+            f"cliques={self.num_cliques})"
         )
-
-
-@dataclass
-class FactDatabaseState:
-    """Snapshot of the mutable part of a :class:`FactDatabase`."""
-
-    probabilities: np.ndarray
-    labels: Dict[int, int]
 
 
 def _index_unique(ids: Iterable[str], kind: str) -> Dict[str, int]:
@@ -878,6 +699,30 @@ def _index_unique(ids: Iterable[str], kind: str) -> Dict[str, int]:
             raise DataModelError(f"duplicate {kind} identifier {identifier!r}")
         mapping[identifier] = position
     return mapping
+
+
+def _new_ids(entities: Sequence, key: str, known: Dict[str, int], kind: str) -> set:
+    """The identifiers of ``entities``, checked to be new and distinct."""
+    seen: set = set()
+    for entity in entities:
+        identifier = getattr(entity, key)
+        if identifier in known or identifier in seen:
+            raise DataModelError(f"duplicate {kind} identifier {identifier!r}")
+        seen.add(identifier)
+    return seen
+
+
+def _clique_columns(rows: List[Tuple[int, ...]]) -> Tuple[np.ndarray, ...]:
+    """The :data:`_COLUMNS` arrays of clique rows, each contiguous."""
+    table = np.asarray(rows, dtype=np.int64).reshape(-1, len(_COLUMNS))
+    claim, document, source, sign, key = table.T
+    return (
+        claim.astype(np.intp),
+        document.astype(np.intp),
+        source.astype(np.intp),
+        sign.astype(float),
+        key.copy(),
+    )
 
 
 def _stack_features(vectors: List[np.ndarray], kind: str) -> np.ndarray:

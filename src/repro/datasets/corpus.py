@@ -1,12 +1,13 @@
 """Generated corpora shared by every session on one dataset spec.
 
 Generating a synthetic corpus takes from about a tenth of a second
-(wiki ×0.4) to over a second (wiki ×5), while building a
-:class:`~repro.data.database.FactDatabase` over entities that already
-exist takes milliseconds.  Entities are immutable (frozen dataclasses with
-read-only feature arrays) and a database never mutates them, so sessions
-on one spec can share one set.  Each session still builds its own
-database, which carries its probabilities, labels and caches.
+(wiki ×0.4) to over a second (wiki ×5), and building its
+:class:`~repro.data.database.FactDatabase` tens of milliseconds more.
+Entities are immutable and a strict database is read-only, so sessions on
+one spec share both: :meth:`Corpus.database` builds the structure once and
+keeps it with its derived caches; each session keeps only its own
+:class:`~repro.data.state.ClaimState`.  A stream source reads only the
+entities and :meth:`Corpus.arrivals`.
 
 :func:`shared_corpus` keeps one :class:`Corpus` per key, held weakly: a
 corpus lives as long as some holder references it and is generated again
@@ -29,30 +30,30 @@ Entities = Tuple[Tuple[Source, ...], Tuple[Document, ...], Tuple[Claim, ...]]
 
 
 class Corpus:
-    """The immutable entities of one corpus and the arrivals derived from them.
+    """The immutable entities of one corpus and what is derived from them.
 
-    The entities are generated on first use and never change afterwards.
+    Each part is built on first use and never changes afterwards.
 
     Args:
         generate: Produces ``(sources, documents, claims)``; called at most
             once.
-        prior: Initial credibility probability of the databases built by
-            :meth:`database`.
     """
 
-    def __init__(self, generate: Callable[[], Entities], prior: float = 0.5) -> None:
+    def __init__(self, generate: Callable[[], Entities]) -> None:
         self._generate: Optional[Callable[[], Entities]] = generate
-        self._prior = float(prior)
-        # Re-entrant: arrivals() reads the entities while holding it.
+        # Re-entrant: database() and arrivals() read the entities under it.
         self._lock = threading.RLock()
         self._entities: Optional[Entities] = None
+        self._database: Optional[FactDatabase] = None
         self._arrivals: Optional[tuple] = None
 
     @classmethod
     def of_database(cls, database: FactDatabase) -> "Corpus":
-        """A corpus over the entities and prior of an existing database."""
+        """The corpus of an existing database, which it serves as is."""
         entities = (database.sources, database.documents, database.claims)
-        return cls(lambda: entities, prior=database.prior)
+        corpus = cls(lambda: entities)
+        corpus._database = database
+        return corpus
 
     def _built(self) -> Entities:
         with self._lock:
@@ -75,9 +76,12 @@ class Corpus:
         return self._built()[2]
 
     def database(self) -> FactDatabase:
-        """A new database over the shared entities, with fresh state."""
-        sources, documents, claims = self._built()
-        return FactDatabase(sources, documents, claims, prior=self._prior)
+        """The structure over the entities, built once and shared by every
+        session on the corpus."""
+        with self._lock:
+            if self._database is None:
+                self._database = FactDatabase(*self._built())
+            return self._database
 
     def arrivals(self) -> tuple:
         """The corpus replayed in posting order, as one shared sequence

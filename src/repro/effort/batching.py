@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.crf.entropy import binary_entropy
 from repro.data.database import FactDatabase
+from repro.data.state import ClaimState
 from repro.errors import GuidanceError
 from repro.guidance.gain import GainEstimator, marginal_entropy_ranking
 
@@ -98,6 +99,7 @@ def batch_utility(
 
 def greedy_topk_selection(
     database: FactDatabase,
+    state: ClaimState,
     gains: GainEstimator,
     k: int,
     utility_weight: float = 1.0,
@@ -106,7 +108,8 @@ def greedy_topk_selection(
     """Greedy top-k batch selection with incremental gain updates (§6.2).
 
     Args:
-        database: The fact database.
+        database: The fact database (for the source correlation).
+        state: The claim state the gains are evaluated at.
         gains: Information-gain estimator for IG_C.
         k: Batch size.
         utility_weight: The w of Eq. 27.
@@ -121,17 +124,17 @@ def greedy_topk_selection(
     """
     if k < 1:
         raise GuidanceError(f"batch size must be at least 1, got {k}")
-    unlabelled = database.unlabelled_indices
+    unlabelled = state.unlabelled_indices
     if unlabelled.size == 0:
         raise GuidanceError("no unlabelled claims remain")
     if candidate_limit is not None and unlabelled.size > candidate_limit:
-        candidates = marginal_entropy_ranking(database, unlabelled)[:candidate_limit]
+        candidates = marginal_entropy_ranking(state, unlabelled)[:candidate_limit]
     else:
         candidates = unlabelled
     candidates = np.asarray(candidates, dtype=np.intp)
     k = min(k, candidates.size)
 
-    gain_values = np.asarray(gains.information_gains(candidates), dtype=float)
+    gain_values = np.asarray(gains.information_gains(candidates, state), dtype=float)
     gain_values = np.maximum(gain_values, 0.0)
     correlation = correlation_matrix(database, candidates)
     importance = correlation @ gain_values
@@ -164,6 +167,7 @@ def greedy_topk_selection(
 
 def exhaustive_topk_selection(
     database: FactDatabase,
+    state: ClaimState,
     gains: GainEstimator,
     k: int,
     utility_weight: float = 1.0,
@@ -176,18 +180,18 @@ def exhaustive_topk_selection(
     """
     if k < 1:
         raise GuidanceError(f"batch size must be at least 1, got {k}")
-    unlabelled = database.unlabelled_indices
+    unlabelled = state.unlabelled_indices
     if unlabelled.size == 0:
         raise GuidanceError("no unlabelled claims remain")
     if candidate_limit is not None and unlabelled.size > candidate_limit:
-        candidates = marginal_entropy_ranking(database, unlabelled)[:candidate_limit]
+        candidates = marginal_entropy_ranking(state, unlabelled)[:candidate_limit]
     else:
         candidates = unlabelled
     candidates = np.asarray(candidates, dtype=np.intp)
     k = min(k, candidates.size)
 
     gain_values = np.maximum(
-        np.asarray(gains.information_gains(candidates), dtype=float), 0.0
+        np.asarray(gains.information_gains(candidates, state), dtype=float), 0.0
     )
     correlation = correlation_matrix(database, candidates)
     best_members: tuple = ()
@@ -205,7 +209,7 @@ def exhaustive_topk_selection(
 
 
 def exact_batch_gain(
-    database: FactDatabase,
+    state: ClaimState,
     gains: GainEstimator,
     claims: Sequence[int],
 ) -> float:
@@ -217,13 +221,13 @@ def exact_batch_gain(
     entropies.  Exponential in ``len(claims)``.
 
     The nonzero-weight configurations run as rows of one mean-field
-    block (:meth:`GainEstimator.pinned_entropies`); the database is never
+    block (:meth:`GainEstimator.pinned_entropies`); ``state`` is never
     mutated.  A row starts each batch claim at its configured value and
     holds it, which is exactly what labelling the claim did — also for
     a claim that is already labelled.
 
     Raises:
-        GuidanceError: With |B| > 12 or a claim index outside the database.
+        GuidanceError: With |B| > 12 or a claim index outside the state.
     """
     claims = [int(c) for c in claims]
     if not claims:
@@ -233,12 +237,12 @@ def exact_batch_gain(
             "exact batch gain enumerates 2^|B| configurations; |B| > 12 "
             "is not supported"
         )
-    outside = [c for c in claims if not 0 <= c < database.num_claims]
+    outside = [c for c in claims if not 0 <= c < state.num_claims]
     if outside:
         raise GuidanceError(
-            f"claim indices {outside} outside [0, {database.num_claims})"
+            f"claim indices {outside} outside [0, {state.num_claims})"
         )
-    probabilities = np.asarray(database.probabilities, dtype=float)
+    probabilities = np.asarray(state.probabilities, dtype=float)
     scope = np.unique(
         np.concatenate([gains.components.component_of_claim(c) for c in claims])
     ).astype(np.intp)
@@ -255,7 +259,7 @@ def exact_batch_gain(
             weights.append(weight)
             configurations.append(values)
     entropies = gains.pinned_entropies(
-        scope, claims, np.reshape(configurations, (-1, len(claims)))
+        scope, claims, np.reshape(configurations, (-1, len(claims))), state
     )
     conditional = 0.0
     for weight, entropy in zip(weights, entropies.tolist()):

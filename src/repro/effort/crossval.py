@@ -30,13 +30,13 @@ def estimate_precision(
     """Estimate grounding precision by k-fold cross validation.
 
     Each fold is one row of a mean-field block: its held-out claims start
-    at the database prior and are free, together with the unlabelled
-    claims of their components; every other claim is held.  The database
-    is read, never mutated.
+    at the state's prior and are free, together with the unlabelled
+    claims of their components; every other claim is held.  The
+    process's claim state is read, never mutated.
 
     Args:
-        process: The running validation process (its database, model and
-            component index are used).
+        process: The running validation process (its claim state, model
+            and component index are used).
         folds: Number of partitions k.
         meanfield_steps: Light-inference iterations per fold.
         seed: Seed for the fold shuffle (fixed by default so successive
@@ -51,8 +51,8 @@ def estimate_precision(
     """
     if folds < 1:
         raise ValidationProcessError(f"folds must be positive, got {folds}")
-    database = process.database
-    labelled = [int(c) for c in database.labelled_indices]
+    state = process.state
+    labelled = [int(c) for c in state.labelled_indices]
     if len(labelled) < folds:
         raise ValidationProcessError(
             f"need at least {folds} labelled claims for {folds}-fold CV, "
@@ -66,7 +66,7 @@ def estimate_precision(
     ]
 
     # A labelled claim's probability is its label value.
-    probabilities = database.probabilities
+    probabilities = state.probabilities
     is_labelled = np.zeros(probabilities.size, dtype=bool)
     is_labelled[labelled] = True
     start = np.repeat(probabilities[None, :], folds, axis=0)
@@ -77,7 +77,7 @@ def estimate_precision(
         )
         held[row, scope] = is_labelled[scope]
         held[row, fold] = False
-        start[row, fold] = database.prior
+        start[row, fold] = state.prior
     marginals = process.icrf.model.mean_field(
         start, steps=meanfield_steps, damping=0.2, fixed=held
     )

@@ -130,7 +130,7 @@ class PrecisionImprovementCriterion(TerminationCriterion):
         self._previous_estimate: Optional[float] = None
 
     def update(self, trace, record, process) -> Optional[str]:
-        if process.database.num_labelled < max(self.min_labels, self.folds):
+        if process.state.num_labelled < max(self.min_labels, self.folds):
             return None
         self._since_check += 1
         if self._since_check < self.check_every:

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from repro.api.specs import InferenceSpec, SessionSpec
-from repro.crf.partition import ComponentIndex
 from repro.effort.batching import (
     exhaustive_topk_selection,
     greedy_topk_selection,
@@ -93,10 +92,10 @@ def coupling_ablation(
             initials.append(process.current_precision() or 0.0)
             budget = int(round(effort_fraction * database.num_claims))
             for _ in range(budget):
-                if database.unlabelled_indices.size == 0:
+                if process.state.unlabelled_indices.size == 0:
                     break
-                unlabelled = database.unlabelled_indices
-                before = np.asarray(database.probabilities)[unlabelled].copy()
+                unlabelled = process.state.unlabelled_indices
+                before = np.asarray(process.state.probabilities)[unlabelled].copy()
                 record = process.step()
                 still = np.asarray(
                     [c for c in unlabelled if c not in record.claim_indices],
@@ -104,7 +103,7 @@ def coupling_ablation(
                 )
                 if still.size:
                     keep = np.isin(unlabelled, still)
-                    after = np.asarray(database.probabilities)[still]
+                    after = np.asarray(process.state.probabilities)[still]
                     propagations.append(
                         float(np.mean(np.abs(after - before[keep])))
                     )
@@ -141,7 +140,7 @@ def aggregation_ablation(
             process.initialize()
             budget = int(round(effort_fraction * database.num_claims))
             for _ in range(budget):
-                if database.unlabelled_indices.size == 0:
+                if process.state.unlabelled_indices.size == 0:
                     break
                 process.step()
             finals.append(process.current_precision() or 0.0)
@@ -176,7 +175,7 @@ def warm_start_ablation(
             icrf.infer()
             order = derive_rng(rng, 1).permutation(database.num_claims)
             for claim in order[:iterations]:
-                database.label(int(claim), int(truth[claim]))
+                icrf.state.label(int(claim), int(truth[claim]))
                 if not warm:
                     icrf.reset_chain()
                 started = time.perf_counter()
@@ -219,18 +218,18 @@ def batch_selection_ablation(
     icrf.infer(em_iterations=1, update_weights=False)
     gains = GainEstimator(
         icrf.model,
-        ComponentIndex(database),
+        database.component_index(),
         config=GainConfig(),
         seed=derive_rng(rng, 1),
     )
     started = time.perf_counter()
     greedy = greedy_topk_selection(
-        database, gains, k=k, candidate_limit=candidate_limit
+        database, icrf.state, gains, k=k, candidate_limit=candidate_limit
     )
     greedy_seconds = time.perf_counter() - started
     started = time.perf_counter()
     optimum = exhaustive_topk_selection(
-        database, gains, k=k, candidate_limit=candidate_limit
+        database, icrf.state, gains, k=k, candidate_limit=candidate_limit
     )
     optimum_seconds = time.perf_counter() - started
     result.add_row(dataset, "greedy", greedy.utility, greedy_seconds)

@@ -78,7 +78,8 @@ def _precision_at_effort(
     process.initialize()
     budget = int(round(effort_fraction * database.num_claims))
     while (
-        database.num_labelled < budget and database.unlabelled_indices.size > 0
+        process.state.num_labelled < budget
+        and process.state.unlabelled_indices.size > 0
     ):
         process.step()
     precision = process.current_precision()

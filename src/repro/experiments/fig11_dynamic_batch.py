@@ -94,13 +94,13 @@ def _efforts_to_thresholds(
         )
         process.initialize()
         reached = {t: None for t in thresholds}
-        while database.unlabelled_indices.size > 0:
+        while process.state.unlabelled_indices.size > 0:
             if dynamic:
-                fraction = database.num_labelled / database.num_claims
+                fraction = process.state.num_labelled / database.num_claims
                 process.batch_size = dynamic_batch_size(fraction)
             batch_sizes_used.append(process.batch_size)
             process.step()
-            effort = database.num_labelled / database.num_claims
+            effort = process.state.num_labelled / database.num_claims
             precision = process.current_precision() or 0.0
             for t in thresholds:
                 if reached[t] is None and precision >= t:

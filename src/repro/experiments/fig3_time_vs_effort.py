@@ -39,9 +39,9 @@ def run(
         process = make_process(database, "hybrid", config, rng)
         process.initialize()
         total = database.num_claims
-        while database.unlabelled_indices.size > 0:
+        while process.state.unlabelled_indices.size > 0:
             record = process.step()
-            effort = database.num_labelled / total
+            effort = process.state.num_labelled / total
             for index, edge in enumerate(bins):
                 if effort <= edge + 1e-9:
                     binned[index].append(record.response_seconds)

@@ -40,17 +40,17 @@ def run(
             truth = database.truth_vector()
             process = make_process(database, "info", config, rng)
             process.initialize()
-            _collect(collected, 0.0, database, truth)
+            _collect(collected, 0.0, process.state, truth)
             total = database.num_claims
             remaining = sorted(cp for cp in checkpoints if cp > 0)
             for checkpoint in remaining:
                 target_labels = int(round(checkpoint * total))
                 while (
-                    database.num_labelled < target_labels
-                    and database.unlabelled_indices.size > 0
+                    process.state.num_labelled < target_labels
+                    and process.state.unlabelled_indices.size > 0
                 ):
                     process.step()
-                _collect(collected, checkpoint, database, truth)
+                _collect(collected, checkpoint, process.state, truth)
 
     result = ExperimentResult(
         name="fig4_probability_histogram",
@@ -83,8 +83,8 @@ def run(
     return result
 
 
-def _collect(collected, checkpoint, database, truth) -> None:
+def _collect(collected, checkpoint, state, truth) -> None:
     """Record P(correct value) of every claim at a checkpoint."""
-    probabilities = np.asarray(database.probabilities)
+    probabilities = np.asarray(state.probabilities)
     correct = np.where(truth == 1, probabilities, 1.0 - probabilities)
     collected[round(checkpoint, 2)].extend(float(v) for v in correct)

@@ -39,9 +39,9 @@ def run(
     process.initialize()
 
     precision_estimates = []
-    while database.unlabelled_indices.size > 0:
+    while process.state.unlabelled_indices.size > 0:
         process.step()
-        if database.num_labelled >= max(pir_folds, 4):
+        if process.state.num_labelled >= max(pir_folds, 4):
             precision_estimates.append(
                 estimate_precision(process, folds=pir_folds)
             )

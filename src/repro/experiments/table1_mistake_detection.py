@@ -82,14 +82,14 @@ def _detection_rate(
     process.initialize()
     budget = int(round(effort_fraction * database.num_claims))
     for _ in range(budget):
-        if database.unlabelled_indices.size == 0:
+        if process.state.unlabelled_indices.size == 0:
             break
         process.step()
     detected = process.robustness_stats.true_detections
     # Mistakes still standing at the end were never detected.
     undetected = sum(
         1
-        for claim_index, label in database.labels.items()
+        for claim_index, label in process.state.labels.items()
         if label != int(truth[claim_index])
     )
     total = detected + undetected

@@ -79,8 +79,8 @@ def run(
     return result
 
 
-def _make_process(snapshot, config: ExperimentConfig, seed, weights=None):
-    """Deterministic validation process over one database snapshot."""
+def _make_process(snapshot, state, config: ExperimentConfig, seed, weights=None):
+    """Deterministic validation process over one snapshot and its state."""
     spec = SessionSpec(
         inference={"em_iterations": config.em_iterations, "estep_mode": "meanfield"},
         guidance={
@@ -90,7 +90,7 @@ def _make_process(snapshot, config: ExperimentConfig, seed, weights=None):
         },
     )
     rng = ensure_rng(seed)
-    icrf = ICrf(snapshot, spec.inference, seed=derive_rng(rng, 0))
+    icrf = ICrf(snapshot, spec.inference, seed=derive_rng(rng, 0), state=state)
     if weights is not None:
         icrf.set_weights(weights)
     return ValidationProcess(
@@ -131,8 +131,7 @@ def _streaming_sequence(
             )
             pending = 0
     # Stream exhausted: validate the remaining claims on the full snapshot.
-    snapshot = checker.database
-    remaining = int(snapshot.unlabelled_indices.size)
+    remaining = int(checker.state.unlabelled_indices.size)
     if remaining:
         sequence.extend(
             _validate_batch(checker, remaining, config, validator_seed)
@@ -150,10 +149,12 @@ def _validate_batch(
     parameters it learns are fed back to the streaming model.
     """
     snapshot = checker.database
-    process = _make_process(snapshot, config, seed, weights=checker.weights)
+    process = _make_process(
+        snapshot, checker.state, config, seed, weights=checker.weights
+    )
     validated: List[str] = []
     for _ in range(count):
-        if snapshot.unlabelled_indices.size == 0:
+        if checker.state.unlabelled_indices.size == 0:
             break
         record = process.step()
         for claim_index, value in zip(record.claim_indices, record.user_values):

@@ -2,7 +2,7 @@
 
 A :class:`SelectionStrategy` picks the next claim for which user input
 shall be sought.  Strategies receive a :class:`SelectionContext` holding
-everything the paper's selectors use: the database, the gain estimator,
+everything the paper's selectors use: the claim state, the gain estimator,
 the hybrid score ``z_{i-1}`` (Eq. 23), and a random generator for
 tie-breaking / roulette decisions.
 """
@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.data.database import FactDatabase
+from repro.data.state import ClaimState
 from repro.errors import GuidanceError
 from repro.guidance.gain import GainEstimator, marginal_entropy_ranking
 
@@ -25,7 +25,7 @@ class SelectionContext:
     """Inputs available to a selection strategy at one iteration.
 
     Attributes:
-        database: The probabilistic fact database Q.
+        state: The session's probabilities and labels.
         gains: Information-gain estimator bound to the current model.
         rng: Random generator (roulette wheel, tie breaking).
         hybrid_score: ``z_{i-1}`` of Eq. 23 — probability of choosing the
@@ -40,7 +40,7 @@ class SelectionContext:
             validation orders across runs.
     """
 
-    database: FactDatabase
+    state: ClaimState
     gains: GainEstimator
     rng: np.random.Generator
     hybrid_score: float = 0.0
@@ -50,12 +50,12 @@ class SelectionContext:
 
     def candidates(self) -> np.ndarray:
         """The unlabelled claims a strategy may select from."""
-        unlabelled = self.database.unlabelled_indices
+        unlabelled = self.state.unlabelled_indices
         if unlabelled.size == 0:
             raise GuidanceError("no unlabelled claims remain")
         if self.candidate_limit is None or unlabelled.size <= self.candidate_limit:
             return unlabelled
-        ranked = marginal_entropy_ranking(self.database, unlabelled)
+        ranked = marginal_entropy_ranking(self.state, unlabelled)
         return ranked[: self.candidate_limit]
 
 

@@ -5,8 +5,8 @@ The package splits the gain machinery into focused modules:
 * :mod:`.config` — :class:`GainConfig` and the mode/method registries.
 * :mod:`.estimator` — :class:`GainEstimator` itself and the
   marginal-entropy candidate ranking.  A hypothetical label is a row of
-  starting marginals plus a held mask, never a change to the shared
-  database.
+  starting marginals plus a held mask, never a change to the session's
+  claim state.
 """
 
 from repro.guidance.gain.config import (

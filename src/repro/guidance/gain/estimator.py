@@ -16,12 +16,12 @@ entropy ``H_C`` (information-driven guidance) and the source-trust entropy
   affect claims in ``c``'s connected component, so inference and entropy
   differences are restricted to it.
 * **Independent candidates** (§5.1) — every batched-gains call reads the
-  database's probabilities and labels once and never mutates it.  A
-  hypothesis is a row: starting marginals with its pins set, plus a
-  held mask (the labels and the pins).  The candidates of one component
-  form one block of such rows — the baseline plus a ``Q+`` and a ``Q-``
-  row per candidate — that never see each other's hypothesis, over the
-  component's
+  probabilities and labels of the :class:`~repro.data.state.ClaimState`
+  it is given once and never mutates it.  A hypothesis is a row:
+  starting marginals with its pins set, plus a held mask (the labels and
+  the pins).  The candidates of one component form one block of such
+  rows — the baseline plus a ``Q+`` and a ``Q-`` row per candidate —
+  that never see each other's hypothesis, over the component's
   :class:`~repro.crf.partition.ScopePlan` (its touched pair rows and
   source claim lists, derived once per component).  (On a 2-core host,
   spreading candidates over 2 or 4 threads measured slower than one
@@ -54,7 +54,8 @@ from repro.crf.entropy import (
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CouplingPairs, CrfModel
 from repro.crf.partition import ComponentIndex, ScopePlan
-from repro.data.database import FactDatabase
+from repro.data.state import ClaimState
+from repro.errors import GuidanceError
 from repro.guidance.gain.config import GainConfig
 from repro.utils.rng import RandomState, draw_entropy, ensure_rng, stream_rng
 
@@ -78,7 +79,8 @@ class GainEstimator:
 
     Args:
         model: The CRF model (weights are read, never modified).
-        components: Component index for localisation.
+        components: Component index for localisation (default: the
+            database's shared one).
         config: Evaluation configuration.
         seed: Seed or generator (only Gibbs mode consumes randomness).
     """
@@ -86,7 +88,7 @@ class GainEstimator:
     #: Rebuilt from the session spec on resume (STATE001); the generator
     #: ``_rng`` is the only checkpointed attribute and is carried by
     #: :meth:`ValidationProcess.state_dict`.
-    _STATE_EXCLUDED = ("_model", "_database", "_config", "_components")
+    _STATE_EXCLUDED = ("_model", "_config", "_components")
 
     def __init__(
         self,
@@ -96,10 +98,9 @@ class GainEstimator:
         seed: RandomState = None,
     ) -> None:
         self._model = model
-        self._database = model.database
         self._config = config if config is not None else GainConfig()
         self._components = (
-            components if components is not None else ComponentIndex(self._database)
+            model.database.component_index() if components is None else components
         )
         self._rng = ensure_rng(seed)
 
@@ -117,34 +118,42 @@ class GainEstimator:
     # Public gains
     # ------------------------------------------------------------------
 
-    def information_gain(self, claim_index: int) -> float:
+    def information_gain(self, claim_index: int, state: ClaimState) -> float:
         """IG_C(c): expected claim-entropy reduction of validating ``c``."""
-        return float(self._gains([claim_index], source_driven=False)[0])
+        return float(self._gains([claim_index], state, source_driven=False)[0])
 
-    def source_gain(self, claim_index: int) -> float:
+    def source_gain(self, claim_index: int, state: ClaimState) -> float:
         """IG_S(c): expected source-entropy reduction of validating ``c``."""
-        return float(self._gains([claim_index], source_driven=True)[0])
+        return float(self._gains([claim_index], state, source_driven=True)[0])
 
-    def information_gains(self, claim_indices: Sequence[int]) -> np.ndarray:
-        """Vector of IG_C over candidates."""
-        return self._gains(claim_indices, source_driven=False)
+    def information_gains(
+        self, claim_indices: Sequence[int], state: ClaimState
+    ) -> np.ndarray:
+        """Vector of IG_C over candidates, at ``state``."""
+        return self._gains(claim_indices, state, source_driven=False)
 
-    def source_gains(self, claim_indices: Sequence[int]) -> np.ndarray:
-        """Vector of IG_S over candidates."""
-        return self._gains(claim_indices, source_driven=True)
+    def source_gains(
+        self, claim_indices: Sequence[int], state: ClaimState
+    ) -> np.ndarray:
+        """Vector of IG_S over candidates, at ``state``."""
+        return self._gains(claim_indices, state, source_driven=True)
 
     def pinned_entropies(
-        self, scope: np.ndarray, claims: Sequence[int], configurations: np.ndarray
+        self,
+        scope: np.ndarray,
+        claims: Sequence[int],
+        configurations: np.ndarray,
+        state: ClaimState,
     ) -> np.ndarray:
         """H_C over ``scope`` after light inference under each configuration.
 
-        Row ``k`` labels ``claims`` with ``configurations[k]`` — a pin
-        overrides a label, as :meth:`FactDatabase.label` does — and runs
-        mean field over ``scope`` (iteration count and damping from the
-        configuration).  The exact batch benefit of §6.2 enumerates its
-        configurations this way.
+        Row ``k`` labels ``claims`` of ``state`` with ``configurations[k]``
+        — a pin overrides a label, as :meth:`ClaimState.label` does — and
+        runs mean field over ``scope`` (iteration count and damping from
+        the configuration).  The exact batch benefit of §6.2 enumerates
+        its configurations this way.
         """
-        probabilities, labelled = self._state()
+        probabilities, labelled = _read(state)
         configurations = np.asarray(configurations, dtype=float)
         pinned = np.broadcast_to(
             np.asarray(claims, dtype=np.intp), configurations.shape
@@ -157,19 +166,8 @@ class GainEstimator:
             entropies[rows] = _row_sums(binary_entropy(np.take(block, scope, axis=1)))
         return entropies
 
-    def _state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The database's probabilities and label mask, read once per call.
-
-        A labelled claim's probability is its label value (``label`` and
-        ``set_probabilities`` keep it so), so the pair is the whole state.
-        """
-        probabilities = self._database.probabilities
-        labelled = np.zeros(probabilities.size, dtype=bool)
-        labelled[self._database.labelled_indices] = True
-        return probabilities, labelled
-
     def _gains(
-        self, claim_indices: Sequence[int], source_driven: bool
+        self, claim_indices: Sequence[int], state: ClaimState, source_driven: bool
     ) -> np.ndarray:
         # One root entropy draw per call keys the whole Gibbs stream tree;
         # every chain seed is a pure function of (root, candidate, value),
@@ -180,8 +178,13 @@ class GainEstimator:
             if self._config.inference_mode == "gibbs"
             else None
         )
-        probabilities, labelled = self._state()
+        probabilities, labelled = _read(state)
         claims = [int(c) for c in claim_indices]
+        outside = [c for c in claims if not 0 <= c < probabilities.size]
+        if outside:
+            raise GuidanceError(
+                f"claim indices {outside} outside [0, {probabilities.size})"
+            )
         # Labelled candidates gain nothing; the rest are grouped by the
         # component their hypotheses can move.
         gains = np.zeros(len(claims))
@@ -336,10 +339,8 @@ class GainEstimator:
             for row in range(block.shape[0]):
                 free = plan.claims[~held[row, plan.claims]]
                 if 0 < free.size <= cap:
-                    # component_entropy thresholds the supplied marginals
-                    # directly — the database is never touched.
                     entropies[row] = component_entropy(
-                        self._model, free, probabilities=block[row]
+                        self._model, free, block[row]
                     )
         return entropies
 
@@ -363,6 +364,18 @@ class GainEstimator:
             dtype=np.int64,
         )
         return _row_sums(binary_entropy(sums / plan.source_counts))
+
+
+def _read(state: ClaimState) -> Tuple[np.ndarray, np.ndarray]:
+    """A state's probabilities and label mask, read once per call.
+
+    A labelled claim's probability is its label value (``label`` and
+    ``set_probabilities`` keep it so), so the pair is the whole state.
+    """
+    probabilities = state.probabilities
+    labelled = np.zeros(probabilities.size, dtype=bool)
+    labelled[state.labelled_indices] = True
+    return probabilities, labelled
 
 
 def _hypothesis_blocks(
@@ -404,7 +417,7 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
 
 
 def marginal_entropy_ranking(
-    database: FactDatabase, candidates: Iterable[int]
+    state: ClaimState, candidates: Iterable[int]
 ) -> np.ndarray:
     """Candidates sorted by descending marginal entropy of ``P(c)``.
 
@@ -412,7 +425,7 @@ def marginal_entropy_ranking(
     candidate pool limit is configured.
     """
     candidates = np.asarray(list(candidates), dtype=np.intp)
-    probabilities = np.asarray(database.probabilities)[candidates]
+    probabilities = np.asarray(state.probabilities)[candidates]
     entropies = binary_entropy(probabilities)
     order = np.argsort(-entropies, kind="stable")
     return candidates[order]

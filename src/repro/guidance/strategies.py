@@ -26,11 +26,11 @@ class RandomStrategy(SelectionStrategy):
     name = "random"
 
     def select(self, context: SelectionContext) -> int:
-        candidates = context.database.unlabelled_indices
+        candidates = context.state.unlabelled_indices
         return int(context.rng.choice(candidates))
 
     def rank(self, context: SelectionContext, count: int):
-        candidates = context.database.unlabelled_indices
+        candidates = context.state.unlabelled_indices
         permuted = context.rng.permutation(candidates)
         return [int(c) for c in permuted[:count]]
 
@@ -41,8 +41,8 @@ class UncertaintyStrategy(SelectionStrategy):
     name = "uncertainty"
 
     def scores(self, context: SelectionContext):
-        candidates = context.database.unlabelled_indices
-        probabilities = np.asarray(context.database.probabilities)[candidates]
+        candidates = context.state.unlabelled_indices
+        probabilities = np.asarray(context.state.probabilities)[candidates]
         return candidates, binary_entropy(probabilities)
 
     def select(self, context: SelectionContext) -> int:
@@ -57,7 +57,7 @@ class InformationGainStrategy(SelectionStrategy):
 
     def scores(self, context: SelectionContext):
         candidates = context.candidates()
-        return candidates, context.gains.information_gains(candidates)
+        return candidates, context.gains.information_gains(candidates, context.state)
 
     def select(self, context: SelectionContext) -> int:
         candidates, values = self.scores(context)
@@ -71,7 +71,7 @@ class SourceGainStrategy(SelectionStrategy):
 
     def scores(self, context: SelectionContext):
         candidates = context.candidates()
-        return candidates, context.gains.source_gains(candidates)
+        return candidates, context.gains.source_gains(candidates, context.state)
 
     def select(self, context: SelectionContext) -> int:
         candidates, values = self.scores(context)

@@ -53,15 +53,15 @@ class InferenceEngine:
         """
         raise NotImplementedError
 
-    def assemble_mstep(
-        self, marginals: np.ndarray, config
-    ) -> Optional[MStepData]:
+    def assemble_mstep(self, state, config) -> Optional[MStepData]:
         """Expected-statistics design ``(X, targets, weights)`` for TRON.
 
-        Labelled claims contribute one boosted row with their user label;
-        unlabelled claims contribute two fractional rows (target 1 with
-        weight ``q``, target 0 with weight ``1 - q``).  Returns ``None``
-        when no claim meets the coverage threshold.
+        Reads the marginals ``q`` and the labels of ``state`` (a
+        :class:`~repro.data.state.ClaimState`).  Labelled claims
+        contribute one boosted row with their user label; unlabelled
+        claims contribute two fractional rows (target 1 with weight
+        ``q``, target 0 with weight ``1 - q``).  Returns ``None`` when no
+        claim meets the coverage threshold.
         """
         raise NotImplementedError
 

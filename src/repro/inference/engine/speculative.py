@@ -351,9 +351,7 @@ class SpeculativeEngine(InferenceEngine):
     # M-step design assembly
     # ------------------------------------------------------------------
 
-    def assemble_mstep(
-        self, marginals: np.ndarray, config
-    ) -> Optional[MStepData]:
+    def assemble_mstep(self, state, config) -> Optional[MStepData]:
         """Vectorised assembly in the scalar layout.
 
         Claims in index order, one row per labelled claim and a
@@ -368,8 +366,9 @@ class SpeculativeEngine(InferenceEngine):
         )
         if covered.size == 0:
             return None
+        marginals = state.probabilities
         design_all = build_design_matrix(model, marginals)
-        label_indices, label_values = model.database.label_arrays()
+        label_indices, label_values = state.label_arrays()
         is_labelled = np.zeros(num_claims, dtype=bool)
         is_labelled[label_indices] = True
         label_of = np.zeros(num_claims)
@@ -382,7 +381,7 @@ class SpeculativeEngine(InferenceEngine):
         second_rows = ends[repeats == 2] - 1
         targets = np.ones(row_claims.size)
         targets[second_rows] = 0.0
-        weights = np.asarray(marginals, dtype=float)[row_claims].copy()
+        weights = marginals[row_claims]
         weights[second_rows] = 1.0 - weights[second_rows]
         labelled_rows = is_labelled[row_claims]
         targets[labelled_rows] = label_of[row_claims][labelled_rows]

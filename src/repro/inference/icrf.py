@@ -12,7 +12,7 @@ one validation-process iteration (Alg. 1, line 15).  It alternates:
 The *incremental* character ("view maintenance", §3.2) comes from three
 warm starts that persist across invocations: the Gibbs chain state, the
 model weights ``W_z^0 = W_{z-1}^{l_{z-1}}``, and the credibility
-probabilities stored in the fact database.  After a single new user label
+probabilities of its :class:`~repro.data.state.ClaimState`.  After a single new user label
 only a few EM iterations are needed, which is what keeps per-iteration
 response times interactive (Fig. 2).
 
@@ -33,7 +33,8 @@ from repro.crf.gibbs import GibbsResult, GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
-from repro.errors import InferenceError
+from repro.data.state import ClaimState
+from repro.errors import DataModelError, InferenceError
 from repro.inference.decide import decide_grounding
 from repro.inference.engine import InferenceEngine, create_engine
 from repro.inference.engine.base import EngineFactory
@@ -46,10 +47,12 @@ if TYPE_CHECKING:
 
 
 class ICrf:
-    """Incremental CRF inference engine bound to one fact database.
+    """Incremental CRF inference over one fact database, owning one
+    :class:`~repro.data.state.ClaimState`: it reads the labels from the
+    state and writes its marginals into it.
 
     Args:
-        database: The probabilistic fact database Q.
+        database: The structure of the probabilistic fact database Q.
         spec: The :class:`~repro.api.specs.InferenceSpec` (EM and Gibbs
             schedule, model and M-step settings); ``None`` uses its
             defaults.
@@ -58,14 +61,15 @@ class ICrf:
             (an engine or an engine factory); ``None`` uses the model's
             memoised engine, shared by the E-step sweeps and the M-step
             design assembly.
+        state: The claim state to infer over; a fresh one when omitted.
     """
 
-    #: Not checkpointed (lint rule STATE001): the database is serialised
-    #: by the owning process/session, the engine and the spec are
-    #: rebuilt on resume, and ``_last_gibbs`` is derived diagnostics
-    #: recomputed by the next :meth:`infer`.  ``state_dict`` carries the
-    #: learned model weights and the sampler chain.
-    _STATE_EXCLUDED = ("_spec", "_database", "_engine", "_last_gibbs")
+    #: Not checkpointed (lint rule STATE001): the claim state is
+    #: serialised by the owning process/session, the database, engine
+    #: and spec are rebuilt on resume, and ``_last_gibbs`` is derived
+    #: diagnostics recomputed by the next :meth:`infer`.  ``state_dict``
+    #: carries the learned model weights and the sampler chain.
+    _STATE_EXCLUDED = ("_spec", "_database", "_state", "_engine", "_last_gibbs")
 
     def __init__(
         self,
@@ -73,6 +77,7 @@ class ICrf:
         spec: Optional["InferenceSpec"] = None,
         seed: RandomState = None,
         engine: Union[None, InferenceEngine, EngineFactory] = None,
+        state: Optional[ClaimState] = None,
     ) -> None:
         if spec is None:
             from repro.api.specs import InferenceSpec
@@ -81,6 +86,9 @@ class ICrf:
         rng = ensure_rng(seed)
         self._spec = spec
         self._database = database
+        self._state = _covering(
+            database, ClaimState.of(database) if state is None else state
+        )
         weights = CrfWeights.zeros(
             database.document_features.shape[1],
             database.source_features.shape[1],
@@ -124,6 +132,15 @@ class ICrf:
         return self._database
 
     @property
+    def state(self) -> ClaimState:
+        """The claim state inference reads labels from and writes ``P`` to."""
+        return self._state
+
+    @state.setter
+    def state(self, state: ClaimState) -> None:
+        self._state = _covering(self._database, state)
+
+    @property
     def model(self) -> CrfModel:
         """The CRF energy model (weights update in place)."""
         return self._model
@@ -164,7 +181,7 @@ class ICrf:
         claim_subset: Optional[np.ndarray] = None,
         update_weights: bool = True,
     ) -> InferenceResult:
-        """Run EM and update the database's probabilities in place.
+        """Run EM and update the state's probabilities in place.
 
         Args:
             em_iterations: Override of the EM iteration budget.
@@ -175,14 +192,15 @@ class ICrf:
                 the model must not drift while evaluating candidates.
 
         Returns:
-            An :class:`InferenceResult`; the database's ``P`` reflects the
+            An :class:`InferenceResult`; the state's ``P`` reflects the
             returned marginals.
         """
         budget = self._spec.em_iterations if em_iterations is None else em_iterations
         if budget <= 0:
             raise InferenceError("em_iterations must be positive")
 
-        previous = np.asarray(self._database.probabilities, dtype=float).copy()
+        state = self._state
+        previous = np.asarray(state.probabilities, dtype=float).copy()
         deltas = []
         converged = False
         gibbs_result: Optional[GibbsResult] = None
@@ -191,13 +209,14 @@ class ICrf:
             if self._spec.estep_mode == "meanfield":
                 gibbs_result = self._mean_field_estep(claim_subset)
             else:
-                gibbs_result = self._sampler.sample(claim_subset=claim_subset)
+                gibbs_result = self._sampler.sample(
+                    state.probabilities, state.labelled_indices, claim_subset
+                )
             marginals = gibbs_result.marginals
-            self._database.set_probabilities(marginals)
+            state.set_probabilities(marginals)
             if update_weights:
                 run_m_step(
-                    self._model, marginals, self._spec.mstep,
-                    engine=self._engine,
+                    self._model, state, self._spec.mstep, engine=self._engine
                 )
             delta = float(np.mean(np.abs(marginals - previous)))
             deltas.append(delta)
@@ -209,9 +228,9 @@ class ICrf:
 
         assert gibbs_result is not None
         self._last_gibbs = gibbs_result
-        grounding = decide_grounding(self._database, gibbs_result)
+        grounding = decide_grounding(state, gibbs_result)
         return InferenceResult(
-            marginals=np.asarray(self._database.probabilities).copy(),
+            marginals=np.asarray(state.probabilities).copy(),
             grounding=grounding,
             weights=self._model.weights.copy(),
             em_iterations=performed,
@@ -233,9 +252,9 @@ class ICrf:
         configuration degenerates to thresholded marginals (the naive
         instantiation of §2.3).
         """
-        database = self._database
-        marginals = np.asarray(database.probabilities, dtype=float).copy()
-        label_indices, label_values = database.label_arrays()
+        state = self._state
+        marginals = np.asarray(state.probabilities, dtype=float).copy()
+        label_indices, label_values = state.label_arrays()
         if label_indices.size:
             marginals[label_indices] = label_values
         marginals = self._model.mean_field(
@@ -254,3 +273,13 @@ class ICrf:
             num_samples=1,
             configuration_counts={configuration.tobytes(): 1},
         )
+
+
+def _covering(database: FactDatabase, state: ClaimState) -> ClaimState:
+    """``state``, checked to cover exactly the database's claims."""
+    if state.num_claims != database.num_claims:
+        raise DataModelError(
+            f"claim state covers {state.num_claims} claims, the database "
+            f"{database.num_claims}"
+        )
+    return state

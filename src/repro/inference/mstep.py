@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
+from repro.data.state import ClaimState
 from repro.errors import InferenceError
 from repro.inference.tron import TronResult, WeightedLogisticLoss, tron_minimize
 
@@ -84,7 +85,7 @@ def build_design_matrix(model: CrfModel, marginals: np.ndarray) -> np.ndarray:
 
 def run_m_step(
     model: CrfModel,
-    marginals: np.ndarray,
+    state: ClaimState,
     config: MStepConfig = MStepConfig(),
     engine: Union[None, "InferenceEngine", "EngineFactory"] = None,
 ) -> TronResult:
@@ -93,8 +94,8 @@ def run_m_step(
     Args:
         model: CRF model; its weights are the warm start and are *updated
             in place* on success.
-        marginals: Per-claim credibility estimates from the E-step; entries
-            of labelled claims must already equal their labels.
+        state: The claim state whose probabilities are the E-step's
+            credibility estimates and whose labels are the user input.
         config: Hyper-parameters.
         engine: ``None`` (the model's memoised engine, whose cached
             feature matrix is reused across EM rounds) or the test seam
@@ -103,15 +104,13 @@ def run_m_step(
     Returns:
         The :class:`~repro.inference.tron.TronResult` of the fit.
     """
-    database = model.database
-    marginals = np.asarray(marginals, dtype=float)
-    if marginals.shape != (database.num_claims,):
+    if state.num_claims != model.database.num_claims:
         raise InferenceError("marginals must cover every claim")
 
     from repro.inference.engine import create_engine
 
     engine = create_engine(model, engine)
-    assembled = engine.assemble_mstep(marginals, config)
+    assembled = engine.assemble_mstep(state, config)
     if assembled is None:
         # Nothing to fit (e.g. no claim has any clique); keep weights.
         current = model.weights.values

@@ -12,12 +12,13 @@ where ``Ŵ_t`` maximises the expected log-likelihood of the current data
 the practical realisation of Eq. 29–30, in which the interpolated
 Q-function is represented through its maximiser rather than stored
 symbolically.  Credibility estimates and user labels are carried across
-arrivals by claim identifier, so earlier inference is reused, never
-recomputed from scratch.
+arrivals in the grown claim state, so earlier inference is reused, never
+recomputed from scratch; checkpoints key them by claim identifier.
 
-The snapshot database, model and engine are *grown in place* per
-arrival: :meth:`FactDatabase.extend` merges the new cliques into the
-columnar arrays, the featurizer patches its cached matrices, and the
+The snapshot database, its claim state, the model and the engine are
+*grown in place* per arrival: :meth:`FactDatabase.extend` merges the new
+cliques into the columnar arrays, :meth:`ClaimState.grow` appends the new
+claims at the prior, the featurizer patches its cached matrices, and the
 engine refreshes its gathered views — the literal reading of the paper's
 reuse discipline, without an O(corpus) per-arrival rebuild.  The test
 suite keeps a rebuild-per-arrival checker as the oracle this growth must
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
 from repro.data.database import DatabaseDelta, FactDatabase
 from repro.data.entities import Claim, Document, Source
+from repro.data.state import ClaimState
 from repro.errors import DataModelError, StreamingError
 from repro.inference.mstep import run_m_step
 from repro.streaming.schedule import RobbinsMonroSchedule
@@ -100,8 +102,8 @@ class StreamingFactChecker:
     #: the session spec, and the entity sets, which checkpoints carry as
     #: their structure origin and restore through :meth:`replay_structure`.
     #: What drifts per arrival — weights, probabilities, labels, RNG, step
-    #: counter, rebuilt model/database — is carried (or explicitly
-    #: reconstructed) by ``state_dict``/``load_state_dict``.
+    #: counter, rebuilt model/database/claim state — is carried (or
+    #: explicitly reconstructed) by ``state_dict``/``load_state_dict``.
     _STATE_EXCLUDED = (
         "_stream",
         "_inference",
@@ -138,12 +140,11 @@ class StreamingFactChecker:
         self._known_sources: set = set()
         self._known_documents: set = set()
         self._known_claims: set = set()
-        self._probabilities: Dict[str, float] = {}
-        self._labels: Dict[str, int] = {}
         self._pending_labels: Dict[str, int] = {}
         self._weights: Optional[CrfWeights] = None
         self._t = 0
         self._database: Optional[FactDatabase] = None
+        self._state: Optional[ClaimState] = None
         self._model: Optional[CrfModel] = None
 
     # ------------------------------------------------------------------
@@ -155,13 +156,20 @@ class StreamingFactChecker:
 
         The streamed entities (:attr:`entities`) are not included:
         checkpoints carry them separately and restore them through
-        :meth:`replay_structure`.
+        :meth:`replay_structure`.  Probabilities and labels are keyed by
+        claim identifier, probabilities in arrival order and labels in
+        labelling order.
         """
-        self._sync_probabilities()
+        probabilities: Dict[str, float] = {}
+        labels: Dict[str, int] = {}
+        if self._state is not None:
+            claim_ids = [claim.claim_id for claim in self._database.claims]
+            probabilities = dict(zip(claim_ids, self._state.probabilities.tolist()))
+            labels = {claim_ids[i]: v for i, v in self._state.labels.items()}
         return {
             "t": self._t,
-            "probabilities": dict(self._probabilities),
-            "labels": dict(self._labels),
+            "probabilities": probabilities,
+            "labels": labels,
             "pending_labels": dict(self._pending_labels),
             "weights": (
                 None if self._weights is None else self._weights.values.tolist()
@@ -177,13 +185,6 @@ class StreamingFactChecker:
         :class:`~repro.api.SessionSpec` — and its entity sets must already
         be in place (:meth:`replay_structure`).
         """
-        self._probabilities = {
-            str(key): float(value)
-            for key, value in state["probabilities"].items()
-        }
-        self._labels = {
-            str(key): int(value) for key, value in state["labels"].items()
-        }
         self._pending_labels = {
             str(key): int(value)
             for key, value in state.get("pending_labels", {}).items()
@@ -197,9 +198,10 @@ class StreamingFactChecker:
         self._t = int(state["t"])
         set_rng_state(self._rng, state["rng"])
         self._database = None
+        self._state = None
         self._model = None
         if self._claims:
-            self._rebuild()
+            self._rebuild(state["probabilities"], state["labels"])
 
     def replay_structure(self, arrivals) -> int:
         """Re-ingest arrivals structurally, without any online-EM work.
@@ -281,10 +283,7 @@ class StreamingFactChecker:
                 )
             self._pending_labels[claim_id] = int(value)
             return claim_id
-        self._labels[claim_id] = value
-        self._probabilities[claim_id] = float(value)
-        if self._database is not None:
-            self._database.label(self._database.claim_position(claim_id), value)
+        self.state.label(self._database.claim_position(claim_id), value)
         return claim_id
 
     @property
@@ -317,6 +316,13 @@ class StreamingFactChecker:
         return self._database
 
     @property
+    def state(self) -> ClaimState:
+        """Probabilities and labels over the snapshot database's claims."""
+        if self._state is None:
+            raise StreamingError("no arrivals processed yet")
+        return self._state
+
+    @property
     def model(self) -> Optional[CrfModel]:
         """Snapshot CRF model, or ``None`` before the first arrival."""
         return self._model
@@ -341,25 +347,29 @@ class StreamingFactChecker:
         self._t += 1
         self._commit(new_sources, new_documents, new_claims)
         if self._database is None:
-            self._rebuild()
+            self._rebuild({}, {})
         else:
             self._grow(delta, new_claims)
-        assert self._database is not None and self._model is not None
+        state = self._state
+        assert state is not None and self._model is not None
+        for claim in new_claims:
+            pending = self._pending_labels.pop(claim.claim_id, None)
+            if pending is not None:
+                state.label(self._database.claim_position(claim.claim_id), pending)
         ingested = time.perf_counter()
 
         # E-step: light inference over the grown model.
         marginals = self._model.mean_field(
-            self._database.probabilities,
+            state.probabilities,
             steps=self._stream.meanfield_steps,
             damping=0.3,
-            fixed=self._database.labelled_indices,
+            fixed=state.labelled_indices,
         )
-        self._database.set_probabilities(marginals)
+        state.set_probabilities(marginals)
 
         # M-step with stochastic approximation (Eq. 29-30).
         previous = self._model.weights.values.copy()
-        run_m_step(self._model, np.asarray(self._database.probabilities),
-                   self._mstep)
+        run_m_step(self._model, state, self._mstep)
         candidate = self._model.weights.values
         gamma = self._schedule.step_size(self._t)
         blended = previous + gamma * (candidate - previous)
@@ -452,10 +462,6 @@ class StreamingFactChecker:
         for claim in new_claims:
             self._known_claims.add(claim.claim_id)
             self._claims.append(claim)
-            pending = self._pending_labels.pop(claim.claim_id, None)
-            if pending is not None:
-                self._labels[claim.claim_id] = pending
-                self._probabilities[claim.claim_id] = float(pending)
 
     def _grow(self, delta: DatabaseDelta, new_claims: List[Claim]) -> None:
         """Grow the live model with the snapshot (§7: reuse, never recompute).
@@ -463,35 +469,25 @@ class StreamingFactChecker:
         :meth:`_extend_snapshot` has merged the arrival's cliques into the
         database's columnar arrays; the model patches its cached matrices
         and the memoised engine refreshes its gathered views — no object
-        is rebuilt.  New claims start at the prior; a parked or previously
-        recorded label for a new claim is applied immediately, as
-        :meth:`_rebuild` re-imposes labels.
+        is rebuilt.  New claims join the state at the prior.
         """
         assert self._database is not None and self._model is not None
         self._model.grow(delta)
-        for claim in new_claims:
-            value = self._labels.get(claim.claim_id)
-            if value is not None:
-                self._database.label(
-                    self._database.claim_position(claim.claim_id), value
-                )
+        self._state.grow(len(new_claims))
 
-    def _sync_probabilities(self) -> None:
-        """Mirror the snapshot's probability array into the by-id dict."""
-        if self._database is None:
-            return
-        values = self._database.probabilities
-        for index, claim in enumerate(self._database.claims):
-            self._probabilities[claim.claim_id] = float(values[index])
+    def _rebuild(
+        self, probabilities: Mapping[str, float], labels: Mapping[str, int]
+    ) -> None:
+        """Build the snapshot database, state and model over all seen entities.
 
-    def _rebuild(self) -> None:
-        """Build the snapshot database/model over all seen entities.
-
-        Runs for the first arrival and when restoring a checkpoint; later
-        arrivals :meth:`_grow` it.  Documents may reference claims that
-        have not arrived yet (a multi-claim document delivered with its
-        first claim); such forward links are parked inside the database so
-        later arrivals can materialise them in place.
+        ``probabilities`` and ``labels`` are keyed by claim identifier (the
+        :meth:`state_dict` layout); claims missing from ``probabilities``
+        start at the prior.  Runs for the first arrival and when restoring
+        a checkpoint; later arrivals :meth:`_grow` it.  Documents may
+        reference claims that have not arrived yet (a multi-claim document
+        delivered with its first claim); such forward links are parked
+        inside the database so later arrivals can materialise them in
+        place.
         """
         prior = float(self._stream.prior)
         database = FactDatabase(
@@ -501,16 +497,15 @@ class StreamingFactChecker:
             prior=prior,
             allow_pending_links=True,
         )
-        probabilities = np.asarray(
-            [
-                self._probabilities.get(claim.claim_id, prior)
-                for claim in self._claims
-            ]
+        state = ClaimState.of(database)
+        state.set_probabilities(
+            np.asarray(
+                [float(probabilities.get(c.claim_id, prior)) for c in self._claims]
+            )
         )
-        database.set_probabilities(probabilities)
-        for claim_id, value in self._labels.items():
+        for claim_id, value in labels.items():
             if claim_id in self._known_claims:
-                database.label(database.claim_position(claim_id), value)
+                state.label(database.claim_position(claim_id), int(value))
 
         if self._weights is None:
             weights = CrfWeights.zeros(
@@ -520,6 +515,7 @@ class StreamingFactChecker:
             weights.values[0] = float(self._inference.initial_bias)
             self._weights = weights
         self._database = database
+        self._state = state
         self._model = CrfModel(
             database,
             weights=self._weights,

@@ -76,7 +76,7 @@ class EstimatedPrecisionGoal(ValidationGoal):
         self.min_labels = min_labels
 
     def satisfied(self, process: "ValidationProcess") -> bool:
-        if process.database.num_labelled < self.min_labels:
+        if process.state.num_labelled < self.min_labels:
             return False
         from repro.effort.crossval import estimate_precision
 

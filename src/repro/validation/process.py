@@ -23,9 +23,9 @@ from repro.crf.entropy import (
     source_trust_from_grounding,
     unreliable_source_ratio,
 )
-from repro.crf.partition import ComponentIndex
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
+from repro.data.state import ClaimState
 from repro.errors import DataModelError, ValidationProcessError
 from repro.guidance.base import SelectionContext
 from repro.guidance.gain import GainEstimator
@@ -66,7 +66,8 @@ class ValidationProcess:
     """Interactive fact-checking driver (Alg. 1).
 
     Args:
-        database: The probabilistic fact database Q.
+        database: The structure of the probabilistic fact database Q; the
+            claim state is the iCRF's (:attr:`state`).
         spec: The :class:`~repro.api.specs.SessionSpec` whose ``guidance``
             (strategy, candidate pool, gain evaluation, tie breaking) and
             ``effort`` (goal, budget, batching, confirmation check,
@@ -82,7 +83,7 @@ class ValidationProcess:
     #: Not checkpointed (lint rule STATE001): strategy/goal/robustness
     #: objects and the scalar knobs are immutable configuration rebuilt
     #: from the session spec; ``_truth`` is simulation-only ground truth
-    #: owned by the database.  Mutable progress — database, iCRF, RNG,
+    #: owned by the database.  Mutable progress — claim state, iCRF, RNG,
     #: gains, user counters, trace, termination state — is what
     #: ``state_dict`` carries.
     _STATE_EXCLUDED = (
@@ -122,7 +123,7 @@ class ValidationProcess:
             if icrf is not None
             else ICrf(database, spec.inference, seed=derive_rng(rng, 0))
         )
-        self.components = ComponentIndex(database)
+        self.components = database.component_index()
         self.gains = GainEstimator(
             self.icrf.model,
             components=self.components,
@@ -162,7 +163,7 @@ class ValidationProcess:
     def state_dict(self) -> dict:
         """Serialise the complete mutable run state (JSON-compatible).
 
-        Covers database labels and probabilities, model weights, the Gibbs
+        Covers the claim state (labels and probabilities), model weights, the Gibbs
         chain, every RNG position, the trace, and the auxiliary counters —
         everything needed so :meth:`load_state_dict` on an identically
         configured process reproduces the uninterrupted run bit-for-bit.
@@ -177,13 +178,7 @@ class ValidationProcess:
         if hasattr(self.user, "state_dict"):
             user_state = self.user.state_dict()
         return {
-            "database": {
-                "probabilities": np.asarray(self.database.probabilities).tolist(),
-                "labels": {
-                    str(index): int(value)
-                    for index, value in self.database.labels.items()
-                },
-            },
+            "database": self.state.to_dict(),
             "icrf": self.icrf.state_dict(),
             "rng": {
                 "process": rng_state(self._rng),
@@ -212,19 +207,10 @@ class ValidationProcess:
         — typically by rebuilding it from the same
         :class:`~repro.api.SessionSpec`.
         """
-        from repro.data.database import FactDatabaseState
         from repro.utils.rng import set_rng_state
 
-        self.database.restore_state(
-            FactDatabaseState(
-                probabilities=np.asarray(
-                    state["database"]["probabilities"], dtype=float
-                ),
-                labels={
-                    int(index): int(value)
-                    for index, value in state["database"]["labels"].items()
-                },
-            )
+        self.icrf.state = ClaimState.from_dict(
+            state["database"], prior=self.database.prior
         )
         self.icrf.load_state_dict(state["icrf"])
         set_rng_state(self._rng, state["rng"]["process"])
@@ -247,6 +233,11 @@ class ValidationProcess:
     # ------------------------------------------------------------------
     # State accessors
     # ------------------------------------------------------------------
+
+    @property
+    def state(self) -> ClaimState:
+        """The claim state ``P``, ``C^L``, ``C^U`` of this run (the iCRF's)."""
+        return self.icrf.state
 
     @property
     def trace(self) -> ValidationTrace:
@@ -272,7 +263,7 @@ class ValidationProcess:
 
     def current_entropy(self) -> float:
         """H_C(Q) by the scalable estimator (Eq. 13)."""
-        return approximate_entropy(self.database.probabilities)
+        return approximate_entropy(self.state.probabilities)
 
     # ------------------------------------------------------------------
     # Lines 1–4 of Alg. 1
@@ -302,7 +293,7 @@ class ValidationProcess:
         if self._trace is None:
             self.initialize()
         assert self._trace is not None and self._grounding is not None
-        if self.database.unlabelled_indices.size == 0:
+        if self.state.unlabelled_indices.size == 0:
             raise ValidationProcessError("all claims are already validated")
 
         self._iteration += 1
@@ -310,7 +301,7 @@ class ValidationProcess:
 
         # (1) Select claim(s) to validate.
         context = SelectionContext(
-            database=self.database,
+            state=self.state,
             gains=self.gains,
             rng=self._rng,
             hybrid_score=self._hybrid_score,
@@ -328,7 +319,7 @@ class ValidationProcess:
         claims, values, skipped = self._elicit(selected, context)
 
         # Error rate ε_i against the previous model state (Eq. 22).
-        previous_probabilities = np.asarray(self.database.probabilities)
+        previous_probabilities = np.asarray(self.state.probabilities)
         errors = [
             compute_error_rate(
                 float(previous_probabilities[claim]), self._grounding[claim]
@@ -340,7 +331,7 @@ class ValidationProcess:
         # (3) Incorporate input and infer (Alg. 1 lines 14–15).
         inference_started = time.perf_counter()
         for claim, value in zip(claims, values):
-            self.database.label(claim, value)
+            self.state.label(claim, value)
         result = self.icrf.infer()
         inference_seconds = time.perf_counter() - inference_started
 
@@ -353,7 +344,7 @@ class ValidationProcess:
         trust = source_trust_from_grounding(self.database, self._grounding)
         unreliable = unreliable_source_ratio(trust)
         mean_error = float(np.mean(errors)) if errors else 0.0
-        input_ratio = min(self.database.num_labelled / self.database.num_claims, 1.0)
+        input_ratio = min(self.state.num_labelled / self.database.num_claims, 1.0)
         self._hybrid_score = hybrid_score(mean_error, unreliable, input_ratio)
 
         # §5.2 confirmation check.
@@ -423,10 +414,10 @@ class ValidationProcess:
             if self.goal.satisfied(self):
                 trace.stop_reason = "goal"
                 break
-            if self.database.unlabelled_indices.size == 0:
+            if self.state.unlabelled_indices.size == 0:
                 trace.stop_reason = "exhausted"
                 break
-            if self.database.num_labelled >= self.budget:
+            if self.state.num_labelled >= self.budget:
                 trace.stop_reason = "budget"
                 break
             if max_iterations is not None and trace.iterations >= max_iterations:
@@ -462,10 +453,11 @@ class ValidationProcess:
     def _select_batch(self, context: SelectionContext) -> List[int]:
         from repro.effort.batching import greedy_topk_selection
 
-        unlabelled = context.database.unlabelled_indices
+        unlabelled = context.state.unlabelled_indices
         k = min(self.batch_size, unlabelled.size)
         selection = greedy_topk_selection(
             database=self.database,
+            state=self.state,
             gains=self.gains,
             k=k,
             utility_weight=self.batch_utility_weight,
@@ -517,7 +509,7 @@ class ValidationProcess:
         except Exception:
             candidates = [
                 int(c)
-                for c in self.database.unlabelled_indices
+                for c in self.state.unlabelled_indices
                 if int(c) != excluded
             ]
             if not candidates:
@@ -535,7 +527,7 @@ class ValidationProcess:
     def _confirmation_sweep(self) -> int:
         """Run the confirmation check and repair suspicious labels."""
         assert self.robustness is not None
-        report = self.robustness.sweep(self.icrf.model, self.components)
+        report = self.robustness.sweep(self.icrf.model, self.state, self.components)
         stats = self.robustness_stats
         stats.sweeps += 1
         repairs = 0
@@ -543,7 +535,7 @@ class ValidationProcess:
         for claim_index in report.suspects:
             stats.flagged += 1
             stats.flagged_claims.append(claim_index)
-            stored = self.database.label_of(claim_index)
+            stored = self.state.label_of(claim_index)
             truth = self.database.claims[claim_index].truth
             if truth is not None and stored is not None and stored != int(truth):
                 stats.true_detections += 1
@@ -554,7 +546,7 @@ class ValidationProcess:
             repairs += 1
             stats.repairs += 1
             if value is not None and value != stored:
-                self.database.label(claim_index, value)
+                self.state.label(claim_index, value)
                 relabelled = True
         if relabelled:
             result = self.icrf.infer(em_iterations=1)

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
+from repro.data.state import ClaimState
 from repro.errors import ValidationProcessError
 
 
@@ -66,16 +65,19 @@ class ConfirmationChecker:
     def sweep(
         self,
         model: CrfModel,
+        state: ClaimState,
         components: ComponentIndex,
     ) -> ConfirmationReport:
-        """Check every labelled claim against its leave-one-out grounding."""
-        database = model.database
-        labelled = [int(c) for c in database.labelled_indices]
+        """Check every labelled claim of ``state`` against its leave-one-out
+        grounding; ``state`` and the model's weights are left as found."""
+        labelled = [int(c) for c in state.labelled_indices]
         suspects: List[int] = []
         for claim_index in labelled:
-            stored = database.label_of(claim_index)
+            stored = state.label_of(claim_index)
             assert stored is not None
-            reinferred = self._leave_one_out_value(model, components, claim_index)
+            reinferred = self._leave_one_out_value(
+                model, state, components, claim_index
+            )
             if reinferred != stored:
                 suspects.append(claim_index)
         return ConfirmationReport(checked=labelled, suspects=suspects)
@@ -83,6 +85,7 @@ class ConfirmationChecker:
     def _leave_one_out_value(
         self,
         model: CrfModel,
+        state: ClaimState,
         components: ComponentIndex,
         claim_index: int,
     ) -> int:
@@ -96,24 +99,18 @@ class ConfirmationChecker:
         """
         from repro.inference.mstep import MStepConfig, run_m_step
 
-        database = model.database
-        snapshot = database.clone_state()
+        held_out = state.copy()
+        held_out.unlabel(claim_index)
         saved_weights = model.weights.copy()
         try:
-            database.unlabel(claim_index)
-            run_m_step(
-                model,
-                np.asarray(database.probabilities),
-                MStepConfig(max_iterations=5),
-            )
+            run_m_step(model, held_out, MStepConfig(max_iterations=5))
             marginals = model.mean_field(
-                database.probabilities,
+                held_out.probabilities,
                 steps=self._meanfield_steps,
                 damping=self._damping,
                 scope=components.component_of_claim(claim_index),
-                fixed=database.labelled_indices,
+                fixed=held_out.labelled_indices,
             )
             return int(marginals[claim_index] >= 0.5)
         finally:
-            database.restore_state(snapshot)
             model.set_weights(saved_weights)

@@ -48,19 +48,18 @@ class ReferenceEngine(InferenceEngine):
                 )
             spins[claim_index] = new_spin
 
-    def assemble_mstep(
-        self, marginals: np.ndarray, config
-    ) -> Optional[MStepData]:
+    def assemble_mstep(self, state, config) -> Optional[MStepData]:
         from repro.inference.mstep import build_design_matrix
 
         model = self._model
         database = model.database
+        marginals = state.probabilities
         design_all = build_design_matrix(model, marginals)
         covered = model.featurizer.claim_degree >= config.min_coverage
         rows = []
         targets = []
         weights = []
-        labels = database.labels
+        labels = state.labels
         for claim_index in range(database.num_claims):
             if not covered[claim_index]:
                 continue

@@ -4,8 +4,8 @@
 database, model and engine in place per arrival.  This subclass instead
 discards the snapshot and rebuilds it from the entity lists on every
 arrival, truncating forward links to claims that have not arrived yet,
-and persists the marginals by claim id after each update so the next
-rebuild can reuse them.  Both must produce bit-for-bit identical weights
+and carries the marginals and labels into the rebuilt snapshot by claim
+id.  Both must produce bit-for-bit identical weights
 and probabilities::
 
     grown = StreamingFactChecker(spec, seed=3)
@@ -20,19 +20,12 @@ from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.data.entities import Document
-from repro.streaming.process import StreamingFactChecker, StreamUpdate
-from repro.streaming.stream import ClaimArrival
+from repro.data.state import ClaimState
+from repro.streaming.process import StreamingFactChecker
 
 
 class RebuildingFactChecker(StreamingFactChecker):
     """Streaming checker that rebuilds its snapshot on every arrival."""
-
-    def observe(self, arrival: ClaimArrival) -> StreamUpdate:
-        update = super().observe(arrival)
-        # The snapshot is discarded at the next rebuild: persist the
-        # marginals by claim id for reuse.
-        self._sync_probabilities()
-        return update
 
     def _extend_snapshot(self, new_sources, new_documents, new_claims) -> None:
         # The snapshot is rebuilt in _grow, not extended (and a strict
@@ -41,9 +34,11 @@ class RebuildingFactChecker(StreamingFactChecker):
         return None
 
     def _grow(self, delta, new_claims) -> None:
-        self._rebuild()
+        # The old snapshot's probabilities and labels, keyed by claim id.
+        kept = self.state_dict()
+        self._rebuild(kept["probabilities"], kept["labels"])
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, probabilities, labels) -> None:
         prior = float(self._stream.prior)
         documents = []
         for doc in self._documents:
@@ -70,17 +65,18 @@ class RebuildingFactChecker(StreamingFactChecker):
             claims=self._claims,
             prior=prior,
         )
-        database.set_probabilities(
+        state = ClaimState.of(database)
+        state.set_probabilities(
             np.asarray(
                 [
-                    self._probabilities.get(claim.claim_id, prior)
+                    probabilities.get(claim.claim_id, prior)
                     for claim in self._claims
                 ]
             )
         )
-        for claim_id, value in self._labels.items():
+        for claim_id, value in labels.items():
             if claim_id in self._known_claims:
-                database.label(database.claim_position(claim_id), value)
+                state.label(database.claim_position(claim_id), value)
 
         if self._weights is None:
             weights = CrfWeights.zeros(
@@ -90,6 +86,7 @@ class RebuildingFactChecker(StreamingFactChecker):
             weights.values[0] = float(self._inference.initial_bias)
             self._weights = weights
         self._database = database
+        self._state = state
         self._model = CrfModel(
             database,
             weights=self._weights,

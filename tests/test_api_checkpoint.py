@@ -100,15 +100,14 @@ class TestBatchResume:
         path = tmp_path / "state.json"
         session.save(path)
         resumed = FactCheckSession.load(path)
-        original = session.database
-        restored = resumed.database
         assert np.array_equal(
-            np.asarray(original.probabilities), np.asarray(restored.probabilities)
+            np.asarray(session.state.probabilities),
+            np.asarray(resumed.state.probabilities),
         )
-        assert original.labels == restored.labels
+        assert session.state.labels == resumed.state.labels
         # The corpus structure itself round-trips through the checkpoint.
-        assert [c.claim_id for c in original.claims] == [
-            c.claim_id for c in restored.claims
+        assert [c.claim_id for c in session.database.claims] == [
+            c.claim_id for c in resumed.database.claims
         ]
 
 
@@ -571,14 +570,14 @@ class TestRetiredStreamKey:
         resumed = FactCheckSession.load(path)
         updates = resumed.ingest_from_source(len(golden["continuation"]))
         assert [u.weights.values.tolist() for u in updates] == golden["continuation"]
-        snapshot = resumed.database
-        probabilities = np.asarray(snapshot.probabilities)
+        snapshot, state = resumed.database, resumed.state
+        probabilities = np.asarray(state.probabilities)
         assert {
             claim.claim_id: float(probabilities[index])
             for index, claim in enumerate(snapshot.claims)
         } == golden["probabilities"]
         assert sorted(
-            snapshot.claim_id(int(index)) for index in snapshot.labelled_indices
+            snapshot.claim_id(int(index)) for index in state.labelled_indices
         ) == golden["labelled"]
 
     def test_service_restores_spool_entry(self, tmp_path):

@@ -153,8 +153,8 @@ class TestBatchRun:
         session = FactCheckSession(micro_spec(), database=micro_db).open()
         session.record_label("c1", 1)
         session.record_label(1, 0)
-        assert session.database.label_of(0) == 1
-        assert session.database.label_of(1) == 0
+        assert session.state.label_of(0) == 1
+        assert session.state.label_of(1) == 0
         assert session.claim_index("c3") == 2
         assert session.claim_id(2) == "c3"
 
@@ -214,7 +214,7 @@ class TestStreaming:
             session.observe(arrival)
         index = session.database.claim_position("c2")
         session.record_label(index, 0)
-        assert session.checker.database.label_of(index) == 0
+        assert session.state.label_of(index) == 0
         assert "c2" in session.result().validated_claim_ids
 
     def test_final_precision_computed_from_truth(self, micro_db):

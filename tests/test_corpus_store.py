@@ -83,10 +83,9 @@ class TestSharedGeneration:
     def test_batch_sessions_on_one_spec_generate_once(self, generations):
         sessions = [FactCheckSession(batch_spec(9101)).open() for _ in range(4)]
         assert generations[0] == 1
-        databases = [session.database for session in sessions]
-        # One set of entities, but a database (and state) per session.
-        assert len({id(database) for database in databases}) == 4
-        assert all(database.claims is databases[0].claims for database in databases)
+        # One structure over one set of entities, and a state per session.
+        assert len({id(session.database) for session in sessions}) == 1
+        assert len({id(session.state) for session in sessions}) == 4
 
     def test_source_streams_generate_once_across_requests(self, generations):
         sessions = [
@@ -233,24 +232,134 @@ class TestSharedGeneration:
         spec = batch_spec(9108)
         first = FactCheckSession(spec).open()
         second = FactCheckSession(spec).open()
-        probabilities = second.database.probabilities.copy()
+        probabilities = second.state.probabilities.copy()
         first.record_label(first.database.claim_id(0), 1)
         first.advance(2)
-        assert first.database.num_labelled > 1
-        assert second.database.num_labelled == 0
-        assert np.array_equal(second.database.probabilities, probabilities)
+        assert first.state.num_labelled > 1
+        assert second.state.num_labelled == 0
+        assert np.array_equal(second.state.probabilities, probabilities)
 
         streams = [FactCheckSession(stream_spec(9108)).open() for _ in range(2)]
         streams[0].ingest_from_source(count=4)
         streams[1].ingest_from_source(count=4)
-        probabilities = streams[1].database.probabilities.copy()
-        labels = dict(streams[1].database.labels)
-        target = int(streams[0].database.unlabelled_indices[0])
+        probabilities = streams[1].state.probabilities.copy()
+        labels = dict(streams[1].state.labels)
+        target = int(streams[0].state.unlabelled_indices[0])
         streams[0].record_label(streams[0].database.claim_id(target), 0)
-        assert streams[0].database.label_of(target) == 0
-        assert dict(streams[1].database.labels) == labels
-        assert np.array_equal(streams[1].database.probabilities, probabilities)
+        assert streams[0].state.label_of(target) == 0
+        assert dict(streams[1].state.labels) == labels
+        assert np.array_equal(streams[1].state.probabilities, probabilities)
         assert generations[0] == 2
+
+
+def interactive_spec(dataset_seed: int, seed: int = 3, scale: float = 0.05):
+    """A batch spec whose every step evaluates gains over a scope plan."""
+    return SessionSpec(
+        seed=seed,
+        dataset={"name": "wiki", "seed": dataset_seed, "scale": scale},
+        inference={"em_iterations": 1, "num_samples": 4},
+        guidance={"strategy": "info", "candidate_limit": 6},
+        effort={"budget": 6},
+    )
+
+
+class TestSharedStructure:
+    """Every session on a spec reads one read-only :class:`FactDatabase`."""
+
+    def test_warm_open_builds_no_structure(self, monkeypatch, generations):
+        from repro.data.database import FactDatabase
+
+        spec = interactive_spec(9110, scale=1.0)
+        first = FactCheckSession(spec).open()
+        builds = {}
+        names = ("_build_cliques", "_build_claim_source_graph", "connected_components")
+        for name in names:
+            original = getattr(FactDatabase, name)
+
+            def counting(self, *args, _name=name, _original=original, **kwargs):
+                builds[_name] = builds.get(_name, 0) + 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(FactDatabase, name, counting)
+        second = FactCheckSession(spec).open()
+        second.advance(1)
+        assert builds == {}
+        assert second.database is first.database
+        assert second.state is not first.state
+        assert generations[0] == 1
+
+    def test_threads_share_one_structure_and_match_sequential_runs(
+        self, generations
+    ):
+        seeds = [11, 12, 13, 14]
+        sequential = []
+        for seed in seeds:
+            session = FactCheckSession(
+                interactive_spec(9111, seed=seed, scale=0.3)
+            ).open()
+            session.advance(4)
+            sequential.append(result_of(session))
+        del session
+        gc.collect()
+        # A fresh corpus, so the threads race the lazy graph, component
+        # and scope-plan builds of its structure.
+        sessions = [
+            FactCheckSession(interactive_spec(9111, seed=seed, scale=0.3))
+            for seed in seeds
+        ]
+        results = [None] * len(seeds)
+        barrier = threading.Barrier(len(seeds))
+
+        def open_and_step(slot: int) -> None:
+            barrier.wait()
+            sessions[slot].open()
+            sessions[slot].advance(4)
+            results[slot] = result_of(sessions[slot])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=open_and_step, args=(slot,))
+                for slot in range(len(seeds))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert generations[0] == 2
+        assert len({id(session.database) for session in sessions}) == 1
+        assert all(len(result["trace"]["records"]) == 4 for result in results)
+        assert results == sequential
+
+    def test_spooled_sessions_restore_onto_one_structure(self, tmp_path):
+        spool = tmp_path / "spool"
+        spec = interactive_spec(9112)
+        first = SessionManager(ServiceConfig(spool_dir=spool, workers=2))
+        for index in range(2):
+            first.create(spec, session_id=f"s{index}")
+        first.step("s0")
+        states = {
+            name: managed.session.state.to_dict()
+            for name, managed in first._sessions.items()
+        }
+        assert states["s0"] != states["s1"]
+        first.shutdown()
+        del first
+        gc.collect()
+
+        second = SessionManager(ServiceConfig(spool_dir=spool, workers=2))
+        try:
+            assert second.restore() == ["s0", "s1"]
+            restored = {name: m.session for name, m in second._sessions.items()}
+            assert restored["s0"].database is restored["s1"].database
+            for name, session in restored.items():
+                assert session.state.to_dict() == states[name]
+        finally:
+            second.shutdown(checkpoint=False)
 
 
 class TestArrivalSequence:

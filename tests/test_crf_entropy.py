@@ -18,6 +18,7 @@ from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
 from repro.crf.weights import CrfWeights
 from repro.data.grounding import Grounding
+from repro.data.state import ClaimState
 from repro.errors import InferenceError
 
 from tests.fixtures import build_micro_database
@@ -59,45 +60,45 @@ class TestExactEntropy:
     def make_model(self, coupling=0.0):
         db = build_micro_database()
         weights = CrfWeights.zeros(2, 2, coupling=coupling)
-        return CrfModel(db, weights=weights), db
+        return CrfModel(db, weights=weights), ClaimState.of(db)
 
     def test_uniform_model_matches_approximation(self):
         # With zero weights all configurations are equiprobable: exact
         # joint entropy = |C| log 2 = the approximation at p=0.5.
-        model, db = self.make_model(coupling=0.0)
-        exact = exact_entropy(model)
+        model, state = self.make_model(coupling=0.0)
+        exact = exact_entropy(model, state)
         assert exact == pytest.approx(3 * np.log(2), abs=1e-9)
 
     def test_coupled_model_has_lower_entropy(self):
         # Coupling concentrates mass on coherent configurations.
-        model, _ = self.make_model(coupling=1.0)
-        assert exact_entropy(model) < 3 * np.log(2)
+        model, state = self.make_model(coupling=1.0)
+        assert exact_entropy(model, state) < 3 * np.log(2)
 
     def test_labelled_claims_are_clamped(self):
-        model, db = self.make_model(coupling=0.0)
-        db.label(0, 1)
-        assert exact_entropy(model) == pytest.approx(2 * np.log(2), abs=1e-9)
+        model, state = self.make_model(coupling=0.0)
+        state.label(0, 1)
+        assert exact_entropy(model, state) == pytest.approx(2 * np.log(2), abs=1e-9)
 
     def test_component_entropy_empty(self):
-        model, _ = self.make_model()
-        assert component_entropy(model, np.asarray([], dtype=np.intp)) == 0.0
+        model, state = self.make_model()
+        assert component_entropy(model, np.asarray([], dtype=np.intp), state.probabilities) == 0.0
 
     def test_component_entropy_cap(self):
-        model, _ = self.make_model()
+        model, state = self.make_model()
         with pytest.raises(InferenceError):
-            component_entropy(model, np.arange(25))
+            component_entropy(model, np.arange(25), state.probabilities)
 
     def test_invalid_max_component(self):
-        model, _ = self.make_model()
+        model, state = self.make_model()
         with pytest.raises(InferenceError):
-            exact_entropy(model, max_component=0)
+            exact_entropy(model, state, max_component=0)
 
     def test_fallback_to_approximation_for_large_components(self):
-        model, db = self.make_model(coupling=0.0)
+        model, state = self.make_model(coupling=0.0)
         # Force fallback by restricting enumeration to size 1 (the micro
         # corpus is one 3-claim component).
-        value = exact_entropy(model, max_component=1)
-        assert value == pytest.approx(approximate_entropy(db.probabilities))
+        value = exact_entropy(model, state, max_component=1)
+        assert value == pytest.approx(approximate_entropy(state.probabilities))
 
 
 class TestSourceEntropy:

@@ -11,8 +11,10 @@ from repro.crf.entropy import source_trust_from_grounding
 from repro.data.database import FactDatabase
 from repro.data.entities import Claim, ClaimLink, Document, Source
 from repro.data.grounding import Grounding
+from repro.data.state import ClaimState
 from repro.data.stance import Stance
 from repro.errors import DataModelError
+from repro.inference.icrf import ICrf
 
 from tests.fixtures import build_micro_database, random_databases
 
@@ -73,6 +75,12 @@ class TestConstruction:
     def test_prior_out_of_range_rejected(self):
         with pytest.raises(DataModelError):
             build_micro_database(prior=1.5)
+
+    def test_strict_database_does_not_grow(self, micro_db):
+        with pytest.raises(DataModelError, match="fixed"):
+            micro_db.extend(claims=[Claim("c4")])
+        assert micro_db.num_claims == 3
+        assert not micro_db.clique_arrays()[0].flags.writeable
 
     def test_stance_signs_recorded(self, micro_db):
         signs = sorted(int(sign) for sign in micro_db.clique_arrays()[3])
@@ -220,85 +228,101 @@ class TestClaimSourceGraph:
 
 
 class TestProbabilisticState:
+    @pytest.fixture
+    def state(self, micro_db):
+        return ClaimState.of(micro_db)
+
     def test_initial_probabilities_equal_prior(self):
-        db = build_micro_database(prior=0.3)
-        assert np.allclose(db.probabilities, 0.3)
+        state = ClaimState.of(build_micro_database(prior=0.3))
+        assert np.allclose(state.probabilities, 0.3)
 
-    def test_probabilities_view_is_readonly(self, micro_db):
+    def test_probabilities_view_is_readonly(self, state):
         with pytest.raises(ValueError):
-            micro_db.probabilities[0] = 0.9
+            state.probabilities[0] = 0.9
 
-    def test_label_moves_claim_to_labelled(self, micro_db):
-        micro_db.label(0, 1)
-        assert micro_db.is_labelled(0)
-        assert 0 in micro_db.labelled_indices
-        assert 0 not in micro_db.unlabelled_indices
-        assert micro_db.probability(0) == 1.0
+    def test_label_moves_claim_to_labelled(self, state):
+        state.label(0, 1)
+        assert state.is_labelled(0)
+        assert 0 in state.labelled_indices
+        assert 0 not in state.unlabelled_indices
+        assert state.probability(0) == 1.0
 
-    def test_relabel_allowed(self, micro_db):
-        micro_db.label(0, 1)
-        micro_db.label(0, 0)
-        assert micro_db.label_of(0) == 0
-        assert micro_db.probability(0) == 0.0
+    def test_relabel_allowed(self, state):
+        state.label(0, 1)
+        state.label(0, 0)
+        assert state.label_of(0) == 0
+        assert state.probability(0) == 0.0
 
-    def test_unlabel_restores_prior(self, micro_db):
-        micro_db.label(1, 0)
-        micro_db.unlabel(1)
-        assert not micro_db.is_labelled(1)
-        assert micro_db.probability(1) == micro_db.prior
+    def test_unlabel_restores_prior(self, state):
+        state.label(1, 0)
+        state.unlabel(1)
+        assert not state.is_labelled(1)
+        assert state.probability(1) == state.prior
 
-    def test_unlabel_of_unlabelled_is_noop(self, micro_db):
-        micro_db.unlabel(2)
-        assert micro_db.label_of(2) is None
+    def test_unlabel_of_unlabelled_is_noop(self, state):
+        state.unlabel(2)
+        assert state.label_of(2) is None
 
-    def test_set_probabilities_respects_labels(self, micro_db):
-        micro_db.label(0, 1)
-        micro_db.set_probabilities(np.asarray([0.1, 0.2, 0.3]))
-        assert micro_db.probability(0) == 1.0
-        assert micro_db.probability(1) == pytest.approx(0.2)
+    def test_set_probabilities_respects_labels(self, state):
+        state.label(0, 1)
+        state.set_probabilities(np.asarray([0.1, 0.2, 0.3]))
+        assert state.probability(0) == 1.0
+        assert state.probability(1) == pytest.approx(0.2)
 
-    def test_set_probabilities_validates_range(self, micro_db):
+    def test_set_probabilities_validates_range(self, state):
         with pytest.raises(DataModelError):
-            micro_db.set_probabilities(np.asarray([0.1, 0.2, 1.3]))
+            state.set_probabilities(np.asarray([0.1, 0.2, 1.3]))
 
-    def test_set_probabilities_validates_shape(self, micro_db):
+    def test_set_probabilities_validates_shape(self, state):
         with pytest.raises(DataModelError):
-            micro_db.set_probabilities(np.asarray([0.1, 0.2]))
+            state.set_probabilities(np.asarray([0.1, 0.2]))
 
-    def test_invalid_label_value_rejected(self, micro_db):
+    def test_invalid_label_value_rejected(self, state):
         with pytest.raises(DataModelError):
-            micro_db.label(0, 2)
+            state.label(0, 2)
 
-    def test_label_out_of_range_rejected(self, micro_db):
+    def test_label_out_of_range_rejected(self, state):
         with pytest.raises(DataModelError):
-            micro_db.label(99, 1)
+            state.label(99, 1)
 
-    def test_num_labelled_counts(self, micro_db):
-        micro_db.label(0, 1)
-        micro_db.label(2, 0)
-        assert micro_db.num_labelled == 2
-        assert micro_db.unlabelled_indices.tolist() == [1]
+    def test_num_labelled_counts(self, state):
+        state.label(0, 1)
+        state.label(2, 0)
+        assert state.num_labelled == 2
+        assert state.unlabelled_indices.tolist() == [1]
 
 
-class TestStateSnapshots:
-    def test_clone_restore_roundtrip(self, micro_db):
-        micro_db.label(0, 1)
-        snapshot = micro_db.clone_state()
-        micro_db.label(1, 0)
-        micro_db.set_probabilities(np.asarray([1.0, 0.0, 0.9]))
-        micro_db.restore_state(snapshot)
-        assert micro_db.labels == {0: 1}
-        assert micro_db.probability(2) == pytest.approx(0.5)
+class TestStateCopies:
+    def test_copy_roundtrip(self, micro_db):
+        state = ClaimState.of(micro_db)
+        state.label(0, 1)
+        saved = state.copy()
+        state.label(1, 0)
+        state.set_probabilities(np.asarray([1.0, 0.0, 0.9]))
+        assert saved.labels == {0: 1}
+        assert saved.probability(2) == pytest.approx(0.5)
+        restored = ClaimState.from_dict(saved.to_dict(), prior=micro_db.prior)
+        assert restored.labels == {0: 1}
+        assert restored.probabilities.tolist() == saved.probabilities.tolist()
 
-    def test_snapshot_is_independent(self, micro_db):
-        snapshot = micro_db.clone_state()
-        snapshot.probabilities[0] = 0.9
-        assert micro_db.probability(0) == pytest.approx(0.5)
+    def test_copy_is_independent(self, micro_db):
+        state = ClaimState.of(micro_db)
+        state.label(2, 1)
+        twin = state.copy()
+        twin.label(0, 0)
+        twin.unlabel(2)
+        twin.set_probabilities(np.asarray([0.9, 0.9, 0.9]))
+        assert state.labels == {2: 1}
+        assert state.probabilities.tolist() == [0.5, 0.5, 1.0]
+        assert state.label_arrays()[0].tolist() == [2]
+        assert twin.label_arrays()[0].tolist() == [0]
 
-    def test_restore_rejects_mismatched_snapshot(self, micro_db, wiki_db):
-        snapshot = wiki_db.clone_state()
+    def test_state_of_another_database_rejected(self, micro_db, wiki_db):
+        icrf = ICrf(micro_db)
         with pytest.raises(DataModelError):
-            micro_db.restore_state(snapshot)
+            icrf.state = ClaimState.of(wiki_db)
+        with pytest.raises(DataModelError):
+            ICrf(micro_db, state=ClaimState.of(wiki_db))
 
 
 class TestTruthVector:

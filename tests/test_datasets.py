@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.data.stance import Stance
+from repro.data.state import ClaimState
 from repro.datasets import (
     HEALTHCARE,
     SNOPES,
@@ -136,7 +139,7 @@ class TestGenerator:
 
     def test_prior_propagates(self):
         db = generate_dataset(WIKIPEDIA, seed=3, scale=0.05, prior=0.4)
-        assert np.allclose(db.probabilities, 0.4)
+        assert np.allclose(ClaimState.of(db).probabilities, 0.4)
 
     def test_load_dataset_shortcut(self):
         db = load_dataset("wiki", seed=3, scale=0.05)
@@ -261,11 +264,12 @@ class TestIO:
                                 "claims": []})
 
     def test_state_not_serialised(self, micro_db, tmp_path):
-        micro_db.label(0, 1)
         path = tmp_path / "micro.json"
         save_database(micro_db, path)
+        payload = json.loads(path.read_text())
+        assert not {"probabilities", "labels"} & set(payload)
         loaded = load_database(path)
-        assert loaded.num_labelled == 0
+        assert ClaimState.of(loaded).probabilities.tolist() == [micro_db.prior] * 3
 
     def test_stance_enum_roundtrip(self, micro_db):
         payload = database_to_dict(micro_db)

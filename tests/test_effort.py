@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import SessionSpec
-from repro.data.database import FactDatabase
+from repro.data.state import ClaimState
 from repro.crf.partition import ComponentIndex
 from repro.effort.batching import (
     batch_utility,
@@ -224,19 +224,19 @@ class TestCrossValidation:
         assert a == b
 
     def test_estimate_restores_state(self):
-        # Hypotheses are rows, never database state: gains in both
+        # Hypotheses are rows, never claim state: gains in both
         # inference modes and entropy methods, the exact batch gain and
         # cross-validation all run with every state mutator disabled, and
         # the label-array cache survives them.
         process = self.make_labelled_process()
-        database = process.database
-        cached = database.label_arrays()
-        probabilities = np.array(database.probabilities)
-        labelled = int(database.labelled_indices[0])
-        candidates = [int(c) for c in database.unlabelled_indices[:6]]
-        mutators = ("label", "unlabel", "set_probabilities", "restore_state")
+        state = process.state
+        cached = state.label_arrays()
+        probabilities = np.array(state.probabilities)
+        labelled = int(state.labelled_indices[0])
+        candidates = [int(c) for c in state.unlabelled_indices[:6]]
+        mutators = ("label", "unlabel", "set_probabilities", "grow")
         with mock.patch.multiple(
-            FactDatabase,
+            ClaimState,
             **{name: mock.Mock(side_effect=AssertionError(name)) for name in mutators},
         ):
             for mode in ("meanfield", "gibbs"):
@@ -247,12 +247,12 @@ class TestCrossValidation:
                         config=GainConfig(inference_mode=mode, entropy_method=method),
                         seed=3,
                     )
-                    gains.information_gains(candidates)
-                    gains.source_gains(candidates)
-            exact_batch_gain(database, gains, [labelled] + candidates[:2])
+                    gains.information_gains(candidates, state)
+                    gains.source_gains(candidates, state)
+            exact_batch_gain(state, gains, [labelled] + candidates[:2])
             estimate_precision(process, folds=3)
-        assert database.label_arrays() is cached
-        assert np.array_equal(database.probabilities, probabilities)
+        assert state.label_arrays() is cached
+        assert np.array_equal(state.probabilities, probabilities)
 
     @pytest.mark.parametrize("folds", [3, 5])
     def test_estimate_matches_mutate_and_restore_oracle(self, folds):
@@ -325,7 +325,7 @@ class TestBatching:
         gains = GainEstimator(
             icrf.model, ComponentIndex(db), config=GainConfig(), seed=1
         )
-        return db, gains
+        return db, icrf.state, gains
 
     def test_correlation_matrix_symmetric_normalised(self, micro_db):
         matrix = correlation_matrix(micro_db, [0, 1, 2])
@@ -339,33 +339,33 @@ class TestBatching:
         assert matrix[0, 1] > matrix[0, 2]
 
     def test_greedy_selects_k_distinct(self):
-        db, gains = self.make_gain_setup()
-        selection = greedy_topk_selection(db, gains, k=5)
+        db, state, gains = self.make_gain_setup()
+        selection = greedy_topk_selection(db, state, gains, k=5)
         assert len(selection.claims) == 5
         assert len(set(selection.claims)) == 5
 
     def test_greedy_k_capped_by_unlabelled(self):
-        db, gains = self.make_gain_setup()
-        selection = greedy_topk_selection(db, gains, k=10_000)
+        db, state, gains = self.make_gain_setup()
+        selection = greedy_topk_selection(db, state, gains, k=10_000)
         assert len(selection.claims) == db.num_claims
 
     def test_greedy_invalid_k(self):
-        db, gains = self.make_gain_setup()
+        db, state, gains = self.make_gain_setup()
         with pytest.raises(GuidanceError):
-            greedy_topk_selection(db, gains, k=0)
+            greedy_topk_selection(db, state, gains, k=0)
 
     def test_greedy_no_unlabelled(self):
-        db, gains = self.make_gain_setup()
+        db, state, gains = self.make_gain_setup()
         for claim in range(db.num_claims):
-            db.label(claim, 1)
+            state.label(claim, 1)
         with pytest.raises(GuidanceError):
-            greedy_topk_selection(db, gains, k=1)
+            greedy_topk_selection(db, state, gains, k=1)
 
     def test_greedy_near_optimal_utility(self):
         """Greedy must reach at least (1 - 1/e) of the exhaustive optimum."""
-        db, gains = self.make_gain_setup()
-        greedy = greedy_topk_selection(db, gains, k=3, candidate_limit=8)
-        best = exhaustive_topk_selection(db, gains, k=3, candidate_limit=8)
+        db, state, gains = self.make_gain_setup()
+        greedy = greedy_topk_selection(db, state, gains, k=3, candidate_limit=8)
+        best = exhaustive_topk_selection(db, state, gains, k=3, candidate_limit=8)
         if best.utility > 0:
             assert greedy.utility >= (1 - 1 / np.e) * best.utility - 1e-9
 
@@ -395,7 +395,7 @@ class TestBatching:
         gains = GainEstimator(
             icrf.model, ComponentIndex(micro_db), config=GainConfig(), seed=1
         )
-        value = exact_batch_gain(micro_db, gains, [0, 1])
+        value = exact_batch_gain(icrf.state, gains, [0, 1])
         assert np.isfinite(value)
 
     def test_exact_batch_gain_size_cap(self, micro_db):
@@ -405,20 +405,20 @@ class TestBatching:
             icrf.model, ComponentIndex(micro_db), config=GainConfig(), seed=1
         )
         with pytest.raises(GuidanceError):
-            exact_batch_gain(micro_db, gains, list(range(13)))
+            exact_batch_gain(icrf.state, gains, list(range(13)))
 
     def test_exact_batch_gain_empty(self, micro_db):
         icrf = ICrf(micro_db, seed=0)
         gains = GainEstimator(
             icrf.model, ComponentIndex(micro_db), config=GainConfig(), seed=1
         )
-        assert exact_batch_gain(micro_db, gains, []) == 0.0
+        assert exact_batch_gain(icrf.state, gains, []) == 0.0
 
     def test_exact_batch_gain_rejects_claims_outside_database(self, micro_db):
         gains = GainEstimator(ICrf(micro_db, seed=0).model, seed=1)
         for claims in ([-1], [micro_db.num_claims], [0, micro_db.num_claims + 4]):
             with pytest.raises(GuidanceError):
-                exact_batch_gain(micro_db, gains, claims)
+                exact_batch_gain(ClaimState.of(micro_db), gains, claims)
 
     def test_batched_process_labels_k_per_iteration(self):
         from repro.datasets import load_dataset
@@ -433,7 +433,7 @@ class TestBatching:
         process.initialize()
         record = process.step()
         assert len(record.claim_indices) == 3
-        assert db.num_labelled == 3
+        assert process.state.num_labelled == 3
 
 
 class TestExactBatchGainOracle:
@@ -450,16 +450,16 @@ class TestExactBatchGainOracle:
         by_size = sorted(components.components, key=len, reverse=True)
         big, singleton = by_size[0], by_size[-1]
         assert big.size > 7 and singleton.size == 1
-        database.label(int(big[3]), 1)
+        icrf.state.label(int(big[3]), 1)
         icrf.infer()
         gains = GainEstimator(icrf.model, components, config=GainConfig(), seed=1)
-        return database, gains, [int(c) for c in big], int(singleton[0])
+        return icrf.state, gains, [int(c) for c in big], int(singleton[0])
 
     @pytest.mark.parametrize(
         "case", ["one", "two", "three", "two_components", "labelled", "split"]
     )
     def test_matches_label_restore_enumeration(self, setting, case):
-        database, gains, big, singleton = setting
+        state, gains, big, singleton = setting
         claims = {
             "one": big[:1],
             "two": big[:2],
@@ -470,8 +470,8 @@ class TestExactBatchGainOracle:
             "split": big[:7],
         }[case]
         if case == "split":
-            assert 2 ** len(claims) > _BLOCK_ELEMENTS // database.num_claims
-        labels = dict(database.labels)
-        value = exact_batch_gain(database, gains, claims)
-        assert value == oracle_exact_batch_gain(database, gains, claims)
-        assert database.labels == labels
+            assert 2 ** len(claims) > _BLOCK_ELEMENTS // state.num_claims
+        labels = dict(state.labels)
+        value = exact_batch_gain(state, gains, claims)
+        assert value == oracle_exact_batch_gain(state, gains, claims)
+        assert state.labels == labels

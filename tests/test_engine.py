@@ -25,6 +25,7 @@ from repro.api import InferenceSpec
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
+from repro.data.state import ClaimState
 from repro.errors import InferenceError
 from repro.inference.engine import SpeculativeEngine, create_engine
 from repro.utils.ckernel import load_kernel
@@ -44,10 +45,13 @@ def random_weights(database, seed=0, scale=1.0):
 
 
 def apply_random_labels(database, seed):
+    """A claim state over ``database`` with a random subset labelled."""
     rng = np.random.default_rng(seed)
+    state = ClaimState.of(database)
     count = int(rng.integers(0, database.num_claims))
     for claim in rng.choice(database.num_claims, size=count, replace=False):
-        database.label(int(claim), int(rng.integers(0, 2)))
+        state.label(int(claim), int(rng.integers(0, 2)))
+    return state
 
 
 @st.composite
@@ -64,14 +68,15 @@ def free_sets(draw, num_claims):
     )
 
 
-def run_chain(factory, database, weights, seed, subset=None):
+def run_chain(factory, database, state, weights, seed, subset=None):
     """Cold then warm sampling pass on a fresh model over ``database``."""
     model = CrfModel(database, weights=weights)
     sampler = GibbsSampler(
         model, burn_in=3, num_samples=8, seed=seed, engine=factory
     )
-    cold = sampler.sample(claim_subset=subset)
-    warm = sampler.sample(claim_subset=subset)
+    held = state.labelled_indices
+    cold = sampler.sample(state.probabilities, held, subset)
+    warm = sampler.sample(state.probabilities, held, subset)
     return cold, warm, sampler.state
 
 
@@ -126,12 +131,12 @@ class TestBackendEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(random_databases(), st.integers(0, 10_000), st.data())
     def test_sampler_chains_identical(self, database, seed, data):
-        apply_random_labels(database, seed)
+        state = apply_random_labels(database, seed)
         weights = random_weights(database, seed)
         subset = data.draw(free_sets(database.num_claims))
-        oracle = run_chain(ReferenceEngine, database, weights, seed, subset)
+        oracle = run_chain(ReferenceEngine, database, state, weights, seed, subset)
         for name, factory in WALKS.items():
-            walked = run_chain(factory, database, weights, seed, subset)
+            walked = run_chain(factory, database, state, weights, seed, subset)
             for expected, actual in zip(oracle[:2], walked[:2]):
                 assert np.array_equal(expected.marginals, actual.marginals), name
                 assert np.array_equal(
@@ -146,14 +151,14 @@ class TestBackendEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(random_databases(), st.integers(0, 10_000))
     def test_mstep_assembly_identical(self, database, seed):
-        apply_random_labels(database, seed)
+        state = apply_random_labels(database, seed)
         model = CrfModel(database, weights=random_weights(database, seed))
-        marginals = np.random.default_rng(seed).random(database.num_claims)
-        label_idx, label_val = database.label_arrays()
-        marginals[label_idx] = label_val
+        state.set_probabilities(
+            np.random.default_rng(seed).random(database.num_claims)
+        )
         config = MStepConfig()
-        ref = ReferenceEngine(model).assemble_mstep(marginals, config)
-        vec = SpeculativeEngine(model).assemble_mstep(marginals, config)
+        ref = ReferenceEngine(model).assemble_mstep(state, config)
+        vec = SpeculativeEngine(model).assemble_mstep(state, config)
         if ref is None:
             assert vec is None
             return
@@ -163,16 +168,16 @@ class TestBackendEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(random_databases(), st.integers(0, 1000))
     def test_full_icrf_em_identical(self, database, seed):
-        apply_random_labels(database, seed)
-        state = database.clone_state()
+        state = apply_random_labels(database, seed)
         spec = InferenceSpec(em_iterations=2, num_samples=6)
-        ref = ICrf(database, spec, seed=seed, engine=ReferenceEngine)
+        ref = ICrf(
+            database, spec, seed=seed, engine=ReferenceEngine, state=state.copy()
+        )
         result_ref = ref.infer()
         marginals_ref = result_ref.marginals.copy()
         weights_ref = result_ref.weights.values.copy()
         grounding_ref = result_ref.grounding.values.copy()
-        database.restore_state(state)
-        vec = ICrf(database, spec, seed=seed)
+        vec = ICrf(database, spec, seed=seed, state=state.copy())
         result_vec = vec.infer()
         assert np.array_equal(marginals_ref, result_vec.marginals)
         assert np.array_equal(weights_ref, result_vec.weights.values)
@@ -183,15 +188,15 @@ class TestSamplerInvariants:
     @settings(max_examples=25, deadline=None)
     @given(random_databases(), st.integers(0, 10_000))
     def test_pinned_labels_never_flip(self, database, seed):
-        apply_random_labels(database, seed)
+        state = apply_random_labels(database, seed)
         model = CrfModel(database, weights=random_weights(database, seed))
         sampler = GibbsSampler(model, burn_in=2, num_samples=6, seed=seed)
-        result = sampler.sample()
-        state = sampler.state
-        for claim, label in database.labels.items():
+        result = sampler.sample(state.probabilities, state.labelled_indices)
+        spins = sampler.state
+        for claim, label in state.labels.items():
             assert result.marginals[claim] == float(label)
             assert result.mode_configuration[claim] == label
-            assert state[claim] == label
+            assert spins[claim] == label
             for packed in result.configuration_counts:
                 sample = np.frombuffer(packed, dtype=np.int8)
                 assert sample[claim] == label
@@ -199,10 +204,10 @@ class TestSamplerInvariants:
     @settings(max_examples=25, deadline=None)
     @given(random_databases(), st.integers(0, 10_000))
     def test_marginals_in_unit_interval(self, database, seed):
-        apply_random_labels(database, seed)
+        state = apply_random_labels(database, seed)
         model = CrfModel(database, weights=random_weights(database, seed))
         sampler = GibbsSampler(model, burn_in=2, num_samples=6, seed=seed)
-        result = sampler.sample()
+        result = sampler.sample(state.probabilities, state.labelled_indices)
         assert np.all(result.marginals >= 0.0)
         assert np.all(result.marginals <= 1.0)
 
@@ -215,7 +220,7 @@ class TestSamplerInvariants:
         rng = np.random.default_rng(seed)
         spins = np.where(rng.random(database.num_claims) < 0.5, 1.0, -1.0)
         stats = model.source_statistics(spins)
-        free = database.unlabelled_indices
+        free = np.arange(database.num_claims)
         for _ in range(3):
             engine.sweep(free, spins, stats, rng)
         assert np.array_equal(stats, model.source_statistics(spins))

@@ -40,6 +40,7 @@ from repro.api import InferenceSpec
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
+from repro.data.state import ClaimState
 from repro.datasets import load_dataset
 from repro.inference.engine import SpeculativeEngine
 from repro.inference.icrf import ICrf
@@ -67,7 +68,7 @@ def _micro_icrf_outputs(backend: str) -> dict:
         engine=BACKENDS[backend],
     )
     first = icrf.infer()
-    database.label(0, 1)
+    icrf.state.label(0, 1)
     second = icrf.infer()
     return {
         "first_marginals": first.marginals.tolist(),
@@ -100,8 +101,9 @@ def _wiki_icrf_outputs(backend: str) -> dict:
 def _wiki_gibbs_outputs(backend: str) -> dict:
     """Raw sampler pass with non-trivial weights, cold then warm."""
     database = load_dataset("wiki", seed=42, scale=0.3)
-    database.label(1, 1)
-    database.label(4, 0)
+    state = ClaimState.of(database)
+    state.label(1, 1)
+    state.label(4, 0)
     rng = np.random.default_rng(3)
     size = 2 + database.document_features.shape[1] \
         + database.source_features.shape[1]
@@ -111,8 +113,8 @@ def _wiki_gibbs_outputs(backend: str) -> dict:
         model, burn_in=4, num_samples=12, seed=11,
         engine=BACKENDS[backend],
     )
-    cold = sampler.sample()
-    warm = sampler.sample()
+    cold = sampler.sample(state.probabilities, state.labelled_indices)
+    warm = sampler.sample(state.probabilities, state.labelled_indices)
     return {
         "cold_marginals": cold.marginals.tolist(),
         "cold_mode": cold.mode_configuration.tolist(),

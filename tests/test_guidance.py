@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import GuidanceSpec
 from repro.crf.partition import ComponentIndex
+from repro.data.state import ClaimState
 from repro.errors import GuidanceError, SpecError
 from repro.guidance.base import SelectionContext
 from repro.guidance.gain import GainConfig, GainEstimator, marginal_entropy_ranking
@@ -29,19 +30,19 @@ from tests.gain_oracle import oracle_gains
 
 
 def make_estimator(mode="meanfield", localize=True, **kwargs):
-    db = build_micro_database()
-    icrf = ICrf(db, seed=0)
+    database = build_micro_database()
+    icrf = ICrf(database, seed=0)
     icrf.infer()
     config = GainConfig(inference_mode=mode, localize=localize, **kwargs)
     estimator = GainEstimator(
-        icrf.model, ComponentIndex(db), config=config, seed=1
+        icrf.model, ComponentIndex(database), config=config, seed=1
     )
-    return estimator, db, icrf
+    return estimator, icrf.state, icrf
 
 
-def make_context(db, estimator, hybrid=0.0, limit=None):
+def make_context(state, estimator, hybrid=0.0, limit=None):
     return SelectionContext(
-        database=db,
+        state=state,
         gains=estimator,
         rng=np.random.default_rng(0),
         hybrid_score=hybrid,
@@ -90,63 +91,74 @@ class TestGainConfig:
 
 class TestGainEstimator:
     def test_labelled_claim_has_zero_gain(self):
-        estimator, db, _ = make_estimator()
-        db.label(0, 1)
-        assert estimator.information_gain(0) == 0.0
-        assert estimator.source_gain(0) == 0.0
+        estimator, state, _ = make_estimator()
+        state.label(0, 1)
+        assert estimator.information_gain(0, state) == 0.0
+        assert estimator.source_gain(0, state) == 0.0
+
+    @pytest.mark.parametrize("mode", ["meanfield", "gibbs"])
+    @pytest.mark.parametrize("source_driven", [False, True])
+    def test_candidate_outside_database_rejected(self, mode, source_driven):
+        # -1 would alias claim n-1 and n would index past the arrays.
+        estimator, state, _ = make_estimator(mode=mode)
+        gains = estimator.source_gains if source_driven else estimator.information_gains
+        for candidates in ([-1, 2], [-1], [3]):
+            with pytest.raises(GuidanceError, match="outside"):
+                gains(candidates, state)
+        assert np.all(np.isfinite(gains([0, 2], state)))
 
     def test_gain_leaves_database_unchanged(self):
-        estimator, db, _ = make_estimator()
-        before_probs = np.asarray(db.probabilities).copy()
-        before_labels = dict(db.labels)
-        estimator.information_gain(1)
-        estimator.source_gain(1)
-        assert np.allclose(before_probs, db.probabilities)
-        assert db.labels == before_labels
+        estimator, state, _ = make_estimator()
+        before_probs = np.asarray(state.probabilities).copy()
+        before_labels = dict(state.labels)
+        estimator.information_gain(1, state)
+        estimator.source_gain(1, state)
+        assert np.allclose(before_probs, state.probabilities)
+        assert state.labels == before_labels
 
     def test_gains_vector_matches_scalars(self):
-        estimator, db, _ = make_estimator()
-        vector = estimator.information_gains([0, 1, 2])
+        estimator, state, _ = make_estimator()
+        vector = estimator.information_gains([0, 1, 2], state)
         for index in range(3):
             assert vector[index] == pytest.approx(
-                estimator.information_gain(index)
+                estimator.information_gain(index, state)
             )
 
     def test_parallel_matches_serial(self):
         # Estimator equals the mutate-and-restore oracle; the name is kept
         # so the test id stays stable.
-        estimator, _, _ = make_estimator()
+        estimator, state, _ = make_estimator()
         serial_oracle, _, _ = make_estimator()
-        a = estimator.information_gains([0, 1, 2])
-        b = oracle_gains(serial_oracle, [0, 1, 2])
+        a = estimator.information_gains([0, 1, 2], state)
+        b = oracle_gains(serial_oracle, state, [0, 1, 2])
         assert np.array_equal(a, b)
 
     def test_gibbs_mode_runs(self):
-        estimator, db, _ = make_estimator(mode="gibbs")
-        gain = estimator.information_gain(0)
+        estimator, state, _ = make_estimator(mode="gibbs")
+        gain = estimator.information_gain(0, state)
         assert np.isfinite(gain)
 
     def test_exact_entropy_mode_runs(self):
-        estimator, db, _ = make_estimator(entropy_method="exact")
-        assert np.isfinite(estimator.information_gain(0))
+        estimator, state, _ = make_estimator(entropy_method="exact")
+        assert np.isfinite(estimator.information_gain(0, state))
 
     def test_uncertain_claim_gains_more_than_settled_claim(self):
-        estimator, db, icrf = make_estimator()
+        estimator, state, icrf = make_estimator()
         # Force one claim near certainty and one at maximum uncertainty.
-        db.set_probabilities(np.asarray([0.99, 0.5, 0.99]))
-        g_settled = estimator.information_gain(0)
-        g_uncertain = estimator.information_gain(1)
+        state.set_probabilities(np.asarray([0.99, 0.5, 0.99]))
+        g_settled = estimator.information_gain(0, state)
+        g_uncertain = estimator.information_gain(1, state)
         assert g_uncertain > g_settled
 
     def test_global_scope_without_localization(self):
-        estimator, db, _ = make_estimator(localize=False)
+        estimator, state, _ = make_estimator(localize=False)
         scope = estimator._scope(0)
-        assert scope.size == db.num_claims
+        assert scope.size == state.num_claims
 
     def test_marginal_entropy_ranking(self):
-        db = build_micro_database()
-        db.set_probabilities(np.asarray([0.5, 0.9, 0.7]))
-        ranked = marginal_entropy_ranking(db, [0, 1, 2])
+        state = ClaimState.of(build_micro_database())
+        state.set_probabilities(np.asarray([0.5, 0.9, 0.7]))
+        ranked = marginal_entropy_ranking(state, [0, 1, 2])
         assert ranked.tolist() == [0, 2, 1]
 
 
@@ -163,68 +175,68 @@ class TestStrategies:
             make_strategy("alchemy")
 
     def test_random_selects_unlabelled(self):
-        estimator, db, _ = make_estimator()
-        db.label(0, 1)
-        context = make_context(db, estimator)
+        estimator, state, _ = make_estimator()
+        state.label(0, 1)
+        context = make_context(state, estimator)
         for _ in range(10):
             assert RandomStrategy().select(context) in (1, 2)
 
     def test_uncertainty_selects_most_entropic(self):
-        estimator, db, _ = make_estimator()
-        db.set_probabilities(np.asarray([0.95, 0.52, 0.9]))
-        context = make_context(db, estimator)
+        estimator, state, _ = make_estimator()
+        state.set_probabilities(np.asarray([0.95, 0.52, 0.9]))
+        context = make_context(state, estimator)
         assert UncertaintyStrategy().select(context) == 1
 
     def test_info_selects_argmax_gain(self):
-        estimator, db, _ = make_estimator()
-        context = make_context(db, estimator)
+        estimator, state, _ = make_estimator()
+        context = make_context(state, estimator)
         strategy = InformationGainStrategy()
         chosen = strategy.select(context)
         candidates, scores = strategy.scores(context)
         best = candidates[int(np.argmax(scores))]
-        assert estimator.information_gain(chosen) == pytest.approx(
-            estimator.information_gain(int(best))
+        assert estimator.information_gain(chosen, state) == pytest.approx(
+            estimator.information_gain(int(best), state)
         )
 
     def test_source_strategy_runs(self):
-        estimator, db, _ = make_estimator()
-        context = make_context(db, estimator)
+        estimator, state, _ = make_estimator()
+        context = make_context(state, estimator)
         assert SourceGainStrategy().select(context) in (0, 1, 2)
 
     def test_hybrid_routes_by_score(self):
-        estimator, db, _ = make_estimator()
+        estimator, state, _ = make_estimator()
         strategy = HybridStrategy()
-        context = make_context(db, estimator, hybrid=0.0)
+        context = make_context(state, estimator, hybrid=0.0)
         strategy.select(context)
         assert strategy.last_choice == "info"
-        context = make_context(db, estimator, hybrid=1.0)
+        context = make_context(state, estimator, hybrid=1.0)
         strategy.select(context)
         assert strategy.last_choice == "source"
 
     def test_rank_returns_distinct_claims(self):
-        estimator, db, _ = make_estimator()
-        context = make_context(db, estimator)
+        estimator, state, _ = make_estimator()
+        context = make_context(state, estimator)
         ranked = InformationGainStrategy().rank(context, 3)
         assert len(set(ranked)) == len(ranked)
 
     def test_random_rank_permutation(self):
-        estimator, db, _ = make_estimator()
-        context = make_context(db, estimator)
+        estimator, state, _ = make_estimator()
+        context = make_context(state, estimator)
         ranked = RandomStrategy().rank(context, 3)
         assert sorted(ranked) == [0, 1, 2]
 
     def test_candidate_limit_restricts_pool(self):
-        estimator, db, _ = make_estimator()
-        db.set_probabilities(np.asarray([0.5, 0.99, 0.98]))
-        context = make_context(db, estimator, limit=1)
+        estimator, state, _ = make_estimator()
+        state.set_probabilities(np.asarray([0.5, 0.99, 0.98]))
+        context = make_context(state, estimator, limit=1)
         # Only the most uncertain claim (0) is in the pool.
         assert context.candidates().tolist() == [0]
 
     def test_no_unlabelled_raises(self):
-        estimator, db, _ = make_estimator()
+        estimator, state, _ = make_estimator()
         for claim in range(3):
-            db.label(claim, 1)
-        context = make_context(db, estimator)
+            state.label(claim, 1)
+        context = make_context(state, estimator)
         with pytest.raises(GuidanceError):
             context.candidates()
 

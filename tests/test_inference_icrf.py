@@ -8,6 +8,7 @@ import pytest
 from repro.api import InferenceSpec, SessionSpec
 from repro.crf.gibbs import GibbsResult
 from repro.errors import InferenceError, SpecError
+from repro.data.state import ClaimState
 from repro.inference.decide import decide_grounding, threshold_grounding
 from repro.inference.icrf import ICrf
 from repro.inference.mstep import MStepConfig, build_design_matrix, run_m_step
@@ -27,7 +28,7 @@ class TestMStep:
     def test_design_matrix_shape(self):
         db = build_micro_database()
         icrf = ICrf(db, seed=0)
-        design = build_design_matrix(icrf.model, np.asarray(db.probabilities))
+        design = build_design_matrix(icrf.model, np.asarray(icrf.state.probabilities))
         assert design.shape == (3, icrf.model.featurizer.feature_dim + 1)
 
     def test_design_last_column_is_trust_signal(self):
@@ -45,9 +46,8 @@ class TestMStep:
         # Label everything with the truth; evidence aligns with stances.
         truth = db.truth_vector()
         for claim in range(3):
-            db.label(claim, int(truth[claim]))
-        marginals = np.asarray(db.probabilities)
-        run_m_step(icrf.model, marginals)
+            icrf.state.label(claim, int(truth[claim]))
+        run_m_step(icrf.model, icrf.state)
         # Stance-signed evidence agrees with the labels -> positive bias.
         assert icrf.model.weights.bias > 0
 
@@ -55,15 +55,15 @@ class TestMStep:
         db = build_micro_database()
         icrf = ICrf(db, seed=0)
         before = icrf.model.weights.values.copy()
-        db.label(0, 1)
-        run_m_step(icrf.model, np.asarray(db.probabilities))
+        icrf.state.label(0, 1)
+        run_m_step(icrf.model, icrf.state)
         assert not np.allclose(before, icrf.model.weights.values)
 
     def test_marginal_shape_validated(self):
         db = build_micro_database()
         icrf = ICrf(db, seed=0)
         with pytest.raises(InferenceError):
-            run_m_step(icrf.model, np.asarray([0.5, 0.5]))
+            run_m_step(icrf.model, ClaimState(2))
 
 
 class TestICrf:
@@ -81,15 +81,15 @@ class TestICrf:
     def test_infer_updates_database_probabilities(self):
         db = build_micro_database()
         icrf = ICrf(db, seed=0)
-        before = np.asarray(db.probabilities).copy()
+        before = np.asarray(icrf.state.probabilities).copy()
         result = icrf.infer()
-        assert not np.allclose(before, db.probabilities)
-        assert np.allclose(result.marginals, db.probabilities)
+        assert not np.allclose(before, icrf.state.probabilities)
+        assert np.allclose(result.marginals, icrf.state.probabilities)
 
     def test_infer_returns_grounding_consistent_with_labels(self):
         db = build_micro_database()
         icrf = ICrf(db, seed=0)
-        db.label(0, 0)
+        icrf.state.label(0, 0)
         result = icrf.infer()
         assert result.grounding[0] == 0
 
@@ -114,7 +114,7 @@ class TestICrf:
         rng = np.random.default_rng(0)
         chosen = rng.choice(db.num_claims, size=db.num_claims // 2, replace=False)
         for claim in chosen:
-            db.label(int(claim), int(truth[claim]))
+            icrf.state.label(int(claim), int(truth[claim]))
         after = icrf.infer().grounding.precision(truth)
         assert after >= base
 
@@ -162,28 +162,32 @@ class TestICrf:
 
 
 class TestDecide:
-    def test_decide_prefers_mode_configuration(self, micro_db):
+    @pytest.fixture
+    def state(self, micro_db):
+        return ClaimState.of(micro_db)
+
+    def test_decide_prefers_mode_configuration(self, state):
         result = GibbsResult(
             marginals=np.asarray([0.6, 0.4, 0.9]),
             mode_configuration=np.asarray([0, 1, 1], dtype=np.int8),
             num_samples=10,
             configuration_counts={},
         )
-        grounding = decide_grounding(micro_db, result)
+        grounding = decide_grounding(state, result)
         assert list(grounding) == [0, 1, 1]
 
-    def test_decide_overrides_with_labels(self, micro_db):
-        micro_db.label(0, 1)
+    def test_decide_overrides_with_labels(self, state):
+        state.label(0, 1)
         result = GibbsResult(
             marginals=np.asarray([1.0, 0.4, 0.9]),
             mode_configuration=np.asarray([0, 1, 1], dtype=np.int8),
             num_samples=10,
             configuration_counts={},
         )
-        grounding = decide_grounding(micro_db, result)
+        grounding = decide_grounding(state, result)
         assert grounding[0] == 1
 
-    def test_decide_shape_check(self, micro_db):
+    def test_decide_shape_check(self, state):
         result = GibbsResult(
             marginals=np.asarray([0.5]),
             mode_configuration=np.asarray([1], dtype=np.int8),
@@ -191,15 +195,15 @@ class TestDecide:
             configuration_counts={},
         )
         with pytest.raises(InferenceError):
-            decide_grounding(micro_db, result)
+            decide_grounding(state, result)
 
-    def test_threshold_grounding(self, micro_db):
-        micro_db.set_probabilities(np.asarray([0.9, 0.2, 0.5]))
-        grounding = threshold_grounding(micro_db)
+    def test_threshold_grounding(self, state):
+        state.set_probabilities(np.asarray([0.9, 0.2, 0.5]))
+        grounding = threshold_grounding(state)
         assert list(grounding) == [1, 0, 1]
 
-    def test_threshold_grounding_respects_labels(self, micro_db):
-        micro_db.set_probabilities(np.asarray([0.9, 0.2, 0.5]))
-        micro_db.label(0, 0)
-        grounding = threshold_grounding(micro_db)
+    def test_threshold_grounding_respects_labels(self, state):
+        state.set_probabilities(np.asarray([0.9, 0.2, 0.5]))
+        state.label(0, 0)
+        grounding = threshold_grounding(state)
         assert grounding[0] == 0

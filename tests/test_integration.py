@@ -128,14 +128,14 @@ class TestStreamingIntegration:
         checker.record_label(claim_id, record.user_values[0])
         checker.receive_weights(icrf.weights)
         position = checker.database.claim_position(claim_id)
-        assert checker.database.label_of(position) == record.user_values[0]
+        assert checker.state.label_of(position) == record.user_values[0]
 
     def test_streaming_model_usable_for_grounding(self):
         db = load_dataset("wiki", seed=13, scale=0.1)
         checker = StreamingFactChecker(seed=13)
         for arrival in stream_from_database(db):
             checker.observe(arrival)
-        probabilities = np.asarray(checker.database.probabilities)
+        probabilities = np.asarray(checker.state.probabilities)
         assert probabilities.shape == (db.num_claims,)
         assert np.all((probabilities >= 0) & (probabilities <= 1))
 

@@ -28,6 +28,7 @@ from repro.crf.partition import ComponentIndex, ScopePlan
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.data.entities import Claim, ClaimLink, Document, Source
+from repro.data.state import ClaimState
 from repro.data.stance import Stance
 from repro.datasets import load_dataset
 from repro.guidance.gain import GainConfig, GainEstimator
@@ -153,8 +154,10 @@ class TestBlockOperator:
 
 
 def estimator_pair(database_factory, weights_seed=11, gamma=0.5,
-                   coupling=True, **config):
-    """An estimator and an oracle estimator over equal fresh databases."""
+                   coupling=True, labelled=False, **config):
+    """An estimator and an oracle estimator over equal fresh databases,
+    and the state to take gains at (``labelled``: claim 0's component
+    labelled, see :func:`labelled_component`)."""
     pair = []
     for _ in range(2):
         database = database_factory()
@@ -169,14 +172,16 @@ def estimator_pair(database_factory, weights_seed=11, gamma=0.5,
             model, ComponentIndex(database), config=GainConfig(**config),
             seed=5,
         ))
-    return pair[0], pair[1], database
+    state = ClaimState.of(database)
+    if labelled:
+        labelled_component(database, state)
+    return pair[0], pair[1], state
 
 
-def labelled_component(database):
-    """Label every claim of claim 0's component."""
+def labelled_component(database, state):
+    """Label every claim of claim 0's component in ``state``."""
     for claim in ComponentIndex(database).component_of_claim(0):
-        database.label(int(claim), int(claim) % 2)
-    return database
+        state.label(int(claim), int(claim) % 2)
 
 
 #: Gain configurations at the operator's edges: (name, factory, options).
@@ -192,8 +197,8 @@ EDGE_CASES = {
         lambda: with_isolated_claims(build_micro_database()),
         {"localize": False}),
     "labelled-component": (
-        lambda: labelled_component(
-            with_isolated_claims(build_micro_database())), {}),
+        lambda: with_isolated_claims(build_micro_database()),
+        {"labelled": True}),
 }
 
 
@@ -203,42 +208,42 @@ class TestBlockGains:
     @pytest.mark.parametrize("entropy_method", ["approx", "exact"])
     def test_gains_equal_oracle(self, path, case, entropy_method):
         factory, options = EDGE_CASES[case]
-        estimator, oracle, database = estimator_pair(
+        estimator, oracle, state = estimator_pair(
             factory, entropy_method=entropy_method, **options
         )
-        candidates = list(range(database.num_claims))
+        candidates = list(range(state.num_claims))
         with on_path(path):
             for source_driven in (False, True):
                 assert np.array_equal(
-                    estimator._gains(candidates, source_driven),
-                    oracle_gains(oracle, candidates, source_driven),
+                    estimator._gains(candidates, state, source_driven),
+                    oracle_gains(oracle, state, candidates, source_driven),
                 )
 
     def test_blocks_split_without_changing_gains(self, monkeypatch):
-        whole, split, database = estimator_pair(
+        whole, split, state = estimator_pair(
             lambda: load_dataset("wiki", seed=42, scale=0.3)
         )
-        candidates = list(range(database.num_claims))
-        expected = whole.information_gains(candidates)
+        candidates = list(range(state.num_claims))
+        expected = whole.information_gains(candidates, state)
         # One row per block: every hypothesis runs through its own call.
         monkeypatch.setattr(
             "repro.guidance.gain.estimator._BLOCK_ELEMENTS", 1
         )
-        assert np.array_equal(split.information_gains(candidates), expected)
+        assert np.array_equal(split.information_gains(candidates, state), expected)
 
     def test_concurrent_gains_equal_sequential(self):
         """Threads sharing one estimator (and its plan cache) get the
         sequential gains: no scratch buffer is shared between calls."""
-        estimator, _, database = estimator_pair(
+        estimator, _, state = estimator_pair(
             lambda: load_dataset("wiki", seed=42, scale=0.3)
         )
-        candidates = list(range(database.num_claims))
+        candidates = list(range(state.num_claims))
         expected = {
-            False: estimator.information_gains(candidates),
-            True: estimator.source_gains(candidates),
+            False: estimator.information_gains(candidates, state),
+            True: estimator.source_gains(candidates, state),
         }
         # A fresh index, so the threads also race to build the plans.
-        estimator._components = ComponentIndex(database)
+        estimator._components = ComponentIndex(estimator._model.database)
         flags = [False, True, False, True]
         results = [[] for _ in flags]
         barrier = threading.Barrier(len(flags))
@@ -247,7 +252,7 @@ class TestBlockGains:
             barrier.wait()
             for _ in range(3):
                 results[slot].append(
-                    estimator._gains(candidates, source_driven)
+                    estimator._gains(candidates, state, source_driven)
                 )
 
         interval = sys.getswitchinterval()
@@ -283,14 +288,12 @@ class TestExactEntropyGain:
             claim = database.claim_position(claim_id)
             assert estimator.components.component_of_claim(claim).size == 1
             baseline = model.mean_field(
-                database.probabilities,
+                np.full(database.num_claims, database.prior),
                 steps=config.meanfield_steps,
                 damping=config.damping,
                 scope=[claim],
             )
-            expected = component_entropy(
-                model, np.asarray([claim]), probabilities=baseline
-            )
-            gain = estimator.information_gain(claim)
+            expected = component_entropy(model, np.asarray([claim]), baseline)
+            gain = estimator.information_gain(claim, ClaimState.of(database))
             assert gain > 0.0
             assert gain == expected

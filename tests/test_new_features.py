@@ -52,7 +52,7 @@ class TestMeanFieldEStep:
 
     def test_meanfield_respects_labels(self, micro_db):
         icrf = ICrf(micro_db, MEANFIELD, seed=0)
-        micro_db.label(0, 0)
+        icrf.state.label(0, 0)
         result = icrf.infer()
         assert result.marginals[0] == 0.0
         assert result.grounding[0] == 0
@@ -81,9 +81,9 @@ class TestMeanFieldEStep:
 
     def test_meanfield_subset_restriction(self, micro_db):
         icrf = ICrf(micro_db, MEANFIELD, seed=0)
-        before = np.asarray(micro_db.probabilities).copy()
+        before = np.asarray(icrf.state.probabilities).copy()
         icrf.infer(claim_subset=np.asarray([2]))
-        after = np.asarray(micro_db.probabilities)
+        after = np.asarray(icrf.state.probabilities)
         assert after[0] == before[0]
         assert after[1] == before[1]
 
@@ -94,10 +94,10 @@ class TestDeterministicTies:
         icrf = ICrf(db, MEANFIELD, seed=0)
         icrf.infer()
         # Force an exact tie between all claims.
-        db.set_probabilities(np.full(3, 0.5))
+        icrf.state.set_probabilities(np.full(3, 0.5))
         gains = GainEstimator(icrf.model, ComponentIndex(db), seed=1)
         return SelectionContext(
-            database=db,
+            state=icrf.state,
             gains=gains,
             rng=np.random.default_rng(123),
             deterministic_ties=deterministic,

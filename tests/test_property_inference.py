@@ -18,6 +18,7 @@ from repro.api import InferenceSpec
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.weights import CrfWeights
+from repro.data.state import ClaimState
 from repro.inference.icrf import ICrf
 from tests.fixtures import random_databases
 
@@ -72,14 +73,15 @@ class TestSamplerInvariants:
     def test_marginals_bounded_and_labels_pinned(self, database, seed):
         rng = np.random.default_rng(seed)
         label_count = int(rng.integers(0, database.num_claims))
+        state = ClaimState.of(database)
         for claim in rng.choice(database.num_claims, size=label_count,
                                 replace=False):
-            database.label(int(claim), int(rng.integers(0, 2)))
+            state.label(int(claim), int(rng.integers(0, 2)))
         model = CrfModel(database, weights=random_weights(database, seed))
         sampler = GibbsSampler(model, burn_in=2, num_samples=5, seed=seed)
-        result = sampler.sample()
+        result = sampler.sample(state.probabilities, state.labelled_indices)
         assert np.all((result.marginals >= 0) & (result.marginals <= 1))
-        for claim, label in database.labels.items():
+        for claim, label in state.labels.items():
             assert result.marginals[claim] == float(label)
             assert result.mode_configuration[claim] == label
 
@@ -87,11 +89,12 @@ class TestSamplerInvariants:
     @given(random_databases(), st.integers(0, 100))
     def test_icrf_respects_labels_and_state_roundtrip(self, database, seed):
         icrf = ICrf(database, InferenceSpec(em_iterations=1, num_samples=5), seed=seed)
-        snapshot = database.clone_state()
+        snapshot = icrf.state.copy()
         result = icrf.infer()
         assert np.all((result.marginals >= 0) & (result.marginals <= 1))
-        database.restore_state(snapshot)
-        assert np.allclose(database.probabilities, snapshot.probabilities)
+        assert np.all(snapshot.probabilities == database.prior)
+        icrf.state = snapshot
+        assert icrf.state.probabilities.tolist() == snapshot.probabilities.tolist()
 
     @settings(max_examples=15, deadline=None)
     @given(random_databases())
@@ -99,7 +102,7 @@ class TestSamplerInvariants:
         rng = np.random.default_rng(0)
         claim = int(rng.integers(0, database.num_claims))
         value = int(rng.integers(0, 2))
-        database.label(claim, value)
         icrf = ICrf(database, InferenceSpec(em_iterations=1, num_samples=5), seed=0)
+        icrf.state.label(claim, value)
         result = icrf.infer()
         assert result.grounding[claim] == value

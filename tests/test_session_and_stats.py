@@ -106,8 +106,8 @@ class TestGainBaselineCache:
             config=GainConfig(inference_mode="meanfield"),
             seed=1,
         )
-        batched = gains.information_gains([0, 1, 2])
-        singles = [gains.information_gain(i) for i in range(3)]
+        batched = gains.information_gains([0, 1, 2], icrf.state)
+        singles = [gains.information_gain(i, icrf.state) for i in range(3)]
         assert np.allclose(batched, singles)
 
     def test_cache_cleared_between_calls(self):
@@ -120,11 +120,11 @@ class TestGainBaselineCache:
             config=GainConfig(inference_mode="meanfield"),
             seed=1,
         )
-        first = gains.information_gains([0, 1, 2])
+        first = gains.information_gains([0, 1, 2], icrf.state)
         # Mutating the state must be reflected in a later call (no stale
         # cache): label one claim and re-query.
-        db.label(1, 0)
-        second = gains.information_gains([0, 1, 2])
+        icrf.state.label(1, 0)
+        second = gains.information_gains([0, 1, 2], icrf.state)
         assert second[1] == 0.0
         assert not np.allclose(first, second)
 
@@ -138,7 +138,7 @@ class TestGainBaselineCache:
             config=GainConfig(inference_mode="meanfield"),
             seed=1,
         )
-        values = gains.information_gains([0, 1, 2])
+        values = gains.information_gains([0, 1, 2], icrf.state)
         # Self-entropy reduction is at most log 2 per claim; with a
         # 3-claim component total gain cannot exceed 3 log 2.
         assert np.all(values <= 3 * np.log(2) + 1e-9)

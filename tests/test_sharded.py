@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.api.specs import InferenceSpec
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
+from repro.data.state import ClaimState
 from repro.errors import SpecError
 from repro.inference.engine import SpeculativeEngine, create_engine
 from repro.inference.mstep import MStepConfig
@@ -35,10 +36,11 @@ def wiki_model(scale=1.0, seed_weights=3):
     from repro.datasets import load_dataset
 
     database = load_dataset("wiki", seed=42, scale=scale)
-    database.label(1, 1)
-    database.label(4, 0)
+    state = ClaimState.of(database)
+    state.label(1, 1)
+    state.label(4, 0)
     weights = random_weights(database, seed=seed_weights, scale=0.5)
-    return database, weights
+    return database, state, weights
 
 
 class TestConfig:
@@ -56,7 +58,8 @@ class TestOneShardEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(random_databases(), st.integers(0, 10_000))
     def test_chains_identical(self, database, seed):
-        apply_random_labels(database, seed)
+        state = apply_random_labels(database, seed)
+        held = state.labelled_indices
         weights = random_weights(database, seed)
         model_py = CrfModel(database, weights=weights)
         model_kernel = CrfModel(database, weights=weights)
@@ -67,26 +70,25 @@ class TestOneShardEquivalence:
         kernel_walk = GibbsSampler(
             model_kernel, burn_in=3, num_samples=8, seed=seed
         )
-        result_py = python_walk.sample()
-        result_kernel = kernel_walk.sample()
+        result_py = python_walk.sample(state.probabilities, held)
+        result_kernel = kernel_walk.sample(state.probabilities, held)
         assert np.array_equal(result_py.marginals, result_kernel.marginals)
         assert np.array_equal(python_walk.state, kernel_walk.state)
         # Warm-started second pass stays in lockstep too.
         assert np.array_equal(
-            python_walk.sample().marginals, kernel_walk.sample().marginals
+            python_walk.sample(state.probabilities, held).marginals,
+            kernel_walk.sample(state.probabilities, held).marginals,
         )
 
     def test_mstep_identical(self):
         """Wiki-scale M-step assembly == the oracle's, bit for bit."""
-        database, weights = wiki_model(scale=0.3)
+        database, state, weights = wiki_model(scale=0.3)
         model = CrfModel(database, weights=weights)
-        marginals = np.random.default_rng(5).random(database.num_claims)
-        label_idx, label_val = database.label_arrays()
-        marginals[label_idx] = label_val
+        state.set_probabilities(np.random.default_rng(5).random(database.num_claims))
         for min_coverage in (1, 3):
             config = MStepConfig(min_coverage=min_coverage)
-            reference = ReferenceEngine(model).assemble_mstep(marginals, config)
-            assembled = create_engine(model).assemble_mstep(marginals, config)
+            reference = ReferenceEngine(model).assemble_mstep(state, config)
+            assembled = create_engine(model).assemble_mstep(state, config)
             for reference_part, assembled_part in zip(reference, assembled):
                 assert np.array_equal(reference_part, assembled_part)
 
@@ -94,7 +96,7 @@ class TestOneShardEquivalence:
 class TestMultiShardEquivalence:
     def test_unsorted_claim_subset_falls_back_inline(self):
         """Both walks match the oracle on an unsorted wiki claim subset."""
-        database, weights = wiki_model(scale=0.3)
+        database, state, weights = wiki_model(scale=0.3)
         subset = [7, 2, 11, 5, 3]
         chains = {}
         for name, factory in (
@@ -107,7 +109,9 @@ class TestMultiShardEquivalence:
                 model, burn_in=2, num_samples=6, seed=5, engine=factory
             )
             chains[name] = (
-                sampler.sample(claim_subset=subset).marginals,
+                sampler.sample(
+                    state.probabilities, state.labelled_indices, subset
+                ).marginals,
                 sampler.state,
             )
         for name in ("python", "kernel"):
@@ -142,7 +146,9 @@ class TestGainParallelConstruction:
         estimator = GainEstimator(
             model, config=GainConfig(inference_mode="gibbs"), seed=3
         )
-        estimator.information_gains(list(range(database.num_claims)))
+        estimator.information_gains(
+            list(range(database.num_claims)), ClaimState.of(database)
+        )
         engines = list(model._engine_cache.values())
         assert engines == [create_engine(model)]
         assert type(engines[0]) is SpeculativeEngine

@@ -143,10 +143,10 @@ class TestStreamingFactChecker:
         checker.observe(arrivals[0])
         first_claim = arrivals[0].claim.claim_id
         db = checker.database
-        p_before = db.probability(db.claim_position(first_claim))
+        p_before = checker.state.probability(db.claim_position(first_claim))
         checker.observe(arrivals[1])
         db = checker.database
-        p_after = db.probability(db.claim_position(first_claim))
+        p_after = checker.state.probability(db.claim_position(first_claim))
         # Not reset to the prior: the previous estimate was reused as the
         # starting point (it may move a little through new inference).
         assert abs(p_after - p_before) < 0.45
@@ -160,7 +160,7 @@ class TestStreamingFactChecker:
         for arrival in arrivals[1:]:
             checker.observe(arrival)
         db = checker.database
-        assert db.label_of(db.claim_position(claim_id)) == 1
+        assert checker.state.label_of(db.claim_position(claim_id)) == 1
 
     def test_invalid_label_rejected(self, micro_db):
         checker = StreamingFactChecker(seed=0)
@@ -196,11 +196,11 @@ class TestStreamingFactChecker:
         )
 
         streaming_by_id = {
-            claim.claim_id: float(snapshot.probabilities[index])
+            claim.claim_id: float(checker.state.probabilities[index])
             for index, claim in enumerate(snapshot.claims)
         }
         offline_by_id = {
-            reference.claim_id(index): float(reference.probabilities[index])
+            reference.claim_id(index): float(icrf.state.probabilities[index])
             for index in range(reference.num_claims)
         }
         ids = sorted(streaming_by_id)
@@ -211,7 +211,7 @@ class TestStreamingFactChecker:
         assert correlation > 0.3
 
         truth_by_id = {c.claim_id: int(bool(c.truth)) for c in db.claims}
-        predictions = (np.asarray(snapshot.probabilities) >= 0.5).astype(int)
+        predictions = (np.asarray(checker.state.probabilities) >= 0.5).astype(int)
         hits = sum(
             1
             for index, claim in enumerate(snapshot.claims)
@@ -277,8 +277,8 @@ class TestIncrementalGrowth:
             b = rebuilt.observe(arrival)
             assert np.array_equal(a.weights.values, b.weights.values)
             assert np.array_equal(
-                np.asarray(grown.database.probabilities),
-                np.asarray(rebuilt.database.probabilities),
+                np.asarray(grown.state.probabilities),
+                np.asarray(rebuilt.state.probabilities),
             )
             for left, right in zip(
                 grown.database.clique_arrays(), rebuilt.database.clique_arrays()
@@ -305,8 +305,8 @@ class TestIncrementalGrowth:
             b = rebuilt.observe(arrival)
             assert np.array_equal(a.weights.values, b.weights.values)
         assert np.array_equal(
-            np.asarray(grown.database.probabilities),
-            np.asarray(rebuilt.database.probabilities),
+            np.asarray(grown.state.probabilities),
+            np.asarray(rebuilt.state.probabilities),
         )
 
 
@@ -380,8 +380,8 @@ class TestPendingLabels:
             checker.observe(arrival)
         assert checker.pending_labels == {}
         db = checker.database
-        assert db.label_of(db.claim_position(future)) == 1
-        assert db.probability(db.claim_position(future)) == 1.0
+        assert checker.state.label_of(db.claim_position(future)) == 1
+        assert checker.state.probability(db.claim_position(future)) == 1.0
 
     def test_pending_labels_survive_state_roundtrip(self, micro_db):
         checker = StreamingFactChecker(PENDING, seed=0)
@@ -397,4 +397,4 @@ class TestPendingLabels:
             clone.observe(arrival)
         assert clone.pending_labels == {}
         db = clone.database
-        assert db.label_of(db.claim_position(future)) == 0
+        assert clone.state.label_of(db.claim_position(future)) == 0

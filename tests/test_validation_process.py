@@ -89,7 +89,7 @@ class TestProcessBasics:
         process.initialize()
         record = process.step()
         assert len(record.claim_indices) == 1
-        assert process.database.num_labelled == 1
+        assert process.state.num_labelled == 1
 
     def test_step_records_metrics(self):
         process = make_process()
@@ -134,13 +134,13 @@ class TestRun:
         process = make_process()
         trace = process.run()
         assert trace.stop_reason == "exhausted"
-        assert process.database.num_labelled == 3
+        assert process.state.num_labelled == 3
 
     def test_budget_stops_run(self):
         process = make_process(budget=2)
         trace = process.run()
         assert trace.stop_reason == "budget"
-        assert process.database.num_labelled == 2
+        assert process.state.num_labelled == 2
 
     def test_goal_stops_run(self):
         process = make_process(goal={"kind": "true_precision", "threshold": 0.0})
@@ -197,7 +197,7 @@ class TestSkipping:
             seed=0,
         )
         trace = process.run()
-        assert process.database.num_labelled == 3
+        assert process.state.num_labelled == 3
         assert sum(r.skipped for r in trace.records) >= 0
 
 
@@ -222,10 +222,14 @@ class TestRobustness:
         for claim in labelled:
             claim = int(claim)
             value = int(truth[claim])
-            db.label(claim, value if claim != wrong else 1 - value)
+            icrf.state.label(claim, value if claim != wrong else 1 - value)
         icrf.infer()
         checker = ConfirmationChecker(interval=1)
-        report = checker.sweep(icrf.model, ComponentIndex(db))
+        state, weights = icrf.state.to_dict(), icrf.weights.values.copy()
+        report = checker.sweep(icrf.model, icrf.state, ComponentIndex(db))
+        # The leave-one-out runs on copies: state and weights as found.
+        assert icrf.state.to_dict() == state
+        assert np.array_equal(icrf.weights.values, weights)
         assert wrong in report.suspects
         # Most correct labels are not flagged.
         correct_flagged = [c for c in report.suspects if c != wrong]
@@ -237,10 +241,10 @@ class TestRobustness:
         icrf.infer()
         truth = db.truth_vector()
         for claim in range(3):
-            db.label(claim, int(truth[claim]))
+            icrf.state.label(claim, int(truth[claim]))
         icrf.infer()
         checker = ConfirmationChecker(interval=1)
-        report = checker.sweep(icrf.model, ComponentIndex(db))
+        report = checker.sweep(icrf.model, icrf.state, ComponentIndex(db))
         assert report.suspects == []
 
     def test_process_repairs_mistakes(self):

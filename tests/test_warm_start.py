@@ -41,12 +41,10 @@ class TestChainWarmStart:
     def test_warm_and_cold_chains_diverge(self):
         """Resetting the chain must change the sampled trajectory."""
         database = load_dataset("wiki", seed=42, scale=0.15)
-        state = database.clone_state()
         warm = make_icrf(database)
         warm.infer()
         warm_second = warm.infer().marginals.copy()
 
-        database.restore_state(state)
         cold = make_icrf(database)
         cold.infer()
         cold.reset_chain()
@@ -57,7 +55,7 @@ class TestChainWarmStart:
         database = build_micro_database()
         icrf = make_icrf(database)
         icrf.infer()
-        database.label(1, 0)
+        icrf.state.label(1, 0)
         icrf.infer()
         assert icrf.sampler.state[1] == 0
 
@@ -105,7 +103,7 @@ class TestProbabilityWarmStart:
         icrf = make_icrf(database)
         result = icrf.infer()
         assert np.array_equal(
-            np.asarray(database.probabilities), result.marginals
+            np.asarray(icrf.state.probabilities), result.marginals
         )
 
     def test_second_inference_starts_from_previous_marginals(self):
@@ -132,11 +130,11 @@ class TestStreamingWarmStart:
         checker = StreamingFactChecker(seed=5)
         checker.observe(arrivals[0])
         first_claim = checker.database.claims[0].claim_id
-        before = checker.database.probabilities[
+        before = checker.state.probabilities[
             checker.database.claim_position(first_claim)
         ]
         checker.observe(arrivals[1])
-        after = checker.database.probabilities[
+        after = checker.state.probabilities[
             checker.database.claim_position(first_claim)
         ]
         # The carried probability seeds the next E-step: it must start
@@ -153,8 +151,8 @@ class TestStreamingWarmStart:
         for arrival in arrivals[1:]:
             checker.observe(arrival)
         position = checker.database.claim_position(labelled_id)
-        assert checker.database.label_of(position) == 1
-        assert checker.database.probabilities[position] == 1.0
+        assert checker.state.label_of(position) == 1
+        assert checker.state.probabilities[position] == 1.0
 
     def test_label_recorded_before_claim_arrives(self):
         arrivals = self._arrivals()
@@ -172,7 +170,7 @@ class TestStreamingWarmStart:
         for arrival in arrivals[1:]:
             checker.observe(arrival)
         position = checker.database.claim_position(target)
-        assert checker.database.label_of(position) == 0
+        assert checker.state.label_of(position) == 0
         assert checker.pending_labels == {}
 
     def test_weights_blend_continuously(self):
