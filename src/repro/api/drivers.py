@@ -19,12 +19,11 @@ from typing import List, Optional, Union
 from repro.data.database import FactDatabase
 from repro.data.grounding import Grounding
 from repro.data.state import ClaimState
-from repro.datasets import Corpus
 from repro.datasets import io as dataset_io
 from repro.errors import CheckpointError, DataModelError, SessionError, SpecError
 from repro.inference.icrf import ICrf
 from repro.streaming.process import StreamingFactChecker, StreamUpdate
-from repro.streaming.stream import ClaimArrival
+from repro.streaming.stream import ClaimArrival, stream_from_database
 from repro.utils.rng import derive_rng, rng_state, set_rng_state
 from repro.validation.oracle import User
 from repro.validation.process import ValidationProcess
@@ -40,17 +39,16 @@ class BatchDriver:
     MODE = "batch"
 
     #: Not checkpointed (lint rule STATE001): the spec and the explicit
-    #: corpus are construction inputs, and ``_dataset_corpus`` is the
+    #: corpus are construction inputs, and ``_from_dataset`` names the
     #: structure origin, which the checkpoint carries outside ``state``.
-    _STATE_EXCLUDED = ("_spec", "_database", "_dataset_corpus")
+    _STATE_EXCLUDED = ("_spec", "_database", "_from_dataset")
 
     def __init__(self, spec: SessionSpec, database: Optional[FactDatabase]) -> None:
         self._spec = spec
         self._database = database
-        # The corpus materialised from spec.dataset, if any: checkpoints
-        # then store its fingerprint instead of embedding it, and holding
-        # it keeps it shared with other sessions on the same spec.
-        self._dataset_corpus: Optional[Corpus] = None
+        # Whether the corpus came from spec.dataset: checkpoints then store
+        # its fingerprint instead of embedding it.
+        self._from_dataset = False
         self.process: Optional[ValidationProcess] = None
         # Claims labelled through label(), in order (iteration-validated
         # claims live on the trace).
@@ -74,8 +72,8 @@ class BatchDriver:
         elif checkpoint is not None and "database" in checkpoint:
             corpus = dataset_io.database_from_dict(checkpoint["database"])
         elif self._spec.dataset is not None:
-            self._dataset_corpus = self._spec.dataset.corpus()
-            corpus = self._dataset_corpus.database()
+            corpus = self._spec.dataset.load()
+            self._from_dataset = True
         elif checkpoint is None:
             raise SpecError(
                 "no corpus: pass a FactDatabase to the session or set "
@@ -145,7 +143,7 @@ class BatchDriver:
     # -- checkpoint and result -----------------------------------------
 
     def origin(self) -> dict:
-        if self._dataset_corpus is not None:
+        if self._from_dataset:
             return {
                 "database_fingerprint": ckpt.database_fingerprint(self.process.database)
             }
@@ -201,9 +199,15 @@ class StreamDriver:
     MODE = "streaming"
 
     #: Not checkpointed (lint rule STATE001): the spec is configuration,
-    #: ``_source_corpus`` is regenerated from it, and ``replaying_source``
-    #: is only ever set inside one ``source_arrivals`` block.
-    _STATE_EXCLUDED = ("_spec", "_source_corpus", "replaying_source")
+    #: ``_source_database`` and ``_source_arrivals`` are regenerated from
+    #: it, and ``replaying_source`` is only ever set inside one
+    #: ``source_arrivals`` block.
+    _STATE_EXCLUDED = (
+        "_spec",
+        "_source_database",
+        "_source_arrivals",
+        "replaying_source",
+    )
 
     def __init__(self, spec: SessionSpec, database: Optional[FactDatabase]) -> None:
         if database is not None:
@@ -224,9 +228,11 @@ class StreamDriver:
         # checkpoints because the source cannot regenerate the entities.
         self.external_arrivals = False
         self.replaying_source = False
-        # The corpus of spec.stream.source, held from its first use so
-        # every request slices one arrival sequence.
-        self._source_corpus: Optional[Corpus] = None
+        # The database of spec.stream.source and its replay, held from
+        # their first use: every request slices one arrival sequence, and
+        # the database stays shared with other sessions on the source.
+        self._source_database: Optional[FactDatabase] = None
+        self._source_arrivals: Optional[tuple] = None
         # Why the session finished, once it has closed; None while open.
         self._stop_reason: Optional[str] = None
 
@@ -366,9 +372,10 @@ class StreamDriver:
 
     def _source_sequence(self) -> tuple:
         """Every arrival of ``spec.stream.source``, in order."""
-        if self._source_corpus is None:
-            self._source_corpus = self._spec.stream.source.dataset.corpus()
-        return self._source_corpus.arrivals()
+        if self._source_arrivals is None:
+            self._source_database = self._spec.stream.source.dataset.load()
+            self._source_arrivals = tuple(stream_from_database(self._source_database))
+        return self._source_arrivals
 
     # Arrivals go through the session's public ingest methods, so a run,
     # a service step and a direct call all take the same path.
@@ -424,7 +431,7 @@ class StreamDriver:
         source = self._spec.stream.source
         if "stream_position" in state:
             # Compact checkpoint: regenerate the entities by replaying the
-            # declared source.
+            # declared source, which delivers each entity once.
             if source is None:
                 raise CheckpointError(
                     "checkpoint stores a stream position but the spec "
@@ -432,30 +439,26 @@ class StreamDriver:
                     "cannot be regenerated"
                 )
             position = int(state["stream_position"])
-            replayed = self.checker.replay_structure(
-                self._source_sequence()[:position]
-            )
-            if replayed != position:
+            prefix = self._source_sequence()[:position]
+            if len(prefix) != position:
                 raise CheckpointError(
-                    f"stream source yielded only {replayed} of the "
+                    f"stream source yielded only {len(prefix)} of the "
                     f"{position} arrivals recorded in the checkpoint "
                     f"(was the source's dataset changed?)"
                 )
+            entities = (
+                [entity for arrival in prefix for entity in arrival.sources],
+                [entity for arrival in prefix for entity in arrival.documents],
+                [arrival.claim for arrival in prefix if arrival.claim is not None],
+            )
         else:
-            # Embedded entities, replayed as one evidence arrival with every
-            # source and document and then one arrival per claim: that
-            # rebuilds the entity lists in their saved order.
             embedded = state["checker"]
-            evidence = ClaimArrival(
-                None,
-                [dataset_io.document_from_dict(d) for d in embedded["documents"]],
+            entities = (
                 [dataset_io.source_from_dict(s) for s in embedded["sources"]],
+                [dataset_io.document_from_dict(d) for d in embedded["documents"]],
+                [dataset_io.claim_from_dict(c) for c in embedded["claims"]],
             )
-            claims = [dataset_io.claim_from_dict(c) for c in embedded["claims"]]
-            self.checker.replay_structure(
-                [evidence] + [ClaimArrival(claim) for claim in claims]
-            )
-        self.checker.load_state_dict(state["checker"])
+        self.checker.load_state_dict(state["checker"], entities)
         # Entities embedded despite a declared source: arrivals came from
         # outside it, so the resumed session must not trust the position.
         self.external_arrivals = "stream_position" not in state and source is not None

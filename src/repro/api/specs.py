@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.codec import JsonRecord, coerce_fields
+from repro.datasets.profiles import PROFILES
 from repro.errors import SpecError
 from repro.guidance.gain import GainConfig
 from repro.guidance.strategies import STRATEGIES
@@ -59,8 +61,8 @@ class DatasetSpec(JsonRecord):
         name: Profile name of a synthetic replica (``wiki`` / ``health`` /
             ``snopes``); mutually exclusive with ``path``.
         path: JSON corpus file (the :mod:`repro.datasets.io` format).
-        seed: Generation seed when ``name`` is used.
-        scale: Generation scale when ``name`` is used.
+        seed: Generation seed when ``name`` is used; non-negative.
+        scale: Generation scale when ``name`` is used; finite and positive.
     """
 
     name: Optional[str] = None
@@ -74,42 +76,43 @@ class DatasetSpec(JsonRecord):
                 "DatasetSpec needs exactly one of 'name' (synthetic profile) "
                 "or 'path' (JSON corpus file)"
             )
-        if self.scale <= 0:
-            raise SpecError(f"scale must be positive, got {self.scale}", field="scale")
-
-    def corpus(self):
-        """The :class:`~repro.datasets.corpus.Corpus` this spec describes.
-
-        A name-based spec returns the corpus every holder of an equal spec
-        shares: it is generated on first use and freed with its last
-        holder.  A path-based spec reads its file anew on every call,
-        since the file may change on disk.
-        """
-        from repro.datasets import (
-            Corpus,
-            generator,
-            get_profile,
-            load_database,
-            shared_corpus,
-        )
-
-        if self.path is not None:
-            return Corpus.of_database(load_database(self.path))
-        profile = get_profile(self.name)
-        # "scale": 1 and "scale": 1.0 describe one corpus.
-        key = dict(self.to_dict(), scale=float(self.scale))
-        return shared_corpus(
-            json.dumps(key, sort_keys=True),
-            lambda: generator.generate_entities(
-                profile, seed=self.seed, scale=self.scale
-            ),
-        )
+        if self.name is not None and self.name not in PROFILES:
+            raise SpecError(
+                f"unknown dataset {self.name!r}; known: {sorted(PROFILES)}",
+                field="name",
+            )
+        if self.seed < 0:
+            raise SpecError(
+                f"seed must be non-negative, got {self.seed}", field="seed"
+            )
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise SpecError(
+                f"scale must be finite and positive, got {self.scale}",
+                field="scale",
+            )
 
     def load(self):
-        """The read-only :class:`~repro.data.database.FactDatabase` this spec
-        describes, shared with every other holder of the corpus; a session
-        over it keeps its own :class:`~repro.data.state.ClaimState`."""
-        return self.corpus().database()
+        """The read-only :class:`~repro.data.database.FactDatabase` this
+        spec describes; a session over it keeps its own
+        :class:`~repro.data.state.ClaimState`.
+
+        A name-based spec returns the database every holder of an equal
+        spec shares: it is generated on first use and freed with its last
+        holder.  A path-based spec reads its file anew on every call, since
+        the file may change on disk.
+        """
+        from repro.datasets import generator, load_database, shared_database
+
+        if self.path is not None:
+            return load_database(self.path)
+        # "scale": 1 and "scale": 1.0 describe one corpus.
+        key = dict(self.to_dict(), scale=float(self.scale))
+        return shared_database(
+            json.dumps(key, sort_keys=True),
+            lambda: generator.generate_dataset(
+                PROFILES[self.name], seed=self.seed, scale=self.scale
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -405,10 +408,12 @@ class StreamSourceSpec(JsonRecord):
                 field="order",
             )
 
-    def arrivals(self):
-        """The declared corpus replayed in posting order, as a sequence
-        shared with every other holder of the corpus (``dataset.corpus()``)."""
-        return self.dataset.corpus().arrivals()
+    def arrivals(self) -> tuple:
+        """The declared corpus replayed in posting order: ``dataset.load()``
+        through :func:`~repro.streaming.stream.stream_from_database`."""
+        from repro.streaming.stream import stream_from_database
+
+        return tuple(stream_from_database(self.dataset.load()))
 
 
 @dataclass(frozen=True)

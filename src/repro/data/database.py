@@ -89,16 +89,12 @@ class DatabaseDelta:
     :class:`~repro.crf.model.CrfModel`, the inference engines) use it to
     patch themselves instead of rebuilding.  ``insert_at`` holds the
     *pre-insertion* positions of the new cliques (suitable for
-    :func:`numpy.insert`); ``new_positions`` their indices in the grown
-    arrays.  Both are sorted, matching the key order of the new cliques.
+    :func:`numpy.insert`), sorted, matching the key order of the new
+    cliques.
     """
 
-    num_sources_before: int
-    num_documents_before: int
-    num_claims_before: int
     num_cliques_before: int
     insert_at: np.ndarray
-    new_positions: np.ndarray
     new_clique_claim: np.ndarray
     new_clique_document: np.ndarray
     new_clique_source: np.ndarray
@@ -407,18 +403,13 @@ class FactDatabase:
             self._clique_source_arr = self._clique_buffers["source"][:n_new]
             self._clique_sign_arr = self._clique_buffers["sign"][:n_new]
             self._clique_key_arr = self._clique_buffers["key"][:n_new]
-        new_positions = insert_at + np.arange(keys.size, dtype=insert_at.dtype)
         if sources or documents or claims:
             # New entities shift adjacency sizes even without new cliques.
             self._invalidate_structure_caches()
 
         return DatabaseDelta(
-            num_sources_before=num_sources_before,
-            num_documents_before=num_documents_before,
-            num_claims_before=num_claims_before,
             num_cliques_before=num_cliques_before,
             insert_at=insert_at,
-            new_positions=new_positions,
             new_clique_claim=new_columns["claim"],
             new_clique_document=new_columns["document"],
             new_clique_source=new_columns["source"],
@@ -486,6 +477,17 @@ class FactDatabase:
         return self._documents
 
     @property
+    def given_documents(self) -> Tuple[Document, ...]:
+        """All documents as they were given, in index order: :attr:`documents`
+        with the parked links of truncated documents restored."""
+        if not self._full_documents:
+            return self._documents
+        return tuple(
+            self._full_documents.get(index, document)
+            for index, document in enumerate(self._documents)
+        )
+
+    @property
     def claims(self) -> Tuple[Claim, ...]:
         """All claims, in index order."""
         return self._claims
@@ -518,6 +520,11 @@ class FactDatabase:
     def document_features(self) -> np.ndarray:
         """Matrix of document features, shape ``(num_documents, m_D)``."""
         return self._document_features
+
+    def knows(self, kind: str, identifier: str) -> bool:
+        """Whether the database holds the ``kind`` (``"source"``,
+        ``"document"`` or ``"claim"``) with ``identifier``."""
+        return identifier in getattr(self, f"_{kind}_index")
 
     def claim_id(self, index: int) -> str:
         """Identifier of the claim at ``index``."""

@@ -3,12 +3,12 @@
 ``load_dataset("snopes", seed=7, scale=0.02)`` returns a ready-to-use
 :class:`~repro.data.database.FactDatabase` whose structure matches the
 published Snopes statistics, shrunk by ``scale`` for fast experimentation.
-:func:`shared_corpus` keeps one generated :class:`Corpus` per dataset spec
-for every session that runs on it.
+:func:`shared_database` keeps one such database per dataset spec, the one
+copy of its corpus that every session on the spec reads
+(:meth:`~repro.api.specs.DatasetSpec.load`).
 """
 
-from repro.datasets.corpus import Corpus, shared_corpus
-from repro.datasets.generator import generate_dataset, generate_entities
+from repro.datasets.generator import generate_dataset
 from repro.datasets.io import (
     database_from_dict,
     database_to_dict,
@@ -24,6 +24,7 @@ from repro.datasets.profiles import (
     SourceKind,
     get_profile,
 )
+from repro.datasets.store import shared_database
 from repro.utils.rng import RandomState
 
 
@@ -46,7 +47,6 @@ def load_dataset(
 
 
 __all__ = [
-    "Corpus",
     "DatasetProfile",
     "SourceKind",
     "HEALTHCARE",
@@ -56,10 +56,9 @@ __all__ = [
     "database_from_dict",
     "database_to_dict",
     "generate_dataset",
-    "generate_entities",
     "get_profile",
     "load_database",
     "load_dataset",
     "save_database",
-    "shared_corpus",
+    "shared_database",
 ]

@@ -31,7 +31,7 @@ for diagnostics, but no algorithm reads them.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -64,25 +64,6 @@ def generate_dataset(
 
     Returns:
         A :class:`FactDatabase` with ground-truth labels on every claim.
-    """
-    sources, documents, claims = generate_entities(profile, seed=seed, scale=scale)
-    return FactDatabase(sources=sources, documents=documents, claims=claims,
-                        prior=prior)
-
-
-def generate_entities(
-    profile: DatasetProfile,
-    seed: RandomState = None,
-    scale: float = 1.0,
-) -> Tuple[Tuple[Source, ...], Tuple[Document, ...], Tuple[Claim, ...]]:
-    """Generate the entities of a synthetic corpus following ``profile``.
-
-    The same draws as :func:`generate_dataset`, without building a
-    database over them.
-
-    Returns:
-        ``(sources, documents, claims)``, each a tuple of immutable
-        entities; every claim carries its ground truth.
     """
     rng = ensure_rng(seed)
     if scale != 1.0:
@@ -145,7 +126,8 @@ def generate_entities(
         rng=derive_rng(rng, 6),
     )
 
-    return tuple(sources), tuple(documents), tuple(claims)
+    return FactDatabase(sources=sources, documents=documents, claims=claims,
+                        prior=prior)
 
 
 def _sample_reliability(

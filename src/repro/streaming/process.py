@@ -15,7 +15,10 @@ symbolically.  Credibility estimates and user labels are carried across
 arrivals in the grown claim state, so earlier inference is reused, never
 recomputed from scratch; checkpoints key them by claim identifier.
 
-The snapshot database, its claim state, the model and the engine are
+The snapshot database is the checker's only store of the streamed
+sources, documents and claims: novelty checks read its identifier indices,
+the first arrival builds it, and a restore builds it once from the
+checkpoint's entities.  It, its claim state, the model and the engine are
 *grown in place* per arrival: :meth:`FactDatabase.extend` merges the new
 cliques into the columnar arrays, :meth:`ClaimState.grow` appends the new
 claims at the prior, the featurizer patches its cached matrices, and the
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -99,22 +102,12 @@ class StreamingFactChecker:
     """
 
     #: Not checkpointed (lint rule STATE001): configuration restored from
-    #: the session spec, and the entity sets, which checkpoints carry as
-    #: their structure origin and restore through :meth:`replay_structure`.
-    #: What drifts per arrival — weights, probabilities, labels, RNG, step
-    #: counter, rebuilt model/database/claim state — is carried (or
-    #: explicitly reconstructed) by ``state_dict``/``load_state_dict``.
-    _STATE_EXCLUDED = (
-        "_stream",
-        "_inference",
-        "_schedule",
-        "_mstep",
-        "_sources",
-        "_documents",
-        "_known_sources",
-        "_known_documents",
-        "_known_claims",
-    )
+    #: the session spec.  What drifts per arrival — weights,
+    #: probabilities, labels, RNG, step counter, rebuilt model/database/
+    #: claim state — is carried (or explicitly reconstructed) by
+    #: ``state_dict``/``load_state_dict``; the snapshot database's entities
+    #: are the checkpoint's structure origin, passed to ``load_state_dict``.
+    _STATE_EXCLUDED = ("_stream", "_inference", "_schedule", "_mstep")
 
     def __init__(
         self, spec: Optional["SessionSpec"] = None, seed: RandomState = None
@@ -134,12 +127,6 @@ class StreamingFactChecker:
         )
         self._rng = ensure_rng(seed)
 
-        self._sources: List[Source] = []
-        self._documents: List[Document] = []
-        self._claims: List[Claim] = []
-        self._known_sources: set = set()
-        self._known_documents: set = set()
-        self._known_claims: set = set()
         self._pending_labels: Dict[str, int] = {}
         self._weights: Optional[CrfWeights] = None
         self._t = 0
@@ -155,8 +142,8 @@ class StreamingFactChecker:
         """Serialise the online-EM state (JSON-compatible).
 
         The streamed entities (:attr:`entities`) are not included:
-        checkpoints carry them separately and restore them through
-        :meth:`replay_structure`.  Probabilities and labels are keyed by
+        checkpoints carry them separately and hand them back to
+        :meth:`load_state_dict`.  Probabilities and labels are keyed by
         claim identifier, probabilities in arrival order and labels in
         labelling order.
         """
@@ -177,13 +164,15 @@ class StreamingFactChecker:
             "rng": rng_state(self._rng),
         }
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state_dict(self, state: dict, entities: Sequence[Sequence]) -> None:
         """Restore a :meth:`state_dict` snapshot bit-for-bit.
 
         The checker must have been constructed with the same configuration
         (schedule, aggregation, M-step, …) — typically from the same
-        :class:`~repro.api.SessionSpec` — and its entity sets must already
-        be in place (:meth:`replay_structure`).
+        :class:`~repro.api.SessionSpec`.  ``entities`` are the
+        ``(sources, documents, claims)`` it had ingested, in arrival order
+        and with documents as they arrived (:attr:`entities`); the snapshot
+        database is built over them once.
         """
         self._pending_labels = {
             str(key): int(value)
@@ -200,28 +189,9 @@ class StreamingFactChecker:
         self._database = None
         self._state = None
         self._model = None
-        if self._claims:
-            self._rebuild(state["probabilities"], state["labels"])
-
-    def replay_structure(self, arrivals) -> int:
-        """Re-ingest arrivals structurally, without any online-EM work.
-
-        Used when resuming from a checkpoint: the declared stream source
-        replays its first ``t`` arrivals (or the embedded entities are
-        replayed) to regenerate the entity sets, then
-        :meth:`load_state_dict` overlays the saved probabilities, labels,
-        weights and RNG position.  Returns the number of arrivals replayed.
-        """
-        if self._t or self._sources or self._documents or self._claims:
-            raise StreamingError(
-                "replay_structure requires a freshly constructed checker"
-            )
-        count = 0
-        for arrival in arrivals:
-            self._commit(*self._novel(arrival))
-            count += 1
-        self._t = count
-        return count
+        if entities[2]:
+            self._database = self._snapshot_of(*entities)
+            self._start(state["probabilities"], state["labels"])
 
     # ------------------------------------------------------------------
     # State
@@ -234,8 +204,12 @@ class StreamingFactChecker:
 
     @property
     def entities(self) -> tuple:
-        """``(sources, documents, claims)`` seen so far, in arrival order."""
-        return tuple(self._sources), tuple(self._documents), tuple(self._claims)
+        """``(sources, documents, claims)`` seen so far, in arrival order,
+        documents as they arrived (links to claims yet to arrive kept)."""
+        database = self._database
+        if database is None:
+            return (), (), ()
+        return database.sources, database.given_documents, database.claims
 
     @property
     def weights(self) -> Optional[CrfWeights]:
@@ -273,7 +247,7 @@ class StreamingFactChecker:
         if value not in (0, 1):
             raise StreamingError(f"label must be 0 or 1, got {value!r}")
         claim_id = self._resolve_claim_id(claim)
-        if claim_id not in self._known_claims:
+        if self._database is None or not self._database.knows("claim", claim_id):
             if not self._stream.allow_pending_labels:
                 raise StreamingError(
                     f"cannot label unknown claim {claim_id!r}: it has not "
@@ -343,11 +317,11 @@ class StreamingFactChecker:
         """
         started = time.perf_counter()
         new_sources, new_documents, new_claims = self._novel(arrival)
+        first = self._database is None
         delta = self._extend_snapshot(new_sources, new_documents, new_claims)
         self._t += 1
-        self._commit(new_sources, new_documents, new_claims)
-        if self._database is None:
-            self._rebuild({}, {})
+        if first:
+            self._start({}, {})
         else:
             self._grow(delta, new_claims)
         state = self._state
@@ -382,9 +356,9 @@ class StreamingFactChecker:
             elapsed_seconds=finished - started,
             step_size=gamma,
             weights=self._weights.copy(),
-            num_claims=len(self._claims),
-            num_documents=len(self._documents),
-            num_sources=len(self._sources),
+            num_claims=self._database.num_claims,
+            num_documents=self._database.num_documents,
+            num_sources=self._database.num_sources,
             ingest_seconds=ingested - started,
             update_seconds=finished - ingested,
         )
@@ -401,13 +375,12 @@ class StreamingFactChecker:
         Raises:
             StreamingError: When the arrival's claim has arrived before.
         """
-        new_sources = _unseen(arrival.sources, self._known_sources, "source_id")
-        new_documents = _unseen(
-            arrival.documents, self._known_documents, "document_id"
-        )
+        database = self._database
+        new_sources = _unseen(arrival.sources, database, "source")
+        new_documents = _unseen(arrival.documents, database, "document")
         if arrival.claim is None:
             return new_sources, new_documents, []
-        if arrival.claim.claim_id in self._known_claims:
+        if database is not None and database.knows("claim", arrival.claim.claim_id):
             raise StreamingError(f"claim {arrival.claim.claim_id!r} arrived twice")
         return new_sources, new_documents, [arrival.claim]
 
@@ -417,10 +390,10 @@ class StreamingFactChecker:
         new_documents: List[Document],
         new_claims: List[Claim],
     ) -> Optional[DatabaseDelta]:
-        """Grow the snapshot database by the arrival's novel entities.
+        """Lines 2–6: extend S, D, C^U with the arrival's novel entities.
 
-        Before the first arrival there is no snapshot: the entities are
-        only checked, and ``None`` is returned.
+        The first arrival builds the snapshot database over its entities
+        and ``None`` is returned; later arrivals grow it in place.
 
         Raises:
             StreamingError: When the first arrival carries no claim, or
@@ -430,38 +403,32 @@ class StreamingFactChecker:
         if self._database is None and not new_claims:
             raise StreamingError("the first arrival must carry a claim")
         try:
-            if self._database is not None:
-                return self._database.extend(
-                    sources=new_sources, documents=new_documents, claims=new_claims
+            if self._database is None:
+                self._database = self._snapshot_of(
+                    new_sources, new_documents, new_claims
                 )
-            # The first arrival builds the snapshot from scratch, so a
-            # trial build is its check.
-            FactDatabase(
-                sources=self._sources + new_sources,
-                documents=self._documents + new_documents,
-                claims=self._claims + new_claims,
-                allow_pending_links=True,
+                return None
+            return self._database.extend(
+                sources=new_sources, documents=new_documents, claims=new_claims
             )
         except DataModelError as error:
             raise StreamingError(f"arrival rejected: {error}") from error
-        return None
 
-    def _commit(
-        self,
-        new_sources: List[Source],
-        new_documents: List[Document],
-        new_claims: List[Claim],
-    ) -> None:
-        """Lines 2–6: extend C^U, D, S with the arrival's novel entities."""
-        for source in new_sources:
-            self._known_sources.add(source.source_id)
-            self._sources.append(source)
-        for document in new_documents:
-            self._known_documents.add(document.document_id)
-            self._documents.append(document)
-        for claim in new_claims:
-            self._known_claims.add(claim.claim_id)
-            self._claims.append(claim)
+    def _snapshot_of(self, sources, documents, claims) -> FactDatabase:
+        """A growable snapshot database over the given entities.
+
+        Documents may reference claims that have not arrived yet (a
+        multi-claim document delivered with its first claim); such forward
+        links are parked inside the database so later arrivals can
+        materialise them in place.
+        """
+        return FactDatabase(
+            sources=sources,
+            documents=documents,
+            claims=claims,
+            prior=float(self._stream.prior),
+            allow_pending_links=True,
+        )
 
     def _grow(self, delta: DatabaseDelta, new_claims: List[Claim]) -> None:
         """Grow the live model with the snapshot (§7: reuse, never recompute).
@@ -475,36 +442,26 @@ class StreamingFactChecker:
         self._model.grow(delta)
         self._state.grow(len(new_claims))
 
-    def _rebuild(
+    def _start(
         self, probabilities: Mapping[str, float], labels: Mapping[str, int]
     ) -> None:
-        """Build the snapshot database, state and model over all seen entities.
+        """Build the claim state and model over the new snapshot database.
 
         ``probabilities`` and ``labels`` are keyed by claim identifier (the
         :meth:`state_dict` layout); claims missing from ``probabilities``
         start at the prior.  Runs for the first arrival and when restoring
-        a checkpoint; later arrivals :meth:`_grow` it.  Documents may
-        reference claims that have not arrived yet (a multi-claim document
-        delivered with its first claim); such forward links are parked
-        inside the database so later arrivals can materialise them in
-        place.
+        a checkpoint; later arrivals :meth:`_grow` them.
         """
-        prior = float(self._stream.prior)
-        database = FactDatabase(
-            sources=self._sources,
-            documents=self._documents,
-            claims=self._claims,
-            prior=prior,
-            allow_pending_links=True,
-        )
+        database = self._database
+        prior = database.prior
         state = ClaimState.of(database)
         state.set_probabilities(
             np.asarray(
-                [float(probabilities.get(c.claim_id, prior)) for c in self._claims]
+                [float(probabilities.get(c.claim_id, prior)) for c in database.claims]
             )
         )
         for claim_id, value in labels.items():
-            if claim_id in self._known_claims:
+            if database.knows("claim", claim_id):
                 state.label(database.claim_position(claim_id), int(value))
 
         if self._weights is None:
@@ -514,7 +471,6 @@ class StreamingFactChecker:
             )
             weights.values[0] = float(self._inference.initial_bias)
             self._weights = weights
-        self._database = database
         self._state = state
         self._model = CrfModel(
             database,
@@ -524,11 +480,12 @@ class StreamingFactChecker:
         )
 
 
-def _unseen(entities, known: set, key: str) -> list:
-    """Entities whose identifier is neither in ``known`` nor repeated."""
+def _unseen(entities, database: Optional[FactDatabase], kind: str) -> list:
+    """Entities of ``kind`` whose identifier is neither in ``database``
+    (``None`` before the first arrival) nor repeated."""
     fresh: dict = {}
     for entity in entities:
-        identifier = getattr(entity, key)
-        if identifier not in known:
+        identifier = getattr(entity, f"{kind}_id")
+        if database is None or not database.knows(kind, identifier):
             fresh.setdefault(identifier, entity)
     return list(fresh.values())

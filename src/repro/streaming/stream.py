@@ -5,7 +5,11 @@ The streaming experiments replay a corpus "in the order of posting time"
 serves as posting order: a claim *arrives* with the first document that
 references it, together with any sources and documents not seen before.
 Later documents that reference an already-arrived claim are delivered as
-evidence updates attached to the next arrival.
+evidence updates attached to the next arrival.  A declared stream source
+(:class:`~repro.api.specs.StreamSourceSpec`) replays the one shared
+database of its dataset spec this way, and a session restoring a
+checkpoint of such a stream takes the entities of the replayed prefix,
+each delivered exactly once.
 """
 
 from __future__ import annotations
@@ -64,10 +68,6 @@ def arrival_from_dict(payload: dict) -> ClaimArrival:
 
 def stream_from_database(database: FactDatabase) -> Iterator[ClaimArrival]:
     """Replay a corpus as a claim-arrival stream in posting order.
-
-    ``database`` is a :class:`FactDatabase` or anything else with its
-    ``sources``, ``documents`` and ``claims`` sequences, such as a
-    :class:`~repro.datasets.corpus.Corpus`.
 
     Iterates documents in index order; when a document references a claim
     that has not arrived yet, a :class:`ClaimArrival` is emitted carrying

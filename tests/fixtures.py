@@ -136,6 +136,21 @@ MALFORMED_SPECS = (
         {"effort": {"termination": [{"kind": "cng", "params": [2]}]}},
         "effort.termination[0].params",
     ),
+    # Well-typed dataset values that generation cannot use.
+    ({"dataset": {"name": "wiki", "scale": float("nan")}}, "dataset.scale"),
+    ({"dataset": {"name": "wiki", "scale": float("inf")}}, "dataset.scale"),
+    ({"dataset": {"name": "wiki", "seed": -3}}, "dataset.seed"),
+    (
+        {"mode": "streaming", "stream": {"source": {"dataset": {"name": "nope"}}}},
+        "stream.source.dataset.name",
+    ),
+    (
+        {
+            "mode": "streaming",
+            "stream": {"source": {"dataset": {"name": "wiki", "scale": float("inf")}}},
+        },
+        "stream.source.dataset.scale",
+    ),
 )
 
 

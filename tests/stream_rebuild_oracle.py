@@ -2,11 +2,11 @@
 
 :class:`~repro.streaming.process.StreamingFactChecker` grows its snapshot
 database, model and engine in place per arrival.  This subclass instead
-discards the snapshot and rebuilds it from the entity lists on every
-arrival, truncating forward links to claims that have not arrived yet,
-and carries the marginals and labels into the rebuilt snapshot by claim
-id.  Both must produce bit-for-bit identical weights
-and probabilities::
+discards the snapshot and rebuilds it from entity lists of its own on
+every arrival, truncating forward links to claims that have not arrived
+yet, and carries the marginals and labels into the rebuilt snapshot by
+claim id.  Both must produce bit-for-bit identical weights and
+probabilities::
 
     grown = StreamingFactChecker(spec, seed=3)
     rebuilt = RebuildingFactChecker(spec, seed=3)
@@ -25,21 +25,38 @@ from repro.streaming.process import StreamingFactChecker
 
 
 class RebuildingFactChecker(StreamingFactChecker):
-    """Streaming checker that rebuilds its snapshot on every arrival."""
+    """Streaming checker that rebuilds its snapshot on every arrival.
+
+    It keeps its own entity lists, in arrival order, and builds a strict
+    database over them from scratch each time.  It replays valid streams
+    only, and is never restored from a checkpoint.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._sources = []
+        self._documents = []
+        self._claims = []
+        self._known_claims = set()
 
     def _extend_snapshot(self, new_sources, new_documents, new_claims) -> None:
-        # The snapshot is rebuilt in _grow, not extended (and a strict
-        # database would reject the forward links _rebuild truncates).
-        # The oracle replays valid streams only.
+        self._sources.extend(new_sources)
+        self._documents.extend(new_documents)
+        self._claims.extend(new_claims)
+        self._known_claims.update(claim.claim_id for claim in new_claims)
+        if self._database is None:
+            self._database = self._strict_snapshot()
         return None
 
     def _grow(self, delta, new_claims) -> None:
         # The old snapshot's probabilities and labels, keyed by claim id.
         kept = self.state_dict()
-        self._rebuild(kept["probabilities"], kept["labels"])
+        self._database = self._strict_snapshot()
+        self._start(kept["probabilities"], kept["labels"])
 
-    def _rebuild(self, probabilities, labels) -> None:
-        prior = float(self._stream.prior)
+    def _strict_snapshot(self) -> FactDatabase:
+        """A strict database over the entity lists, with forward links to
+        claims that have not arrived yet truncated."""
         documents = []
         for doc in self._documents:
             known_links = tuple(
@@ -59,12 +76,16 @@ class RebuildingFactChecker(StreamingFactChecker):
                         metadata=doc.metadata,
                     )
                 )
-        database = FactDatabase(
+        return FactDatabase(
             sources=self._sources,
             documents=documents,
             claims=self._claims,
-            prior=prior,
+            prior=float(self._stream.prior),
         )
+
+    def _start(self, probabilities, labels) -> None:
+        database = self._database
+        prior = float(self._stream.prior)
         state = ClaimState.of(database)
         state.set_probabilities(
             np.asarray(
@@ -85,7 +106,6 @@ class RebuildingFactChecker(StreamingFactChecker):
             )
             weights.values[0] = float(self._inference.initial_bias)
             self._weights = weights
-        self._database = database
         self._state = state
         self._model = CrfModel(
             database,

@@ -1,10 +1,10 @@
-"""The process-wide corpus store (:mod:`repro.datasets.corpus`).
+"""The process-wide database store (:mod:`repro.datasets.store`).
 
-Sessions on one name-based dataset spec share one generated corpus, which
-is built on first use and freed with the last session holding it.  These
-tests count calls to the generator, so every spec here uses a dataset seed
-no other test uses: a corpus another test still holds would otherwise be
-shared and hide a generation.
+Sessions on one name-based dataset spec share one generated database,
+which is built on first use and freed with the last session holding it.
+These tests count calls to the generator, so every spec here uses a
+dataset seed no other test uses: a database another test still holds
+would otherwise be shared and hide a generation.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import DatasetSpec, FactCheckSession, SessionSpec
-from repro.datasets import generator, load_dataset, save_database, shared_corpus
+from repro.api import DatasetSpec, FactCheckSession, SessionSpec, StreamSourceSpec
+from repro.datasets import generator, load_dataset, save_database, shared_database
 from repro.service.manager import ServiceConfig, SessionManager
 from repro.streaming.stream import arrival_to_dict, stream_from_database
 from tests.fixtures import build_micro_database
@@ -29,14 +29,14 @@ from tests.fixtures import build_micro_database
 def generations(monkeypatch):
     """Counts corpus generations: ``generations[0]`` after each call."""
     count = [0]
-    generate = generator.generate_entities
+    generate = generator.generate_dataset
 
     def counting(*args, **kwargs):
         count[0] += 1
         return generate(*args, **kwargs)
 
     gc.collect()
-    monkeypatch.setattr(generator, "generate_entities", counting)
+    monkeypatch.setattr(generator, "generate_dataset", counting)
     return count
 
 
@@ -119,14 +119,14 @@ class TestSharedGeneration:
     def test_concurrent_opens_generate_once_and_match_sequential_runs(
         self, monkeypatch, generations
     ):
-        counting = generator.generate_entities
+        counting = generator.generate_dataset
 
         def slow(*args, **kwargs):
             # Long enough that the second open arrives mid-generation.
             time.sleep(0.2)
             return counting(*args, **kwargs)
 
-        monkeypatch.setattr(generator, "generate_entities", slow)
+        monkeypatch.setattr(generator, "generate_dataset", slow)
         spec = batch_spec(9104)
         barrier = threading.Barrier(2)
         results = [None, None]
@@ -159,8 +159,7 @@ class TestSharedGeneration:
             def generate():
                 with counts_lock:
                     counts[key] += 1
-                database = build_micro_database()
-                return database.sources, database.documents, database.claims
+                return build_micro_database()
 
             return generate
 
@@ -171,7 +170,7 @@ class TestSharedGeneration:
             barrier.wait()
             # All workers race for each new key at once.
             for key in keys:
-                got[slot].append((key, shared_corpus(key, generate_for(key))))
+                got[slot].append((key, shared_database(key, generate_for(key))))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -184,11 +183,11 @@ class TestSharedGeneration:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        # Every worker holds its corpora, so none was freed and rebuilt.
+        # Every worker holds its databases, so none was freed and rebuilt.
         assert counts == dict.fromkeys(keys, 1)
         for key in keys:
-            corpora = {id(corpus) for entries in got for k, corpus in entries if k == key}
-            assert len(corpora) == 1
+            databases = {id(db) for entries in got for k, db in entries if k == key}
+            assert len(databases) == 1
 
     def test_entry_is_freed_with_its_last_session(self, generations):
         spec = batch_spec(9105)
@@ -201,15 +200,15 @@ class TestSharedGeneration:
 
     def test_equal_specs_share_one_weakly_held_corpus(self, generations):
         spec = DatasetSpec(name="health", seed=9106, scale=0.02)
-        corpus = spec.corpus()
-        assert spec.corpus() is corpus
-        assert DatasetSpec.from_dict(spec.to_dict()).corpus() is corpus
-        del corpus
+        database = spec.load()
+        assert spec.load() is database
+        assert DatasetSpec.from_dict(spec.to_dict()).load() is database
+        del database
         gc.collect()
-        spec.corpus()
+        spec.load()
         assert generations[0] == 2
-        whole = DatasetSpec(name="wiki", seed=9106, scale=1).corpus()
-        assert DatasetSpec(name="wiki", seed=9106, scale=1.0).corpus() is whole
+        whole = DatasetSpec(name="wiki", seed=9106, scale=1).load()
+        assert DatasetSpec(name="wiki", seed=9106, scale=1.0).load() is whole
         assert generations[0] == 3
 
     def test_failed_generation_is_retried(self):
@@ -219,14 +218,13 @@ class TestSharedGeneration:
             attempts.append(len(attempts))
             if len(attempts) == 1:
                 raise RuntimeError("generator failed")
-            database = build_micro_database()
-            return database.sources, database.documents, database.claims
+            return build_micro_database()
 
         with pytest.raises(RuntimeError):
-            shared_corpus("test-flaky-corpus", flaky)
-        corpus = shared_corpus("test-flaky-corpus", flaky)
+            shared_database("test-flaky-corpus", flaky)
+        database = shared_database("test-flaky-corpus", flaky)
         assert len(attempts) == 2
-        assert corpus.database().num_claims == build_micro_database().num_claims
+        assert database.num_claims == build_micro_database().num_claims
 
     def test_sessions_keep_their_own_state(self, generations):
         spec = batch_spec(9108)
@@ -365,7 +363,7 @@ class TestSharedStructure:
 class TestArrivalSequence:
     def test_stored_arrivals_equal_a_fresh_replay(self):
         spec = DatasetSpec(name="health", seed=9201, scale=0.02)
-        stored = spec.corpus().arrivals()
+        stored = StreamSourceSpec(dataset=spec).arrivals()
         fresh = list(
             stream_from_database(load_dataset("health", seed=9201, scale=0.02))
         )
@@ -417,3 +415,58 @@ class TestArrivalSequence:
             session.ingest_from_source(count=2)
         assert reads[0] == 1
         assert session.progress()["arrivals"] == 10
+
+
+class TestSnapshotBuilds:
+    """A stream checker builds its snapshot database once: on the first
+    arrival, or on restoring a checkpoint of either stream layout."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts :class:`FactDatabase` constructions."""
+        from repro.data.database import FactDatabase
+
+        count = [0]
+        construct = FactDatabase.__init__
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(FactDatabase, "__init__", counting)
+        return count
+
+    def test_first_arrival_builds_the_snapshot_once(self, builds):
+        from repro.streaming.process import StreamingFactChecker
+
+        arrivals = list(stream_from_database(build_micro_database()))
+        checker = StreamingFactChecker(seed=0)
+        builds[0] = 0
+        checker.observe(arrivals[0])
+        assert builds[0] == 1
+        for arrival in arrivals[1:]:
+            checker.observe(arrival)
+        assert builds[0] == 1
+
+    @pytest.mark.parametrize("layout", ["source position", "embedded entities"])
+    def test_restore_builds_the_snapshot_once(self, tmp_path, builds, layout):
+        spec = stream_spec(9205)
+        session = FactCheckSession(spec).open()
+        if layout == "source position":
+            session.ingest_from_source(count=6)
+        else:
+            # Arrivals pushed from outside: the checkpoint embeds them.
+            session.ingest(spec.stream.source.arrivals()[:6])
+        path = tmp_path / "stream.json"
+        session.save(path)
+        assert ("stream_position" in json.loads(path.read_text())["state"]) == (
+            layout == "source position"
+        )
+        # The live session holds the source's database, so the restore
+        # builds the snapshot only.
+        builds[0] = 0
+        restored = FactCheckSession.load(path)
+        assert builds[0] == 1
+        again = tmp_path / "again.json"
+        restored.save(again)
+        assert again.read_text() == path.read_text()

@@ -12,6 +12,7 @@ result must match an uninterrupted in-process run exactly.
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,13 +390,14 @@ class TestHTTPService:
         assert excinfo.value.field == "inference.estep_mode"
 
     @pytest.mark.parametrize("payload, field", MALFORMED_SPECS)
-    def test_malformed_spec_is_400_with_field(self, service, payload, field):
+    def test_malformed_spec_is_400_with_field(self, service, manager, payload, field):
         with pytest.raises(ServiceRequestError) as excinfo:
             service.create_session(payload)
         assert excinfo.value.status == 400
         assert excinfo.value.error_type == "SpecError"
         assert excinfo.value.field == field
         assert service.list_sessions() == []
+        assert list(Path(manager.config.spool_dir).iterdir()) == []
 
     def test_unknown_session_is_404(self, service):
         with pytest.raises(ServiceRequestError) as excinfo:

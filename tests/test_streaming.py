@@ -390,8 +390,7 @@ class TestPendingLabels:
         future = [a.claim.claim_id for a in arrivals if a.claim is not None][-1]
         checker.record_label(future, 0)
         clone = StreamingFactChecker(PENDING, seed=0)
-        clone.replay_structure(arrivals[:1])
-        clone.load_state_dict(checker.state_dict())
+        clone.load_state_dict(checker.state_dict(), checker.entities)
         assert clone.pending_labels == {future: 0}
         for arrival in arrivals[1:]:
             clone.observe(arrival)
